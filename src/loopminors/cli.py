@@ -25,7 +25,7 @@ from .networks import enumerate_families, family_weight, lindstrom_minor, render
 from .partitions import parse_partition
 from .phi import phi_polynomial
 from .shapemod import build_module, count_flags_fq
-from .tableaux import enumerate_by_parity, enumerate_chess, enumerate_standard
+from .tableaux import check_bits, enumerate_by_parity, enumerate_chess, enumerate_standard
 from .toeplitz import minor, pieri_determinant
 
 
@@ -37,7 +37,7 @@ def _parse_bits(text: str) -> tuple[int, ...]:
         bits = tuple(int(b) for b in text.split(","))
     except ValueError as exc:
         raise DomainError(f"cannot parse bit list {text!r}") from exc
-    return bits
+    return check_bits(bits)
 
 
 def _dumps(obj) -> str:
@@ -113,14 +113,26 @@ def cmd_phi(args, out: Output) -> int:
 
 
 def _load_matrix(path: str) -> LoopElement:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        raise DomainError(f"cannot read matrix file {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:  # malformed JSON or undecodable bytes
+        raise DomainError(f"matrix file {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DomainError(f"matrix file {path!r} must hold one JSON object")
     entries = []
     for i in (1, 2):
         row = []
         for j in (1, 2):
             raw = data.get(f"g{i}{j}", {})
-            terms = {int(exp): Fraction(str(coeff)) for exp, coeff in raw.items()}
+            if not isinstance(raw, dict):
+                raise DomainError(f"g{i}{j} must map t-exponents to coefficients")
+            try:
+                terms = {int(exp): Fraction(str(coeff)) for exp, coeff in raw.items()}
+            except (ValueError, ZeroDivisionError) as exc:
+                raise DomainError(f"bad term in g{i}{j}: {exc}") from exc
             row.append(LaurentPoly(terms))
         entries.append(tuple(row))
     return LoopElement(tuple(entries), nvars=None)
@@ -229,6 +241,8 @@ def cmd_verify(args, out: Output) -> int:
         if args.verbose or not report.ok:
             obj = report.to_json()
             out.emit(obj, text=f"{obj['status']} {_dumps(obj['case'])}")
+    if not cases:
+        raise DomainError("the sweep checked no cases; raise --max-size or --max-word")
     summary = {"cases": cases, "failures": failures}
     out.emit(summary, text=f"cases {cases}, failures {failures}")
     if args.target == "conjecture1":

@@ -1,10 +1,16 @@
 """Exact multivariate polynomials over Python integers.
 
 Variables are positional: a polynomial in k variables a1..ak keeps a map
-from length-k exponent tuples to nonzero integer coefficients.  Arithmetic
-never rounds or overflows.  The canonical term order used for text and JSON
-output is descending lexicographic on the exponent tuple, which reproduces
-the conventional "leading monomial first" reading.
+from monomials to nonzero integer coefficients.  Each monomial's exponent
+vector is packed into one Python int (Kronecker substitution): every variable
+owns a field of ``EXPONENT_BITS`` bits, a1 the highest, so multiplying two
+monomials is one int addition and comparing packed ints compares exponent
+tuples lexicographically.  An exponent above ``MAX_EXPONENT`` would carry
+into the next field, so it is rejected with :class:`DomainError`, both on
+construction and when a product would reach it.  Coefficients never round or
+overflow.  The canonical term order used for text and JSON output is
+descending lexicographic on the exponent tuple, which reproduces the
+conventional "leading monomial first" reading.
 """
 
 from __future__ import annotations
@@ -13,13 +19,34 @@ from fractions import Fraction
 
 from .errors import DomainError
 
+EXPONENT_BITS = 16
+MAX_EXPONENT = (1 << EXPONENT_BITS) - 1
+
+
+def _pack(exps: tuple[int, ...]) -> int:
+    key = 0
+    for e in exps:
+        key = (key << EXPONENT_BITS) | e
+    return key
+
+
+def _unpack(key: int, nvars: int) -> tuple[int, ...]:
+    return tuple(
+        (key >> (EXPONENT_BITS * shift)) & MAX_EXPONENT for shift in range(nvars - 1, -1, -1)
+    )
+
 
 class MultiPoly:
-    __slots__ = ("nvars", "terms")
+    """``terms`` maps packed exponent vectors to coefficients; ``_bound`` is at
+    least every exponent of every term, so a product whose bounds add up to at
+    most ``MAX_EXPONENT`` cannot carry between fields."""
+
+    __slots__ = ("nvars", "terms", "_bound")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
-        clean: dict[tuple[int, ...], int] = {}
+        clean: dict[int, int] = {}
+        bound = 0
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(int(e) for e in exps)
@@ -29,21 +56,41 @@ class MultiPoly:
                     )
                 if any(e < 0 for e in exps):
                     raise DomainError(f"negative exponent in {exps}")
+                top = max(exps, default=0)
+                if top > MAX_EXPONENT:
+                    raise DomainError(
+                        f"exponent {top} in {exps} exceeds the limit {MAX_EXPONENT}"
+                    )
                 if coeff:
-                    clean[exps] = clean.get(exps, 0) + int(coeff)
-                    if not clean[exps]:
-                        del clean[exps]
+                    key = _pack(exps)
+                    total = clean.get(key, 0) + int(coeff)
+                    if total:
+                        clean[key] = total
+                    else:
+                        del clean[key]
+                    bound = max(bound, top)
         self.terms = clean
+        self._bound = bound
+
+    @classmethod
+    def _from_packed(cls, nvars: int, terms: dict[int, int], bound: int) -> "MultiPoly":
+        """Wrap an already packed, zero-free term map without re-checking it."""
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        out._bound = bound
+        return out
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars)
+        return cls._from_packed(nvars, {}, 0)
 
     @classmethod
     def const(cls, nvars: int, value: int) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: value})
+        value = int(value)
+        return cls._from_packed(nvars, {0: value} if value else {}, 0)
 
     @classmethod
     def one(cls, nvars: int) -> "MultiPoly":
@@ -78,22 +125,19 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            total = terms.get(exps, 0) + coeff
+        for key, coeff in other.terms.items():
+            total = terms.get(key, 0) + coeff
             if total:
-                terms[exps] = total
+                terms[key] = total
             else:
-                terms.pop(exps, None)
-        out = MultiPoly(self.nvars)
-        out.terms = terms
-        return out
+                del terms[key]
+        return MultiPoly._from_packed(self.nvars, terms, max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly(self.nvars)
-        out.terms = {exps: -coeff for exps, coeff in self.terms.items()}
-        return out
+        terms = {key: -coeff for key, coeff in self.terms.items()}
+        return MultiPoly._from_packed(self.nvars, terms, self._bound)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -108,18 +152,27 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[tuple[int, ...], int] = {}
+        bound = self._bound + other._bound
+        if bound > MAX_EXPONENT:
+            # Degrees in each variable add up exactly in a product over Z, so
+            # this is the product's true highest exponent.
+            bound = max(
+                (a + b for a, b in zip(self._degrees(), other._degrees())), default=0
+            )
+            if bound > MAX_EXPONENT:
+                raise DomainError(f"product exponent {bound} exceeds the limit {MAX_EXPONENT}")
+        terms: dict[int, int] = {}
+        get = terms.get
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                total = terms.get(exps, 0) + c1 * c2
+            for e2, c2 in right:
+                key = e1 + e2
+                total = get(key, 0) + c1 * c2
                 if total:
-                    terms[exps] = total
+                    terms[key] = total
                 else:
-                    terms.pop(exps, None)
-        out = MultiPoly(self.nvars)
-        out.terms = terms
-        return out
+                    del terms[key]
+        return MultiPoly._from_packed(self.nvars, terms, bound)
 
     __rmul__ = __mul__
 
@@ -139,23 +192,35 @@ class MultiPoly:
     # -- queries -----------------------------------------------------------
 
     def coefficient(self, exps) -> int:
-        return self.terms.get(tuple(exps), 0)
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != self.nvars or not all(0 <= e <= MAX_EXPONENT for e in exps):
+            return 0
+        return self.terms.get(_pack(exps), 0)
 
     def constant_value(self) -> int:
         """The coefficient of the constant monomial."""
-        return self.terms.get((0,) * self.nvars, 0)
+        return self.terms.get(0, 0)
 
     def is_constant(self) -> bool:
-        return all(not any(exps) for exps in self.terms)
+        return all(key == 0 for key in self.terms)
+
+    def _exponents(self):
+        """The exponent tuples of the terms, in no particular order."""
+        n = self.nvars
+        return (_unpack(key, n) for key in self.terms)
+
+    def _degrees(self) -> tuple[int, ...]:
+        """Highest exponent of each variable; all zero for the zero polynomial."""
+        return tuple(max(col) for col in zip(*self._exponents())) or (0,) * self.nvars
 
     def total_degree(self) -> int:
         """Maximum monomial degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(exps) for exps in self.terms)
+        return max(sum(exps) for exps in self._exponents())
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
-        degrees = {sum(exps) for exps in self.terms}
+        degrees = {sum(exps) for exps in self._exponents()}
         if not degrees:
             return True
         if len(degrees) > 1:
@@ -168,7 +233,7 @@ class MultiPoly:
         if len(values) != self.nvars:
             raise DomainError(f"expected {self.nvars} values, got {len(values)}")
         total = Fraction(0)
-        for exps, coeff in self.terms.items():
+        for exps, coeff in zip(self._exponents(), self.terms.values()):
             term = Fraction(coeff)
             for v, e in zip(values, exps):
                 term *= v**e
@@ -179,17 +244,19 @@ class MultiPoly:
         """Re-index into a larger variable set: a_j becomes a_{j+offset}."""
         if offset < 0 or self.nvars + offset > nvars:
             raise DomainError("embedding does not fit the target variable count")
-        terms = {}
-        for exps, coeff in self.terms.items():
-            new = (0,) * offset + exps + (0,) * (nvars - offset - self.nvars)
-            terms[new] = coeff
-        return MultiPoly(nvars, terms)
+        shift = EXPONENT_BITS * (nvars - offset - self.nvars)
+        terms = {key << shift: coeff for key, coeff in self.terms.items()}
+        return MultiPoly._from_packed(nvars, terms, self._bound)
 
     # -- canonical output ---------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in descending lexicographic exponent order."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        """(exponent tuple, coefficient) pairs in descending lexicographic order."""
+        n = self.nvars
+        return [
+            (_unpack(key, n), coeff)
+            for key, coeff in sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        ]
 
     def text(self) -> str:
         if not self.terms:

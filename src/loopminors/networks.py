@@ -14,20 +14,20 @@ so non-crossing reduces to strict interleaving at every junction column.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DomainError
 from .multipoly import MultiPoly
 from .partitions import Partition, check_partition, contains, index_set, max_index
-from .tableaux import BitString, ChessTableau, check_word
+from .tableaux import BitString, ChessTableau, check_bit, check_word
 
 ChipWord = BitString
 
 
 def chip_weight_entry(bit: int, source: int, sink: int) -> MultiPoly:
     """Weight-matrix entry of a single chip, as a polynomial in its parameter."""
-    if bit not in (0, 1):
-        raise DomainError(f"chip parity must be 0 or 1, got {bit}")
+    check_bit(bit, "chip parity")
     if sink == source:
         return MultiPoly.one(1)
     if sink == source + 1 and source % 2 == bit:
@@ -116,6 +116,7 @@ def enumerate_families(word, mu: Partition, lam: Partition, i: int) -> list[Path
     word = check_word(word)
     mu = check_partition(mu)
     lam = check_partition(lam)
+    i = check_bit(i)
     if not contains(mu, lam):
         raise DomainError(f"{mu} is not contained in {lam}")
     n_max = max_index(lam)
@@ -138,24 +139,28 @@ def enumerate_families(word, mu: Partition, lam: Partition, i: int) -> list[Path
     return families
 
 
+def _ascent_counts(family: PathFamily) -> tuple[int, ...]:
+    """Ascents inside each chip, summed over the family's paths.
+
+    Every step is 0 or 1, so chip t's count is how much the paths' summed
+    level grows across it.
+    """
+    heights = [sum(column) for column in zip(*family.levels)]
+    if not heights:
+        return (0,) * len(family.word)
+    return tuple(b - a for a, b in zip(heights, heights[1:]))
+
+
 def family_weight(family: PathFamily) -> MultiPoly:
     """Monomial a^j with j_t the number of ascents inside chip t."""
-    k = len(family.word)
-    counts = [0] * k
-    for n in range(len(family.levels)):
-        for chip in family.ascent_chips(n):
-            counts[chip - 1] += 1
-    return MultiPoly.monomial(k, tuple(counts))
+    return MultiPoly.monomial(len(family.word), _ascent_counts(family))
 
 
 def lindstrom_minor(word, mu: Partition, lam: Partition, i: int) -> MultiPoly:
     """Sum of family weights; the path-side value of the Toeplitz minor."""
     word = check_word(word)
-    k = len(word)
-    total = MultiPoly.zero(k)
-    for family in enumerate_families(word, mu, lam, i):
-        total = total + family_weight(family)
-    return total
+    counts = Counter(_ascent_counts(family) for family in enumerate_families(word, mu, lam, i))
+    return MultiPoly(len(word), counts)
 
 
 def path_to_tableau(family: PathFamily) -> ChessTableau:

@@ -64,14 +64,17 @@ def index_set(lam: Partition, i: int, n_max: int) -> list[int]:
     first.  Minor computations rely on this fixed ordering for a
     deterministic determinant sign.
 
-    Raises :class:`InvalidWindowError` if the window would truncate ``lam``.
+    Raises :class:`InvalidWindowError` if the window would truncate ``lam``,
+    and :class:`DomainError` if ``lam`` is not a partition, so that the window
+    is not strictly decreasing.
     """
     if n_max < max_index(lam):
         raise InvalidWindowError(
             f"window n_max={n_max} smaller than max index {max_index(lam)} of {lam}"
         )
     values = [part(lam, n) + i - n for n in range(n_max + 1)]
-    assert all(a > b for a, b in zip(values, values[1:])), "index window not strictly decreasing"
+    if any(a <= b for a, b in zip(values, values[1:])):
+        raise DomainError(f"index window {values} of {lam} is not strictly decreasing")
     return values
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .multipoly import MultiPoly
 from .partitions import Partition, check_partition, size
-from .tableaux import check_word, enumerate_by_parity, enumerate_chess
+from .tableaux import check_bit, check_word, enumerate_by_parity, enumerate_chess
 
 
 def euler_char(lam: Partition, i: int, d) -> int:
@@ -23,10 +23,12 @@ def euler_char(lam: Partition, i: int, d) -> int:
 def phi_polynomial(lam: Partition, i: int, word) -> MultiPoly:
     """Generating polynomial over contents j with sum(j) = |lam|."""
     lam = check_partition(lam)
+    i = check_bit(i)
     word = check_word(word)
     k = len(word)
     istar = (i + word[0] + 1) % 2
     chess = enumerate_chess(lam, istar, k)
     poly = MultiPoly(k, {j: len(tabs) for j, tabs in chess.items()})
-    assert poly.is_homogeneous(size(lam)) or not poly
+    if poly and not poly.is_homogeneous(size(lam)):
+        raise AssertionError(f"chess contents of {lam} do not all sum to |lam|")
     return poly

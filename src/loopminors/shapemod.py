@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import gf
 from .errors import DomainError, ResourceLimitError
 from .partitions import Partition, check_partition, contains, format_partition, part, size
-from .tableaux import enumerate_by_parity, ground_state
+from .tableaux import check_bits, enumerate_by_parity, ground_state
 
 Box = tuple[int, int]
 
@@ -225,7 +225,7 @@ def count_flags_fq(module: ShapeModule, d, q: int) -> int:
     required simple; guarded to dim <= 7 and q <= 5 because the recursion is
     exhaustive by design.
     """
-    d = tuple(int(b) for b in d)
+    d = check_bits(d, "parity string")
     if len(d) != module.dim:
         raise DomainError(f"series length {len(d)} != module dimension {module.dim}")
     if module.dim > 7:

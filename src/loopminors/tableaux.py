@@ -24,10 +24,23 @@ def is_alternating(bits) -> bool:
     return all(a != b for a, b in zip(bits, bits[1:]))
 
 
+def check_bit(value, what: str = "parity") -> int:
+    """The value as an int, if it is 0 or 1; DomainError otherwise."""
+    if value not in (0, 1):
+        raise DomainError(f"{what} must be 0 or 1, got {value!r}")
+    return int(value)
+
+
+def check_bits(bits, what: str = "bit string") -> BitString:
+    """A tuple of ints, each 0 or 1; DomainError otherwise."""
+    out = tuple(int(b) for b in bits)
+    if any(b not in (0, 1) for b in out):
+        raise DomainError(f"{what} entries must be 0 or 1, got {out}")
+    return out
+
+
 def check_word(bits) -> BitString:
-    word = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in word):
-        raise DomainError(f"word entries must be bits, got {word}")
+    word = check_bits(bits, "word")
     if not is_alternating(word):
         raise DomainError(f"word {word} is not alternating")
     return word
@@ -131,8 +144,9 @@ class StandardTableau:
 class ChessTableau:
     """A semi-standard filling whose box parities match the label parities.
 
-    The parity condition forces strict increase along rows and columns both,
-    which is asserted on construction.
+    Rows and columns must weakly increase.  The parity condition makes
+    neighbouring labels differ, so the increase is then strict both ways.
+    Both conditions are checked on construction.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -158,7 +172,8 @@ class ChessTableau:
                 counts[label - 1] += 1
         if tuple(counts) != tuple(self.content):
             raise DomainError(f"content mismatch: counted {tuple(counts)}")
-        assert _rows_standard(rows), "parity condition must force strictness"
+        if not _rows_standard(rows):
+            raise DomainError(f"filling {rows} is not semi-standard")
 
     @property
     def shape(self) -> Partition:

@@ -22,6 +22,7 @@ from .partitions import (
     max_index,
     staircase,
 )
+from .tableaux import check_bit
 
 
 def decompose_index(l: int) -> tuple[int, int]:
@@ -58,6 +59,7 @@ def minor(g: LoopElement, mu: Partition, lam: Partition, i: int):
     """
     mu = check_partition(mu)
     lam = check_partition(lam)
+    i = check_bit(i)
     if not contains(mu, lam):
         raise DomainError(f"{mu} is not contained in {lam}")
     n_max = max_index(lam)
@@ -80,8 +82,7 @@ def entry_E(g: LoopElement, i: int, n: int):
     determinant be written uniformly; for unipotent-plus elements the raw
     entry below the block diagonal vanishes anyway.
     """
-    if i not in (0, 1):
-        raise DomainError(f"parity must be 0 or 1, got {i}")
+    check_bit(i)
     if n < 0:
         return g.zero_coeff()
     return toeplitz_entry(g, i, n + i)
@@ -98,6 +99,7 @@ def pieri_determinant(g: LoopElement, lam: Partition, i: int):
     if not is_unipotent_plus(g):
         raise DomainError("the Pieri determinant is only defined on unipotent-plus elements")
     lam = check_partition(lam)
+    i = check_bit(i)
     n_max = max_index(lam)
     matrix = []
     for s in range(n_max + 1):

@@ -202,3 +202,34 @@ def test_out_file_and_determinism(tmp_path, capsys):
     assert main(list(argv)) == 0
     assert target.read_bytes() == first
     assert first == b'{"polynomial":"%s"}\n' % GOLDEN.encode()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, '{"g11": ', '{"g11": {"0": "one"}}', '{"g11": {"0": "1/0"}}', "[1, 2]"],
+    ids=["missing-file", "malformed-json", "bad-rational", "zero-denominator", "not-an-object"],
+)
+def test_matrix_file_errors_are_structured(tmp_path, capsys, content):
+    path = tmp_path / "loop.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, _ = run_cli(
+        capsys,
+        "minor", "--matrix", str(path), "--mu", "", "--lambda", "1", "--parity", "0",
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+def test_points_rejects_non_bit_parity_string(capsys):
+    code, out, _ = run_cli(
+        capsys, "points", "--lambda", "2,1", "--parity", "1", "--d", "2,0,0", "--q", "2"
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+def test_verify_rejects_an_empty_sweep(capsys):
+    code, out, _ = run_cli(capsys, "verify", "theorem2", "--max-word", "0")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"

@@ -1,0 +1,70 @@
+"""Input guards at the library boundary, and that they survive ``python -O``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from loopminors.errors import DomainError
+from loopminors.loop import word_to_loop
+from loopminors.networks import enumerate_families, lindstrom_minor
+from loopminors.phi import phi_polynomial
+from loopminors.shapemod import build_module, count_flags_fq
+from loopminors.toeplitz import minor, pieri_determinant
+
+WORD = (1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: minor(word_to_loop(WORD), (), (2, 1), 5),
+        lambda: pieri_determinant(word_to_loop(WORD), (2, 1), 5),
+        lambda: phi_polynomial((2, 1), 5, WORD),
+        lambda: enumerate_families(WORD, (), (2, 1), 2),
+        lambda: lindstrom_minor(WORD, (), (2, 1), -1),
+        lambda: count_flags_fq(build_module((2, 1), (), 1), (2, 0, 0), 2),
+    ],
+    ids=["minor", "pieri_determinant", "phi_polynomial", "enumerate_families",
+         "lindstrom_minor", "count_flags_fq"],
+)
+def test_non_bit_parities_are_rejected(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+# Each guard is fed an input that only an explicit check can refuse: the
+# reversed window of a non-partition, and a parity-respecting filling whose
+# row decreases.  Under -O an ``assert`` in their place would let both pass.
+GUARDED_CALLS = """
+import sys
+from loopminors.errors import DomainError
+from loopminors.partitions import index_set
+from loopminors.tableaux import ChessTableau
+
+for guard in (
+    lambda: index_set((1, 3), 0, 1),
+    lambda: ChessTableau(rows=((3, 2),), parity=1, content=(0, 1, 1)),
+):
+    try:
+        guard()
+    except DomainError:
+        print("rejected")
+    else:
+        print("accepted")
+print("optimize", sys.flags.optimize)
+"""
+
+
+def test_guards_hold_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", GUARDED_CALLS],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["rejected", "rejected", "optimize 1", ""]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopminors.errors import DomainError
-from loopminors.multipoly import MultiPoly
+from loopminors.multipoly import MAX_EXPONENT, MultiPoly
 
 
 def a(k, idx):
@@ -93,3 +93,133 @@ def test_evaluation_is_a_homomorphism(p):
     values = [Fraction(2), Fraction(1, 3)]
     q = p * p + 1
     assert q.evaluate(values) == p.evaluate(values) ** 2 + 1
+
+
+# -- the packed ring against a tuple-keyed reference ----------------------
+
+
+class TuplePoly:
+    """Reference ring: exponent tuples as dict keys, no packing, no limit."""
+
+    def __init__(self, nvars, terms):
+        self.nvars = nvars
+        self.terms = {}
+        for exps, coeff in terms.items():
+            total = self.terms.get(exps, 0) + coeff
+            if total:
+                self.terms[exps] = total
+            else:
+                self.terms.pop(exps, None)
+
+    def __add__(self, other):
+        merged = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            merged[exps] = merged.get(exps, 0) + coeff
+        return TuplePoly(self.nvars, {e: c for e, c in merged.items() if c})
+
+    def __neg__(self):
+        return TuplePoly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other):
+        product = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exps = tuple(a + b for a, b in zip(e1, e2))
+                product[exps] = product.get(exps, 0) + c1 * c2
+        return TuplePoly(self.nvars, {e: c for e, c in product.items() if c})
+
+    def max_exponent(self):
+        return max((max(exps, default=0) for exps in self.terms), default=0)
+
+    def evaluate(self, values):
+        total = Fraction(0)
+        for exps, coeff in self.terms.items():
+            term = Fraction(coeff)
+            for v, e in zip(values, exps):
+                term *= Fraction(v) ** e
+            total += term
+        return total
+
+    def embed(self, nvars, offset):
+        pad = nvars - offset - self.nvars
+        return TuplePoly(nvars, {(0,) * offset + e + (0,) * pad: c for e, c in self.terms.items()})
+
+    def json_terms(self):
+        return {",".join(map(str, e)): c for e, c in sorted(self.terms.items(), reverse=True)}
+
+    def text(self):
+        pieces = []
+        for exps, coeff in sorted(self.terms.items(), reverse=True):
+            factors = [
+                f"a{idx + 1}" if e == 1 else f"a{idx + 1}^{e}"
+                for idx, e in enumerate(exps)
+                if e
+            ]
+            mag = abs(coeff)
+            body = "*".join(([str(mag)] if mag != 1 or not factors else []) + factors)
+            pieces.append(("-" if coeff < 0 else "+", body))
+        if not pieces:
+            return "0"
+        text = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
+        return text + "".join(f" {sign} {body}" for sign, body in pieces[1:])
+
+
+def assert_same(packed, ref):
+    assert packed.nvars == ref.nvars
+    assert packed.json_terms() == ref.json_terms()
+    assert packed.text() == ref.text()
+
+
+# exponents near zero and at the top of a field, so that products both fit and overflow
+exponents = st.one_of(st.integers(0, 3), st.integers(MAX_EXPONENT - 3, MAX_EXPONENT))
+
+
+def term_maps(k):
+    return st.dictionaries(st.tuples(*[exponents] * k), st.integers(-4, 4), max_size=4)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_packed_ring_matches_tuple_reference(data):
+    k = data.draw(st.integers(1, 3), label="k")
+    p_terms = data.draw(term_maps(k), label="p")
+    q_terms = data.draw(term_maps(k), label="q")
+    p, q = MultiPoly(k, p_terms), MultiPoly(k, q_terms)
+    rp, rq = TuplePoly(k, p_terms), TuplePoly(k, q_terms)
+    assert_same(p, rp)
+    assert_same(p + q, rp + rq)
+    assert_same(p - q, rp + -rq)
+    product = rp * rq
+    if product.max_exponent() > MAX_EXPONENT:
+        with pytest.raises(DomainError):
+            p * q
+    else:
+        assert_same(p * q, product)
+    probe = data.draw(st.tuples(*[exponents] * k), label="probe")
+    for exps in list(p_terms) + [probe]:
+        assert p.coefficient(exps) == rp.terms.get(exps, 0)
+    values = data.draw(st.lists(st.sampled_from([0, 1, -1, 2, Fraction(1, 2)]), min_size=k, max_size=k))
+    assert p.evaluate(values) == rp.evaluate(values)
+    offset = data.draw(st.integers(0, 2), label="offset")
+    assert_same(p.embed(k + 2, offset), rp.embed(k + 2, offset))
+
+
+def test_exponent_beyond_a_field_is_rejected_on_construction():
+    assert MultiPoly.monomial(2, (MAX_EXPONENT, 0)).text() == f"a1^{MAX_EXPONENT}"
+    with pytest.raises(DomainError):
+        MultiPoly.monomial(2, (0, MAX_EXPONENT + 1))
+    with pytest.raises(DomainError):
+        MultiPoly(1, {(MAX_EXPONENT + 1,): 1, (0,): 1})
+
+
+def test_product_beyond_a_field_raises_instead_of_carrying():
+    top = MultiPoly.monomial(2, (MAX_EXPONENT, 0))
+    with pytest.raises(DomainError):
+        top * a(2, 0)
+    with pytest.raises(DomainError):
+        a(2, 0) * top
+    # the exponent bound is exceeded but no single variable overflows
+    mixed = top * MultiPoly.monomial(2, (0, MAX_EXPONENT))
+    assert mixed == MultiPoly.monomial(2, (MAX_EXPONENT, MAX_EXPONENT))
+    with pytest.raises(DomainError):
+        mixed * a(2, 1)
