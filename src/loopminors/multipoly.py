@@ -109,6 +109,41 @@ class MultiPoly:
     def monomial(cls, nvars: int, exps, coeff: int = 1) -> "MultiPoly":
         return cls(nvars, {tuple(exps): coeff})
 
+    @classmethod
+    def transfer_sum(cls, nvars: int, start, end, moves) -> "MultiPoly":
+        """Sum of a^e over the walks of ``nvars`` steps from ``start`` to ``end``.
+
+        Step c (0-origin) takes a walk from ``state`` along each pair
+        ``(next_state, e)`` that ``moves(c, state)`` yields, and e, a
+        nonnegative int, is the walk's exponent of a_{c+1}.  A transfer-matrix
+        evaluation: each step keeps, per reachable state, the polynomial of the
+        walks that end there, so walks are summed, never listed.  States must
+        be hashable; a step exponent above ``MAX_EXPONENT`` raises DomainError.
+        """
+        layer = {start: {0: 1}}
+        bound = 0
+        for c in range(nvars):
+            shift = EXPONENT_BITS * (nvars - 1 - c)
+            nxt: dict = {}
+            for state, terms in layer.items():
+                for target, e in moves(c, state):
+                    if not 0 <= e <= bound:
+                        if e < 0 or e > MAX_EXPONENT:
+                            raise DomainError(f"step exponent {e} outside 0..{MAX_EXPONENT}")
+                        bound = e
+                    step = e << shift
+                    acc = nxt.get(target)
+                    if acc is None:
+                        nxt[target] = {key + step: n for key, n in terms.items()}
+                    else:
+                        # every coefficient counts walks, so none can cancel
+                        get = acc.get
+                        for key, n in terms.items():
+                            key += step
+                            acc[key] = get(key, 0) + n
+            layer = nxt
+        return cls._from_packed(nvars, layer.get(end) or {}, bound)
+
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other) -> "MultiPoly":
@@ -184,6 +219,9 @@ class MultiPoly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant polynomial equals its int value, so it hashes like it
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __bool__(self):

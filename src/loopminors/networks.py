@@ -14,7 +14,6 @@ so non-crossing reduces to strict interleaving at every junction column.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -107,11 +106,10 @@ def _paths_between(word: ChipWord, source: int, sink: int) -> list[tuple[int, ..
     return found
 
 
-def enumerate_families(word, mu: Partition, lam: Partition, i: int) -> list[PathFamily]:
-    """All non-crossing families joining the mu-sources to the lam-sinks.
+def _endpoints(word, mu: Partition, lam: Partition, i: int):
+    """The checked word, and the source and sink levels of the paths.
 
-    Path n runs from mu[n] + i - n to lam[n] + i - n for n in
-    0..maxIndex(lam); the list is empty when no family exists.
+    Path n runs from mu[n] + i - n to lam[n] + i - n for n in 0..maxIndex(lam).
     """
     word = check_word(word)
     mu = check_partition(mu)
@@ -120,8 +118,15 @@ def enumerate_families(word, mu: Partition, lam: Partition, i: int) -> list[Path
     if not contains(mu, lam):
         raise DomainError(f"{mu} is not contained in {lam}")
     n_max = max_index(lam)
-    sources = index_set(mu, i, n_max)
-    sinks = index_set(lam, i, n_max)
+    return word, tuple(index_set(mu, i, n_max)), tuple(index_set(lam, i, n_max))
+
+
+def enumerate_families(word, mu: Partition, lam: Partition, i: int) -> list[PathFamily]:
+    """All non-crossing families joining the mu-sources to the lam-sinks.
+
+    The list is empty when no family exists.
+    """
+    word, sources, sinks = _endpoints(word, mu, lam, i)
     per_path = [_paths_between(word, u, v) for u, v in zip(sources, sinks)]
     families: list[PathFamily] = []
 
@@ -157,10 +162,32 @@ def family_weight(family: PathFamily) -> MultiPoly:
 
 
 def lindstrom_minor(word, mu: Partition, lam: Partition, i: int) -> MultiPoly:
-    """Sum of family weights; the path-side value of the Toeplitz minor."""
-    word = check_word(word)
-    counts = Counter(_ascent_counts(family) for family in enumerate_families(word, mu, lam, i))
-    return MultiPoly(len(word), counts)
+    """Sum of family weights; the path-side value of the Toeplitz minor.
+
+    Counted by a walk over the tuples of path levels, chip by chip: across
+    chip c (0-origin) each path stays put or, from a level of parity
+    word[c], rises by one, and a family's weight gains a_{c+1} for each path
+    that rises.  The levels stay strictly decreasing, which is the
+    non-crossing condition; a tuple is dropped once some path can no longer
+    reach its sink.
+    """
+    word, sources, sinks = _endpoints(word, mu, lam, i)
+    k = len(word)
+
+    def moves(c: int, levels: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+        left = k - c - 1
+        bit = word[c]
+        moved: list[tuple[tuple[int, ...], int]] = [((), 0)]
+        for n, (level, sink) in enumerate(zip(levels, sinks)):
+            steps = [0] if sink - level <= left else []
+            # a path just above at level + 1 has the other parity, so it stays
+            # put and a rise would meet it
+            if level < sink and level % 2 == bit and (n == 0 or levels[n - 1] > level + 1):
+                steps.append(1)
+            moved = [(path + (level + d,), e + d) for path, e in moved for d in steps]
+        return moved
+
+    return MultiPoly.transfer_sum(k, sources, sinks, moves)
 
 
 def path_to_tableau(family: PathFamily) -> ChessTableau:

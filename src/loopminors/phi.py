@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .multipoly import MultiPoly
 from .partitions import Partition, check_partition, size
-from .tableaux import check_bit, check_word, enumerate_by_parity, enumerate_chess
+from .tableaux import check_bit, check_word, enumerate_by_parity
 
 
 def euler_char(lam: Partition, i: int, d) -> int:
@@ -21,14 +21,36 @@ def euler_char(lam: Partition, i: int, d) -> int:
 
 
 def phi_polynomial(lam: Partition, i: int, word) -> MultiPoly:
-    """Generating polynomial over contents j with sum(j) = |lam|."""
+    """Generating polynomial over contents j with sum(j) = |lam|.
+
+    Counted by a walk over the shapes inside lam, one label at a time.  The
+    parity makes neighbouring labels differ, so a chess tableau holds each
+    label at most once per row and column: label c + 1 fills a set of
+    addable corners of the shape filled so far, each of the label's parity.
+    A shape is dropped once a row has more boxes left than labels remain.
+    """
     lam = check_partition(lam)
     i = check_bit(i)
     word = check_word(word)
     k = len(word)
     istar = (i + word[0] + 1) % 2
-    chess = enumerate_chess(lam, istar, k)
-    poly = MultiPoly(k, {j: len(tabs) for j, tabs in chess.items()})
+
+    def moves(c: int, shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+        left = k - c - 1
+        label_parity = (c + 1) % 2
+        grown: list[tuple[tuple[int, ...], int]] = [((), 0)]
+        for s, (length, full) in enumerate(zip(shape, lam)):
+            steps = [0] if full - length <= left else []
+            if (
+                length < full
+                and (s == 0 or shape[s - 1] > length)
+                and (s + length + istar) % 2 == label_parity
+            ):
+                steps.append(1)
+            grown = [(rows + (length + d,), e + d) for rows, e in grown for d in steps]
+        return grown
+
+    poly = MultiPoly.transfer_sum(k, (0,) * len(lam), lam, moves)
     if poly and not poly.is_homogeneous(size(lam)):
         raise AssertionError(f"chess contents of {lam} do not all sum to |lam|")
     return poly

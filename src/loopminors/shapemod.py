@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import gf
 from .errors import DomainError, ResourceLimitError
 from .partitions import Partition, check_partition, contains, format_partition, part, size
-from .tableaux import check_bits, enumerate_by_parity, ground_state
+from .tableaux import check_bit, check_bits, enumerate_by_parity, ground_state
 
 Box = tuple[int, int]
 
@@ -74,6 +74,7 @@ def build_module(lam: Partition, mu: Partition, i: int) -> ShapeModule:
     """Construct the skew-shape module for mu inside lam at parity i."""
     lam = check_partition(lam)
     mu = check_partition(mu)
+    i = check_bit(i)
     if not contains(mu, lam):
         raise DomainError(f"{mu} is not contained in {lam}")
     boxes = tuple(
@@ -89,7 +90,7 @@ def build_module(lam: Partition, mu: Partition, i: int) -> ShapeModule:
             actions["alpha" if even else "beta"][(s, t)] = left
         if up in box_set:
             actions["beta*" if even else "alpha*"][(s, t)] = up
-    module = ShapeModule(outer=lam, inner=mu, parity=i % 2, boxes=boxes, actions=actions)
+    module = ShapeModule(outer=lam, inner=mu, parity=i, boxes=boxes, actions=actions)
     _check_relations(module)
     return module
 
@@ -242,7 +243,8 @@ def count_flags_fq(module: ShapeModule, d, q: int) -> int:
 def conjecture1_prediction(lam: Partition, i: int, d, q: int) -> int:
     """Sum of q^(ground state) over the tableaux with i-parity string d."""
     lam = check_partition(lam)
-    d = tuple(int(b) for b in d)
+    i = check_bit(i)
+    d = check_bits(d, "parity string")
     if len(d) != size(lam):
         raise DomainError(f"parity string length {len(d)} != |lam| = {size(lam)}")
     return sum(q ** ground_state(T, i) for T in enumerate_by_parity(lam, i, d))

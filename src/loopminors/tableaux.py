@@ -154,6 +154,7 @@ class ChessTableau:
     content: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
+        check_bit(self.parity)
         rows = tuple(tuple(int(v) for v in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         shape = check_partition(len(row) for row in rows)
@@ -232,7 +233,8 @@ def parity_string(tableau: StandardTableau, i: int) -> BitString:
 def enumerate_by_parity(lam: Partition, i: int, d) -> list[StandardTableau]:
     """Standard tableaux of shape lam whose i-parity string equals d."""
     lam = check_partition(lam)
-    d = tuple(int(b) for b in d)
+    i = check_bit(i)
+    d = check_bits(d, "parity string")
     if len(d) != size(lam):
         raise DomainError(f"parity string length {len(d)} != |lam| = {size(lam)}")
     return [T for T in enumerate_standard(lam) if parity_string(T, i) == d]
@@ -247,6 +249,7 @@ def enumerate_chess(
     bound k is explicit because the full family is infinite as k grows.
     """
     lam = check_partition(lam)
+    i = check_bit(i)
     if k < 0:
         raise DomainError(f"label bound must be nonnegative, got {k}")
     boxes = [(s, t) for s in range(len(lam)) for t in range(lam[s])]

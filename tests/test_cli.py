@@ -3,6 +3,7 @@ import json
 import pytest
 
 from loopminors.cli import main
+from loopminors.multipoly import MultiPoly
 
 GOLDEN = "a1*a2^2 + 2*a1*a2*a4 + a1*a4^2 + a3*a4^2"
 
@@ -72,6 +73,22 @@ def test_paths_output(capsys):
     assert data["count"] == 5
     assert data["polynomial"] == GOLDEN
     assert all(len(path) == 5 for family in data["families"] for path in family)
+
+
+@pytest.mark.parametrize("mu, lam", [("", "3,2,1"), ("2,1", "4,3,1")])
+def test_paths_family_weights_sum_to_the_polynomial(capsys, mu, lam):
+    word = "1,0,1,0,1,0,1"
+    code, out, _ = run_cli(
+        capsys, "paths", "--word", word, "--mu", mu, "--lambda", lam, "--parity", "0"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["count"] > 1
+    total = MultiPoly.zero(7)
+    for family in data["families"]:
+        heights = [sum(column) for column in zip(*family)]
+        total = total + MultiPoly.monomial(7, [b - a for a, b in zip(heights, heights[1:])])
+    assert total.text() == data["polynomial"]
 
 
 def test_paths_render(capsys):

@@ -10,8 +10,9 @@ import pytest
 from loopminors.errors import DomainError
 from loopminors.loop import word_to_loop
 from loopminors.networks import enumerate_families, lindstrom_minor
-from loopminors.phi import phi_polynomial
-from loopminors.shapemod import build_module, count_flags_fq
+from loopminors.phi import euler_char, phi_polynomial
+from loopminors.shapemod import build_module, conjecture1_prediction, count_flags_fq
+from loopminors.tableaux import ChessTableau, enumerate_by_parity, enumerate_chess
 from loopminors.toeplitz import minor, pieri_determinant
 
 WORD = (1, 0, 1)
@@ -26,9 +27,19 @@ WORD = (1, 0, 1)
         lambda: enumerate_families(WORD, (), (2, 1), 2),
         lambda: lindstrom_minor(WORD, (), (2, 1), -1),
         lambda: count_flags_fq(build_module((2, 1), (), 1), (2, 0, 0), 2),
+        lambda: enumerate_by_parity((2, 1), 3, (1, 0, 0)),
+        lambda: enumerate_by_parity((2, 1), 1, (1, 0, 2)),
+        lambda: euler_char((2, 1), 3, (1, 0, 0)),
+        lambda: enumerate_chess((2, 1), 3, 4),
+        lambda: ChessTableau(rows=((1,),), parity=3, content=(1,)),
+        lambda: build_module((2, 1), (), 3),
+        lambda: conjecture1_prediction((2, 1), 2, (0, 1, 1), 2),
+        lambda: conjecture1_prediction((2, 1), 0, (0, 1, 3), 2),
     ],
     ids=["minor", "pieri_determinant", "phi_polynomial", "enumerate_families",
-         "lindstrom_minor", "count_flags_fq"],
+         "lindstrom_minor", "count_flags_fq", "enumerate_by_parity",
+         "enumerate_by_parity_d", "euler_char", "enumerate_chess", "ChessTableau",
+         "build_module", "conjecture1_prediction", "conjecture1_prediction_d"],
 )
 def test_non_bit_parities_are_rejected(call):
     with pytest.raises(DomainError):

@@ -28,6 +28,7 @@ def test_zero_terms_are_dropped():
 
 def test_int_coercion_and_equality():
     assert MultiPoly.const(3, 5) == 5
+    assert 5 in {MultiPoly.const(1, 5)} and 0 in {MultiPoly.zero(2)}
     assert 2 * a(1, 0) + 1 == MultiPoly(1, {(1,): 2, (0,): 1})
     assert a(1, 0) != a(2, 0) or True  # different nvars raise on arithmetic
     with pytest.raises(DomainError):
@@ -75,9 +76,9 @@ def small_polys(k=2):
     )
 
 
-@given(p=small_polys(), q=small_polys(), r=small_polys())
+@given(p=small_polys(), q=small_polys(), r=small_polys(), n=st.integers(-5, 5))
 @settings(max_examples=100)
-def test_ring_axioms(p, q, r):
+def test_ring_axioms(p, q, r, n):
     assert p + q == q + p
     assert (p + q) + r == p + (q + r)
     assert p * q == q * p
@@ -85,6 +86,10 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
     assert p + MultiPoly.zero(2) == p
     assert p * MultiPoly.one(2) == p
+    # equal values hash equal, int operands included
+    for x, y in ((p, q), (p + q, q + p), (p - p + n, n), (p, n), (p * q, q * p)):
+        if x == y:
+            assert hash(x) == hash(y)
 
 
 @given(p=small_polys())
@@ -202,6 +207,29 @@ def test_packed_ring_matches_tuple_reference(data):
     assert p.evaluate(values) == rp.evaluate(values)
     offset = data.draw(st.integers(0, 2), label="offset")
     assert_same(p.embed(k + 2, offset), rp.embed(k + 2, offset))
+
+
+def test_transfer_sum_counts_walks_by_step_exponents():
+    # walks on 0..2 that move up by e in {0, 1} each step, from 0 to 2
+    def up(c, level):
+        return [(level + e, e) for e in (0, 1) if level + e <= 2]
+
+    poly = MultiPoly.transfer_sum(3, 0, 2, up)
+    assert poly == MultiPoly(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
+    assert poly._bound == 1
+    # two routes into one state add up; an unreachable end gives zero
+    assert MultiPoly.transfer_sum(1, "s", "t", lambda c, s: [("t", 2), ("t", 2)]) == 2 * a(1, 0) * a(1, 0)
+    assert MultiPoly.transfer_sum(2, 0, 5, up) == 0
+    assert MultiPoly.transfer_sum(0, 0, 0, up) == 1
+
+
+def test_transfer_sum_rejects_an_exponent_outside_a_field():
+    with pytest.raises(DomainError):
+        MultiPoly.transfer_sum(1, 0, 0, lambda c, s: [(0, MAX_EXPONENT + 1)])
+    with pytest.raises(DomainError):
+        MultiPoly.transfer_sum(1, 0, 0, lambda c, s: [(0, -1)])
+    top = MultiPoly.transfer_sum(2, 0, 0, lambda c, s: [(0, MAX_EXPONENT)])
+    assert top == MultiPoly.monomial(2, (MAX_EXPONENT, MAX_EXPONENT))
 
 
 def test_exponent_beyond_a_field_is_rejected_on_construction():
