@@ -45,18 +45,22 @@ def _dumps(obj) -> str:
 
 
 class Output:
-    """Collects emitted lines and writes them once, to stdout or a file."""
+    """Writes and flushes each line as it is emitted, to stdout or a file."""
 
     def __init__(self, fmt: str, path: str | None):
         self.fmt = fmt
-        self.path = path
-        self.lines: list[str] = []
+        self.handle = open(path, "w", encoding="utf-8") if path else None
+
+    def _write(self, line: str) -> None:
+        handle = self.handle or sys.stdout
+        handle.write(line + "\n")
+        handle.flush()
 
     def emit_json(self, obj) -> None:
-        self.lines.append(_dumps(obj))
+        self._write(_dumps(obj))
 
     def emit_text(self, text: str) -> None:
-        self.lines.append(text)
+        self._write(text)
 
     def emit(self, obj, text: str | None = None) -> None:
         if self.fmt == "text" and text is not None:
@@ -64,13 +68,9 @@ class Output:
         else:
             self.emit_json(obj)
 
-    def flush(self) -> None:
-        body = "\n".join(self.lines) + ("\n" if self.lines else "")
-        if self.path:
-            with open(self.path, "w", encoding="utf-8") as handle:
-                handle.write(body)
-        else:
-            sys.stdout.write(body)
+    def close(self) -> None:
+        if self.handle:
+            self.handle.close()
 
 
 def _tableaux_json(tabs) -> list:
@@ -226,7 +226,7 @@ _VERIFY_SWEEPS = {
     "prop1": lambda a: verify_mod.sweep_prop1(a.max_size, a.max_word),
     "pieri": lambda a: verify_mod.sweep_pieri(a.max_size, a.max_word),
     "lindstrom": lambda a: verify_mod.sweep_lindstrom(a.max_size, a.max_word),
-    "conjecture1": lambda a: verify_mod.sweep_conjecture1(a.max_size, qs=tuple(a.q)),
+    "conjecture1": lambda a: verify_mod.sweep_conjecture1(a.max_size, qs=tuple(a.q or (2, 3))),
 }
 
 
@@ -334,17 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "q", None) is None and getattr(args, "command", "") == "verify":
-        args.q = [2, 3]
     out = Output(args.format, args.out)
     try:
-        code = args.func(args, out)
+        return args.func(args, out)
     except LoopMinorsError as exc:
         out.emit_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        out.flush()
         return 1
-    out.flush()
-    return code
+    finally:
+        out.close()
 
 
 if __name__ == "__main__":

@@ -1,11 +1,14 @@
-"""Small finite fields and the dense linear algebra the flag counter needs.
+"""Small fields and the dense elimination that ``shapemod`` runs over them.
 
 Supported fields: the prime fields F2, F3, F5 and F4 via an explicit
 four-element table (elements encoded 0..3 as bit pairs over F2, product
-reduced modulo x^2 + x + 1).  No general Galois tower is provided.
+reduced modulo x^2 + x + 1), and the rationals ``QQ`` for exact ranks over
+Q.  No general Galois tower is provided.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .errors import DomainError
 
@@ -57,6 +60,35 @@ class GF:
         return range(self.q)
 
 
+class _Rationals:
+    """The rationals behind the ``GF`` interface; elements are ints or Fractions."""
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def neg(a):
+        return -a
+
+    @staticmethod
+    def sub(a, b):
+        return a - b
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def inv(a) -> Fraction:
+        if a == 0:
+            raise DomainError("division by zero in the rationals")
+        return 1 / Fraction(a)
+
+
+QQ = _Rationals()
+
+
 Matrix = list[list[int]]
 Vector = list[int]
 
@@ -72,7 +104,7 @@ def identity_matrix(n: int) -> Matrix:
     return out
 
 
-def mat_mul(field: GF, a: Matrix, b: Matrix) -> Matrix:
+def mat_mul(field: GF | _Rationals, a: Matrix, b: Matrix) -> Matrix:
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     out = zero_matrix(rows, cols)
     for i in range(rows):
@@ -85,18 +117,7 @@ def mat_mul(field: GF, a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def row_vec_mul(field: GF, row: Vector, mat: Matrix) -> Vector:
-    cols = len(mat[0]) if mat else 0
-    out = [0] * cols
-    for k, coeff in enumerate(row):
-        if not coeff:
-            continue
-        for j in range(cols):
-            out[j] = field.add(out[j], field.mul(coeff, mat[k][j]))
-    return out
-
-
-def rref(field: GF, mat: Matrix) -> tuple[Matrix, list[int]]:
+def rref(field: GF | _Rationals, mat: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices (in-place on a copy)."""
     a = [row[:] for row in mat]
     rows = len(a)
@@ -146,31 +167,6 @@ def left_kernel_basis(field: GF, mat: Matrix) -> list[Vector]:
     if not transposed:
         return [e for e in identity_matrix(rows)]
     return kernel_basis(field, transposed)
-
-
-def solve_columns(field: GF, basis: Matrix, targets: Matrix) -> Matrix:
-    """Solve basis @ Y = targets for Y, column by column.
-
-    ``basis`` must have full column rank and every target column must lie in
-    its column span (guaranteed here by submodule stability); violations
-    raise.
-    """
-    rows = len(basis)
-    cols = len(basis[0]) if basis else 0
-    tcols = len(targets[0]) if targets and targets[0] is not None else 0
-    if not targets:
-        tcols = 0
-    augmented = [basis[i][:] + targets[i][:] for i in range(rows)]
-    reduced, pivots = rref(field, augmented)
-    if any(p >= cols for p in pivots):
-        raise DomainError("target column outside the span of the basis")
-    if len(pivots) != cols:
-        raise DomainError("basis columns are dependent")
-    out = zero_matrix(cols, tcols)
-    for r, p in enumerate(pivots):
-        for j in range(tcols):
-            out[p][j] = reduced[r][cols + j]
-    return out
 
 
 def projective_vectors(field: GF, dim: int) -> list[Vector]:

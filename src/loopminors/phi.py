@@ -10,6 +10,7 @@ degree |lam|.
 
 from __future__ import annotations
 
+from .errors import DomainError
 from .multipoly import MultiPoly
 from .partitions import Partition, check_partition, size
 from .tableaux import check_bit, check_word, enumerate_by_parity
@@ -32,6 +33,8 @@ def phi_polynomial(lam: Partition, i: int, word) -> MultiPoly:
     lam = check_partition(lam)
     i = check_bit(i)
     word = check_word(word)
+    if not word:
+        raise DomainError("a factorization word must have at least one letter")
     k = len(word)
     istar = (i + word[0] + 1) % 2
 

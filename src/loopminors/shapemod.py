@@ -22,7 +22,6 @@ Jordan type is the row-length partition lam for every shape module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import gf
 from .errors import DomainError, ResourceLimitError
@@ -112,48 +111,23 @@ def _check_relations(module: ShapeModule) -> None:
             raise AssertionError(f"beta* beta != alpha alpha* at {box}")
 
 
-def _rank_fractions(mat: list[list[Fraction]]) -> int:
-    a = [row[:] for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    rank = 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, rows) if a[i][c]), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][c]
-        a[rank] = [v * inv for v in a[rank]]
-        for i in range(rows):
-            if i != rank and a[i][c]:
-                factor = a[i][c]
-                a[i] = [v - factor * w for v, w in zip(a[i], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 def delta_partition_type(module: ShapeModule) -> Partition:
     """Jordan type of delta = alpha + beta, via ranks of its powers."""
     n = module.dim
     if n == 0:
         return ()
     index = {box: idx for idx, box in enumerate(module.boxes)}
-    delta = [[Fraction(0)] * n for _ in range(n)]
+    delta = gf.zero_matrix(n, n)
     for name in ("alpha", "beta"):
         for src, dst in module.actions[name].items():
             delta[index[dst]][index[src]] += 1
     ranks = [n]
-    power = [row[:] for row in delta]
+    power = delta
     for _ in range(n):
-        ranks.append(_rank_fractions(power))
+        ranks.append(len(gf.rref(gf.QQ, power)[1]))
         if ranks[-1] == 0:
             break
-        power = [
-            [sum((power[i][k] * delta[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-            for i in range(n)
-        ]
+        power = gf.mat_mul(gf.QQ, power, delta)
     if ranks[-1] != 0:
         raise AssertionError("delta is not nilpotent on a shape module")
     blocks_ge = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))]
@@ -182,40 +156,37 @@ def _gf_matrices(module: ShapeModule, field: gf.GF):
     return arrows, idempotents
 
 
-def _in_span(field: gf.GF, f: list[int], v: list[int]) -> bool:
-    pivot = next(i for i, value in enumerate(f) if value)
-    scale = field.mul(v[pivot], field.inv(f[pivot]))
-    return all(value == field.mul(scale, base) for value, base in zip(v, f))
-
-
 def _count_series(field, arrows, idempotents, d: tuple[int, ...]) -> int:
     dim = len(d)
     if dim == 0:
         return 1
     eps = d[-1]
-    functional_basis = gf.left_kernel_basis(field, idempotents[1 - eps])
-    if not functional_basis:
-        return 0
+    # A functional f with quotient S_eps vanishes off vertex eps, and every
+    # arrow X swaps the two vertices, so f X lives on vertex 1 - eps and lies
+    # in span(f) only as 0: the stable f are the left kernel of
+    # [E_{1-eps} | X_alpha | X_beta | X_alpha* | X_beta*].
+    stacked = [sum(rows, []) for rows in zip(idempotents[1 - eps], *arrows)]
+    functional_basis = gf.left_kernel_basis(field, stacked)
     total = 0
     for coeffs in gf.projective_vectors(field, len(functional_basis)):
         f = [0] * dim
         for c, base in zip(coeffs, functional_basis):
             if c:
                 f = [field.add(x, field.mul(c, b)) for x, b in zip(f, base)]
-        if not any(f):
-            continue
-        if not all(_in_span(field, f, gf.row_vec_mul(field, f, X)) for X in arrows):
-            continue
+        # the kernel basis B of f is the identity off f's pivot row, so the
+        # restriction of M to ker f is M B with that row dropped
+        pivot = next(i for i, value in enumerate(f) if value)
         kernel = gf.kernel_basis(field, [f])
         basis = [[vec[i] for vec in kernel] for i in range(dim)]
-        sub_arrows = [
-            gf.solve_columns(field, basis, gf.mat_mul(field, X, basis)) for X in arrows
-        ]
-        sub_idem = [
-            gf.solve_columns(field, basis, gf.mat_mul(field, E, basis))
-            for E in idempotents
-        ]
-        total += _count_series(field, sub_arrows, sub_idem, d[:-1])
+
+        def restrict(mat):
+            image = gf.mat_mul(field, mat, basis)
+            del image[pivot]
+            return image
+
+        total += _count_series(
+            field, [restrict(X) for X in arrows], [restrict(E) for E in idempotents], d[:-1]
+        )
     return total
 
 
@@ -223,8 +194,8 @@ def count_flags_fq(module: ShapeModule, d, q: int) -> int:
     """Exact number of composition series over F_q with quotients S_{d_t}.
 
     Enumerates, top down, every stable hyperplane whose quotient is the
-    required simple; guarded to dim <= 7 and q <= 5 because the recursion is
-    exhaustive by design.
+    required simple, as the projective points of one left kernel; guarded
+    to dim <= 7 and q <= 5 because the recursion is exhaustive by design.
     """
     d = check_bits(d, "parity string")
     if len(d) != module.dim:

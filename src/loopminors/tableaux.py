@@ -55,6 +55,8 @@ def box_parity(s: int, t: int, i: int) -> int:
     """Parity of s + t + i for the box in row s, column t."""
     if s < 0 or t < 0:
         raise DomainError(f"box coordinates must be nonnegative, got ({s}, {t})")
+    if i not in (0, 1):
+        raise DomainError(f"parity must be 0 or 1, got {i!r}")
     return (s + t + i) % 2
 
 
@@ -220,6 +222,7 @@ def parity_string(tableau: StandardTableau, i: int) -> BitString:
 
     Requires content (1, ..., 1): every label 1..n present exactly once.
     """
+    check_bit(i)
     n = tableau.n
     if tableau.labels() != tuple(range(1, n + 1)):
         raise DomainError("parity string requires content (1,...,1)")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from loopminors import verify
 from loopminors.cli import main
 from loopminors.multipoly import MultiPoly
 
@@ -161,6 +162,24 @@ def test_verify_verbose_streams_cases(capsys):
     assert json.loads(lines[0])["status"] == "ok"
 
 
+def test_verify_writes_each_report_before_an_interrupt(tmp_path, capsys, monkeypatch):
+    failing = verify.VerificationReport("theorem2", {"lambda": "1"}, {"phi": "0"})
+    line = json.dumps(failing.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+
+    def interrupted_sweep(max_size, max_word):
+        yield failing
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "sweep_theorem2", interrupted_sweep)
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "theorem2"])
+    assert capsys.readouterr().out == line
+    target = tmp_path / "partial.json"
+    with pytest.raises(KeyboardInterrupt):
+        main(["--out", str(target), "verify", "theorem2"])
+    assert target.read_text() == line
+
+
 def test_verify_output_is_deterministic(capsys):
     argv = ["verify", "theorem2", "--max-size", "2", "--max-word", "2", "--verbose"]
     _, first, _ = run_cli(capsys, *argv)
@@ -242,6 +261,12 @@ def test_points_rejects_non_bit_parity_string(capsys):
     code, out, _ = run_cli(
         capsys, "points", "--lambda", "2,1", "--parity", "1", "--d", "2,0,0", "--q", "2"
     )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+def test_phi_rejects_an_empty_word(capsys):
+    code, out, _ = run_cli(capsys, "phi", "--shape", "1", "--parity", "0", "--word", "")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "DomainError"
 

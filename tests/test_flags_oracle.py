@@ -1,0 +1,135 @@
+"""The linear stable-functional search against the exhaustive one.
+
+``count_flags_fq`` visits only the projective points of one left kernel, the
+stable functionals, and restricts each arrow to ker f by dropping a row.  The
+reference below is the exhaustive counter it replaced: it visits every
+projective point of ker E_{1-eps}, keeps those f with f X in span(f) for each
+arrow X, and restricts by solving B Y = M B column by column.
+"""
+
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loopminors import gf
+from loopminors.errors import DomainError
+from loopminors.partitions import partitions_up_to, size, subpartitions
+from loopminors.shapemod import _gf_matrices, build_module, count_flags_fq
+
+
+def row_vec_mul(field, row, mat):
+    cols = len(mat[0]) if mat else 0
+    out = [0] * cols
+    for k, coeff in enumerate(row):
+        if not coeff:
+            continue
+        for j in range(cols):
+            out[j] = field.add(out[j], field.mul(coeff, mat[k][j]))
+    return out
+
+
+def solve_columns(field, basis, targets):
+    """Solve basis @ Y = targets for Y, column by column.
+
+    ``basis`` must have full column rank and every target column must lie in
+    its column span (guaranteed here by submodule stability); violations
+    raise.
+    """
+    rows = len(basis)
+    cols = len(basis[0]) if basis else 0
+    tcols = len(targets[0]) if targets and targets[0] is not None else 0
+    if not targets:
+        tcols = 0
+    augmented = [basis[i][:] + targets[i][:] for i in range(rows)]
+    reduced, pivots = gf.rref(field, augmented)
+    if any(p >= cols for p in pivots):
+        raise DomainError("target column outside the span of the basis")
+    if len(pivots) != cols:
+        raise DomainError("basis columns are dependent")
+    out = gf.zero_matrix(cols, tcols)
+    for r, p in enumerate(pivots):
+        for j in range(tcols):
+            out[p][j] = reduced[r][cols + j]
+    return out
+
+
+def _in_span(field, f, v):
+    pivot = next(i for i, value in enumerate(f) if value)
+    scale = field.mul(v[pivot], field.inv(f[pivot]))
+    return all(value == field.mul(scale, base) for value, base in zip(v, f))
+
+
+def _count_series(field, arrows, idempotents, d):
+    dim = len(d)
+    if dim == 0:
+        return 1
+    eps = d[-1]
+    functional_basis = gf.left_kernel_basis(field, idempotents[1 - eps])
+    if not functional_basis:
+        return 0
+    total = 0
+    for coeffs in gf.projective_vectors(field, len(functional_basis)):
+        f = [0] * dim
+        for c, base in zip(coeffs, functional_basis):
+            if c:
+                f = [field.add(x, field.mul(c, b)) for x, b in zip(f, base)]
+        if not any(f):
+            continue
+        if not all(_in_span(field, f, row_vec_mul(field, f, X)) for X in arrows):
+            continue
+        kernel = gf.kernel_basis(field, [f])
+        basis = [[vec[i] for vec in kernel] for i in range(dim)]
+        sub_arrows = [
+            solve_columns(field, basis, gf.mat_mul(field, X, basis)) for X in arrows
+        ]
+        sub_idem = [
+            solve_columns(field, basis, gf.mat_mul(field, E, basis))
+            for E in idempotents
+        ]
+        total += _count_series(field, sub_arrows, sub_idem, d[:-1])
+    return total
+
+
+def reference_count(module, d, q):
+    field = gf.GF(q)
+    return _count_series(field, *_gf_matrices(module, field), tuple(d))
+
+
+def test_counts_match_the_exhaustive_search_on_the_full_grid():
+    cases = nonzero = 0
+    for lam in partitions_up_to(5):
+        for mu in subpartitions(lam):
+            for i in (0, 1):
+                module = build_module(lam, mu, i)
+                for d in product((0, 1), repeat=module.dim):
+                    for q in (2, 3, 4, 5):
+                        count = count_flags_fq(module, d, q)
+                        assert count == reference_count(module, d, q), (lam, mu, i, d, q)
+                        cases += 1
+                        nonzero += count != 0
+    assert (cases, nonzero) == (6008, 1056)
+
+
+SKEW_SHAPES = [
+    (lam, mu)
+    for lam in partitions_up_to(9)
+    for mu in subpartitions(lam)
+    if size(lam) - size(mu) in (6, 7)
+]
+
+
+@st.composite
+def larger_cases(draw):
+    lam, mu = draw(st.sampled_from(SKEW_SHAPES))
+    module = build_module(lam, mu, draw(st.integers(0, 1)))
+    # a parity string with the module's dimension vector, so counts can be nonzero
+    d = draw(st.permutations([module.vertex(box) for box in module.boxes]))
+    return module, tuple(d), draw(st.sampled_from((2, 3)))
+
+
+@given(case=larger_cases())
+@settings(max_examples=40, deadline=3000)
+def test_counts_match_the_exhaustive_search_off_the_grid(case):
+    module, d, q = case
+    assert count_flags_fq(module, d, q) == reference_count(module, d, q)

@@ -3,14 +3,13 @@ import pytest
 from loopminors.errors import DomainError
 from loopminors.gf import (
     GF,
+    QQ,
     identity_matrix,
     kernel_basis,
     left_kernel_basis,
     mat_mul,
     projective_vectors,
-    row_vec_mul,
     rref,
-    solve_columns,
 )
 
 
@@ -62,6 +61,15 @@ def test_rref_and_kernel():
             for coeff, v in zip(row, vec):
                 total = field.add(total, field.mul(coeff, v))
             assert total == 0
+    # over Q the rank is exact: [[1, 1], [1, -1]] has rank 2, but rank 1 mod 2
+    mixed = [[1, 1], [1, -1]]
+    assert rref(QQ, mixed) == ([[1, 0], [0, 1]], [0, 1])
+    assert rref(GF(2), [[1, 1], [1, 1]])[1] == [0]
+    reduced, pivots = rref(QQ, [[2, 4, 1], [3, 6, 0]])
+    assert pivots == [0, 2]
+    assert reduced == [[1, 2, 0], [0, 0, 1]]
+    with pytest.raises(DomainError):
+        QQ.inv(0)
 
 
 def test_left_kernel():
@@ -70,23 +78,7 @@ def test_left_kernel():
     basis = left_kernel_basis(field, mat)
     assert len(basis) == 1
     f = basis[0]
-    assert row_vec_mul(field, f, mat) == [0, 0]
-
-
-def test_solve_columns_round_trip():
-    field = GF(5)
-    basis = [[1, 0], [2, 1], [0, 3]]
-    y = [[4, 1], [2, 0]]
-    targets = mat_mul(field, basis, y)
-    solved = solve_columns(field, basis, targets)
-    assert solved == y
-
-
-def test_solve_columns_rejects_outside_span():
-    field = GF(2)
-    basis = [[1], [0]]
-    with pytest.raises(DomainError):
-        solve_columns(field, basis, [[0], [1]])
+    assert mat_mul(field, [f], mat) == [[0, 0]]
 
 
 def test_projective_vectors_counts():

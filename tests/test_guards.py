@@ -12,7 +12,15 @@ from loopminors.loop import word_to_loop
 from loopminors.networks import enumerate_families, lindstrom_minor
 from loopminors.phi import euler_char, phi_polynomial
 from loopminors.shapemod import build_module, conjecture1_prediction, count_flags_fq
-from loopminors.tableaux import ChessTableau, enumerate_by_parity, enumerate_chess
+from loopminors.tableaux import (
+    ChessTableau,
+    box_parity,
+    enumerate_by_parity,
+    enumerate_chess,
+    enumerate_standard,
+    ground_state,
+    parity_string,
+)
 from loopminors.toeplitz import minor, pieri_determinant
 
 WORD = (1, 0, 1)
@@ -35,11 +43,15 @@ WORD = (1, 0, 1)
         lambda: build_module((2, 1), (), 3),
         lambda: conjecture1_prediction((2, 1), 2, (0, 1, 1), 2),
         lambda: conjecture1_prediction((2, 1), 0, (0, 1, 3), 2),
+        lambda: box_parity(0, 1, 3),
+        lambda: parity_string(enumerate_standard((2, 1))[0], 3),
+        lambda: ground_state(enumerate_standard((2, 1))[0], -1),
     ],
     ids=["minor", "pieri_determinant", "phi_polynomial", "enumerate_families",
          "lindstrom_minor", "count_flags_fq", "enumerate_by_parity",
          "enumerate_by_parity_d", "euler_char", "enumerate_chess", "ChessTableau",
-         "build_module", "conjecture1_prediction", "conjecture1_prediction_d"],
+         "build_module", "conjecture1_prediction", "conjecture1_prediction_d",
+         "box_parity", "parity_string", "ground_state"],
 )
 def test_non_bit_parities_are_rejected(call):
     with pytest.raises(DomainError):
