@@ -49,7 +49,12 @@ class Output:
 
     def __init__(self, fmt: str, path: str | None):
         self.fmt = fmt
-        self.handle = open(path, "w", encoding="utf-8") if path else None
+        self.handle = None
+        if path:
+            try:
+                self.handle = open(path, "w", encoding="utf-8")
+            except OSError as exc:
+                raise DomainError(f"cannot write output file {path!r}: {exc.strerror}") from exc
 
     def _write(self, line: str) -> None:
         handle = self.handle or sys.stdout
@@ -221,31 +226,19 @@ def cmd_points(args, out: Output) -> int:
     return 0
 
 
-_VERIFY_SWEEPS = {
-    "theorem2": lambda a: verify_mod.sweep_theorem2(a.max_size, a.max_word),
-    "prop1": lambda a: verify_mod.sweep_prop1(a.max_size, a.max_word),
-    "pieri": lambda a: verify_mod.sweep_pieri(a.max_size, a.max_word),
-    "lindstrom": lambda a: verify_mod.sweep_lindstrom(a.max_size, a.max_word),
-    "conjecture1": lambda a: verify_mod.sweep_conjecture1(a.max_size, qs=tuple(a.q or (2, 3))),
-}
-
-
 def cmd_verify(args, out: Output) -> int:
-    reports = _VERIFY_SWEEPS[args.target](args)
-    cases = 0
-    failures = 0
-    for report in reports:
-        cases += 1
-        if not report.ok:
-            failures += 1
-        if args.verbose or not report.ok:
-            obj = report.to_json()
-            out.emit(obj, text=f"{obj['status']} {_dumps(obj['case'])}")
-    if not cases:
-        raise DomainError("the sweep checked no cases; raise --max-size or --max-word")
-    summary = {"cases": cases, "failures": failures}
-    out.emit(summary, text=f"cases {cases}, failures {failures}")
-    if args.target == "conjecture1":
+    def emitted(reports):
+        for report in reports:
+            if args.verbose or not report.ok:
+                obj = report.to_json()
+                out.emit(obj, text=f"{obj['status']} {_dumps(obj['case'])}")
+            yield report
+
+    reports = verify_mod.sweep(args.target, args.max_size, args.max_word, args.q)
+    summary = verify_mod.summarize(emitted(reports))
+    failures = summary["failures"]
+    out.emit(summary, text=f"cases {summary['cases']}, failures {failures}")
+    if args.target in verify_mod.REPORT_ONLY:
         if failures:
             print(
                 f"warning: {failures} conjecture mismatch(es) reported", file=sys.stderr
@@ -318,10 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_points)
 
     p = sub.add_parser("verify", help="cross-route verification sweeps")
-    p.add_argument(
-        "target",
-        choices=("theorem2", "prop1", "conjecture1", "pieri", "lindstrom"),
-    )
+    p.add_argument("target", choices=verify_mod.TARGETS)
     p.add_argument("--max-size", type=int, default=5)
     p.add_argument("--max-word", type=int, default=5)
     p.add_argument("--q", type=int, action="append", default=None)
@@ -334,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = Output(args.format, args.out)
+    out = Output(args.format, None)  # errors go to stdout until --out is open
     try:
+        out = Output(args.format, args.out)
         return args.func(args, out)
     except LoopMinorsError as exc:
         out.emit_json({"error": {"type": type(exc).__name__, "message": str(exc)}})

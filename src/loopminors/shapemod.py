@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import gf
 from .errors import DomainError, ResourceLimitError
-from .partitions import Partition, check_partition, contains, format_partition, part, size
+from .partitions import Partition, SkewShape, check_partition, format_partition
 from .tableaux import check_bit, check_bits, enumerate_by_parity, ground_state
 
 Box = tuple[int, int]
@@ -71,14 +71,9 @@ class ShapeModule:
 
 def build_module(lam: Partition, mu: Partition, i: int) -> ShapeModule:
     """Construct the skew-shape module for mu inside lam at parity i."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
+    shape = SkewShape(lam, mu)
     i = check_bit(i)
-    if not contains(mu, lam):
-        raise DomainError(f"{mu} is not contained in {lam}")
-    boxes = tuple(
-        (s, t) for s in range(len(lam)) for t in range(part(mu, s), lam[s])
-    )
+    boxes = tuple(shape.boxes())
     box_set = set(boxes)
     actions: dict[str, dict[Box, Box]] = {name: {} for name in ARROW_NAMES}
     for s, t in boxes:
@@ -89,7 +84,7 @@ def build_module(lam: Partition, mu: Partition, i: int) -> ShapeModule:
             actions["alpha" if even else "beta"][(s, t)] = left
         if up in box_set:
             actions["beta*" if even else "alpha*"][(s, t)] = up
-    module = ShapeModule(outer=lam, inner=mu, parity=i, boxes=boxes, actions=actions)
+    module = ShapeModule(shape.outer, shape.inner, i, boxes, actions)
     _check_relations(module)
     return module
 
@@ -213,9 +208,4 @@ def count_flags_fq(module: ShapeModule, d, q: int) -> int:
 
 def conjecture1_prediction(lam: Partition, i: int, d, q: int) -> int:
     """Sum of q^(ground state) over the tableaux with i-parity string d."""
-    lam = check_partition(lam)
-    i = check_bit(i)
-    d = check_bits(d, "parity string")
-    if len(d) != size(lam):
-        raise DomainError(f"parity string length {len(d)} != |lam| = {size(lam)}")
     return sum(q ** ground_state(T, i) for T in enumerate_by_parity(lam, i, d))

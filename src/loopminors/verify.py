@@ -19,7 +19,6 @@ from .networks import lindstrom_minor
 from .partitions import (
     Partition,
     check_partition,
-    format_partition,
     partitions_up_to,
     size,
     subpartitions,
@@ -28,6 +27,14 @@ from .phi import phi_polynomial
 from .shapemod import build_module, conjecture1_prediction, count_flags_fq
 from .tableaux import check_word, enumerate_by_parity, enumerate_chess, expand_word
 from .toeplitz import minor, pieri_determinant
+
+# The verify targets in CLI order; target t sweeps with ``sweep_<t>``.
+TARGETS = ("theorem2", "prop1", "conjecture1", "pieri", "lindstrom")
+# Conjectures: a mismatch is reported, never a failure.
+REPORT_ONLY = frozenset({"conjecture1"})
+# Point counts sweep field sizes q where the identities sweep words.
+_Q_SWEEPS = frozenset({"conjecture1"})
+DEFAULT_QS = (2, 3)
 
 
 @dataclass
@@ -38,7 +45,7 @@ class VerificationReport:
     ok: bool = field(default=False)
 
     def to_json(self) -> dict:
-        status = "ok" if self.ok else ("mismatch" if self.check == "conjecture1" else "fail")
+        status = "ok" if self.ok else ("mismatch" if self.check in REPORT_ONLY else "fail")
         return {
             "check": self.check,
             "case": self.case,
@@ -47,23 +54,8 @@ class VerificationReport:
         }
 
 
-def _case(lam=None, mu=None, i=None, word=None, d=None, q=None, j=None) -> dict:
-    case: dict[str, object] = {}
-    if lam is not None:
-        case["lambda"] = format_partition(lam)
-    if mu is not None:
-        case["mu"] = format_partition(mu)
-    if i is not None:
-        case["parity"] = i
-    if word is not None:
-        case["word"] = ",".join(str(b) for b in word)
-    if d is not None:
-        case["d"] = ",".join(str(b) for b in d)
-    if q is not None:
-        case["q"] = q
-    if j is not None:
-        case["content"] = ",".join(str(v) for v in j)
-    return case
+def _csv(values) -> str:
+    return ",".join(str(v) for v in values)
 
 
 def verify_theorem2(lam: Partition, i: int, word) -> VerificationReport:
@@ -76,7 +68,7 @@ def verify_theorem2(lam: Partition, i: int, word) -> VerificationReport:
     ok = via_phi == via_paths == via_minor
     return VerificationReport(
         check="theorem2",
-        case=_case(lam=lam, i=i, word=word),
+        case={"lambda": _csv(lam), "parity": i, "word": _csv(word)},
         values={
             "phi": via_phi.text(),
             "lindstrom": via_paths.text(),
@@ -102,7 +94,7 @@ def verify_prop1(lam: Partition, i: int, word, j) -> VerificationReport:
         fact *= factorial(v)
     return VerificationReport(
         check="prop1",
-        case=_case(lam=lam, i=i, word=word, j=j),
+        case={"lambda": _csv(lam), "parity": i, "word": _csv(word), "content": _csv(j)},
         values={
             "tab_count": tab_count,
             "factorial_times_chess": fact * chess_count,
@@ -120,7 +112,7 @@ def verify_conjecture1(lam: Partition, i: int, d, q: int) -> VerificationReport:
     counted = count_flags_fq(module, d, q)
     return VerificationReport(
         check="conjecture1",
-        case=_case(lam=lam, i=i, d=d, q=q),
+        case={"lambda": _csv(lam), "parity": i, "d": _csv(d), "q": q},
         values={"prediction": predicted, "brute_force": counted},
         ok=predicted == counted,
     )
@@ -135,7 +127,7 @@ def verify_pieri(lam: Partition, i: int, word) -> VerificationReport:
     via_minor = minor(g, (), lam, i)
     return VerificationReport(
         check="pieri",
-        case=_case(lam=lam, i=i, word=word),
+        case={"lambda": _csv(lam), "parity": i, "word": _csv(word)},
         values={"pieri": via_pieri.text(), "minor": via_minor.text()},
         ok=via_pieri == via_minor,
     )
@@ -150,7 +142,7 @@ def verify_lindstrom(word, mu: Partition, lam: Partition, i: int) -> Verificatio
     via_minor = minor(word_to_loop(word), mu, lam, i)
     return VerificationReport(
         check="lindstrom",
-        case=_case(lam=lam, mu=mu, i=i, word=word),
+        case={"lambda": _csv(lam), "mu": _csv(mu), "parity": i, "word": _csv(word)},
         values={"lindstrom": via_paths.text(), "toeplitz": via_minor.text()},
         ok=via_paths == via_minor,
     )
@@ -222,7 +214,7 @@ def realizable_parities(lam: Partition, i: int) -> list[tuple[int, ...]]:
     return sorted({parity_string(T, i) for T in enumerate_standard(lam)})
 
 
-def sweep_conjecture1(max_size: int, qs=(2, 3)) -> Iterator[VerificationReport]:
+def sweep_conjecture1(max_size: int, qs=DEFAULT_QS) -> Iterator[VerificationReport]:
     for lam in partitions_up_to(max_size):
         for i in (0, 1):
             for d in realizable_parities(lam, i):
@@ -230,11 +222,26 @@ def sweep_conjecture1(max_size: int, qs=(2, 3)) -> Iterator[VerificationReport]:
                     yield verify_conjecture1(lam, i, d, q)
 
 
+def sweep(target: str, max_size: int, max_word: int, qs=None) -> Iterator[VerificationReport]:
+    """The reports of ``sweep_<target>``, given the bounds that sweep takes.
+
+    The sweep is looked up when called, so a rebound ``sweep_<target>`` is
+    the one that runs; ``qs`` defaults to ``DEFAULT_QS``.
+    """
+    if target not in TARGETS:
+        raise DomainError(f"unknown verify target {target!r}")
+    run = globals()[f"sweep_{target}"]
+    return run(max_size, tuple(qs or DEFAULT_QS) if target in _Q_SWEEPS else max_word)
+
+
 def summarize(reports) -> dict:
+    """Case and failure counts of a sweep; DomainError if it checked no case."""
     cases = 0
     failures = 0
     for report in reports:
         cases += 1
         if not report.ok:
             failures += 1
+    if not cases:
+        raise DomainError("the sweep checked no cases; raise --max-size or --max-word")
     return {"cases": cases, "failures": failures}

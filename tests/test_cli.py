@@ -180,6 +180,18 @@ def test_verify_writes_each_report_before_an_interrupt(tmp_path, capsys, monkeyp
     assert target.read_text() == line
 
 
+def test_unopenable_out_path_is_a_domain_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, _ = run_cli(
+        capsys, "--out", str(target), "minor", "--word", "1,0", "--lambda", "1", "--parity", "0"
+    )
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "DomainError"
+    assert error["message"].startswith(f"cannot write output file {str(target)!r}")
+    assert not target.exists()
+
+
 def test_verify_output_is_deterministic(capsys):
     argv = ["verify", "theorem2", "--max-size", "2", "--max-word", "2", "--verbose"]
     _, first, _ = run_cli(capsys, *argv)

@@ -1,11 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopminors.errors import DomainError
+from loopminors.loop import word_to_loop
+from loopminors.networks import lindstrom_minor
+from loopminors.partitions import partitions_of, subpartitions
+from loopminors.phi import phi_polynomial
+from loopminors.toeplitz import minor, pieri_determinant
 from loopminors.verify import (
+    TARGETS,
     all_words_up_to,
     alternating_words,
     compositions,
     summarize,
+    sweep,
     sweep_conjecture1,
     sweep_lindstrom,
     sweep_pieri,
@@ -92,3 +101,44 @@ def test_report_json_statuses():
     thm = verify_theorem2((1,), 0, (0,))
     thm.ok = False
     assert thm.to_json()["status"] == "fail"
+
+
+@pytest.mark.parametrize("empty_sweep", [sweep_theorem2, sweep_lindstrom])
+def test_summarize_rejects_a_sweep_that_checked_no_case(empty_sweep):
+    with pytest.raises(DomainError, match="checked no cases"):
+        summarize(empty_sweep(3, 0))
+
+
+def test_sweep_passes_each_target_its_bounds():
+    assert TARGETS == ("theorem2", "prop1", "conjecture1", "pieri", "lindstrom")
+    assert summarize(sweep("theorem2", 3, 3)) == {"cases": 84, "failures": 0}
+    assert summarize(sweep("lindstrom", 2, 2)) == summarize(sweep_lindstrom(2, 2))
+    # the point-count sweep takes q values, not a word bound
+    assert summarize(sweep("conjecture1", 3, 0)) == summarize(sweep_conjecture1(3))
+    assert summarize(sweep("conjecture1", 3, 0, [2])) == summarize(sweep_conjecture1(3, (2,)))
+    with pytest.raises(DomainError, match="unknown verify target"):
+        sweep("summarize", 3, 3)
+
+
+OFF_GRID_SHAPES = [lam for n in range(7, 11) for lam in partitions_of(n)]
+
+
+@st.composite
+def off_grid_cases(draw):
+    lam = draw(st.sampled_from(OFF_GRID_SHAPES))
+    mu = draw(st.sampled_from(subpartitions(lam)))
+    i = draw(st.integers(0, 1))
+    word = alternating_words(draw(st.integers(7, 10)))[draw(st.integers(0, 1))]
+    return lam, mu, i, word
+
+
+@given(case=off_grid_cases())
+@settings(max_examples=60, deadline=2000)
+def test_routes_agree_off_the_sweep_grids(case):
+    lam, mu, i, word = case
+    g = word_to_loop(word)
+    value = minor(g, mu, lam, i)
+    assert lindstrom_minor(word, mu, lam, i) == value
+    if not mu:
+        assert phi_polynomial(lam, i, word) == value
+        assert pieri_determinant(g, lam, i) == value
