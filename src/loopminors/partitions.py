@@ -7,11 +7,20 @@ beyond the stored length yields 0.  The empty tuple is the empty partition.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidWindowError
 
 Partition = tuple[int, ...]
+
+
+def check_int(value, what: str) -> int:
+    """The value if it is an int (or has ``__index__``); DomainError otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} entries must be integers, got {value!r}") from None
 
 
 def check_partition(parts) -> Partition:
@@ -23,7 +32,7 @@ def check_partition(parts) -> Partition:
     out = []
     prev = None
     for p in parts:
-        p = int(p)
+        p = check_int(p, "partition")
         if p < 0:
             raise DomainError(f"negative part {p} in partition")
         if prev is not None and p > prev:
@@ -138,12 +147,8 @@ def subpartitions(lam: Partition) -> list[Partition]:
                 out.append((p,) + rest)
         return out
 
-    seen = []
-    for mu in rec(0, lam[0] if lam else 0):
-        seen.append(check_partition(mu))
     # the recursion can emit duplicates after zero-stripping
-    unique = sorted(set(seen), reverse=True)
-    return unique
+    return sorted({check_partition(mu) for mu in rec(0, lam[0] if lam else 0)}, reverse=True)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,31 @@ from __future__ import annotations
 from .errors import DomainError
 from .multipoly import MultiPoly
 from .partitions import Partition, check_partition, size
-from .tableaux import check_bit, check_word, enumerate_by_parity
+from .tableaux import check_bit, check_bits, check_word
 
 
 def euler_char(lam: Partition, i: int, d) -> int:
-    """Number of standard tableaux of shape lam with i-parity string d."""
-    return len(enumerate_by_parity(lam, i, d))
+    """Number of standard tableaux of shape lam with i-parity string d.
+
+    A walk over the shapes inside lam, counting the fillings that reach each:
+    label t fills an addable corner (s, length) of box parity d_t.
+    """
+    lam = check_partition(lam)
+    i = check_bit(i)
+    d = check_bits(d, "parity string")
+    if len(d) != size(lam):
+        raise DomainError(f"parity string length {len(d)} != |lam| = {size(lam)}")
+    layer = {(0,) * len(lam): 1}
+    for bit in d:
+        nxt: dict[tuple[int, ...], int] = {}
+        for shape, count in layer.items():
+            for s, (length, full) in enumerate(zip(shape, lam)):
+                corner = length < full and (s == 0 or shape[s - 1] > length)
+                if corner and (s + length + i) % 2 == bit:
+                    grown = shape[:s] + (length + 1,) + shape[s + 1 :]
+                    nxt[grown] = nxt.get(grown, 0) + count
+        layer = nxt
+    return layer.get(lam, 0)
 
 
 def phi_polynomial(lam: Partition, i: int, word) -> MultiPoly:

@@ -11,9 +11,10 @@ semi-standard filling only needs weak column increase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import DomainError
-from .partitions import Partition, check_partition, part, size
+from .partitions import Partition, check_int, check_partition, part, size
 
 BitString = tuple[int, ...]
 
@@ -33,7 +34,7 @@ def check_bit(value, what: str = "parity") -> int:
 
 def check_bits(bits, what: str = "bit string") -> BitString:
     """A tuple of ints, each 0 or 1; DomainError otherwise."""
-    out = tuple(int(b) for b in bits)
+    out = tuple(check_int(b, what) for b in bits)
     if any(b not in (0, 1) for b in out):
         raise DomainError(f"{what} entries must be 0 or 1, got {out}")
     return out
@@ -194,8 +195,6 @@ def enumerate_standard(lam: Partition) -> list[StandardTableau]:
     """
     lam = check_partition(lam)
     n = size(lam)
-    if n == 0:
-        return [StandardTableau(())]
     filled = [0] * len(lam)
     rows: list[list[int]] = [[] for _ in lam]
     found: list[StandardTableau] = []
@@ -226,11 +225,7 @@ def parity_string(tableau: StandardTableau, i: int) -> BitString:
     n = tableau.n
     if tableau.labels() != tuple(range(1, n + 1)):
         raise DomainError("parity string requires content (1,...,1)")
-    out = []
-    for label in range(1, n + 1):
-        s, t = tableau.position(label)
-        out.append(box_parity(s, t, i))
-    return tuple(out)
+    return tuple(box_parity(*tableau.position(label), i) for label in range(1, n + 1))
 
 
 def enumerate_by_parity(lam: Partition, i: int, d) -> list[StandardTableau]:
@@ -256,9 +251,6 @@ def enumerate_chess(
     if k < 0:
         raise DomainError(f"label bound must be nonnegative, got {k}")
     boxes = [(s, t) for s in range(len(lam)) for t in range(lam[s])]
-    if not boxes:
-        empty = ChessTableau(rows=(), parity=i, content=(0,) * k)
-        return {(0,) * k: [empty]}
     grid = [[0] * lam[s] for s in range(len(lam))]
     grouped: dict[tuple[int, ...], list[ChessTableau]] = {}
 
@@ -292,15 +284,9 @@ def enumerate_chess(
 def sigma(j, t: int) -> int:
     """Smallest s (1-origin) with j_1 + ... + j_s >= t."""
     j = tuple(int(v) for v in j)
-    total = sum(j)
-    if not 1 <= t <= total:
-        raise DomainError(f"position {t} outside 1..{total}")
-    running = 0
-    for s, block in enumerate(j, start=1):
-        running += block
-        if running >= t:
-            return s
-    raise AssertionError("unreachable: cumulative sum covers the range")
+    if not 1 <= t <= sum(j):
+        raise DomainError(f"position {t} outside 1..{sum(j)}")
+    return next(s for s, running in enumerate(accumulate(j), start=1) if running >= t)
 
 
 def expand_word(word, j) -> BitString:
@@ -315,8 +301,7 @@ def expand_word(word, j) -> BitString:
         raise DomainError(f"content length {len(j)} != word length {len(word)}")
     if any(v < 0 for v in j):
         raise DomainError(f"content must be nonnegative, got {j}")
-    n = sum(j)
-    return tuple(word[sigma(j, t) - 1] for t in range(1, n + 1))
+    return tuple(bit for bit, v in zip(word, j) for _ in range(v))
 
 
 def ground_state(tableau: StandardTableau, i: int) -> int:

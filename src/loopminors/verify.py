@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 from typing import Iterator
 
 from .errors import DomainError
@@ -23,7 +23,7 @@ from .partitions import (
     size,
     subpartitions,
 )
-from .phi import phi_polynomial
+from .phi import euler_char, phi_polynomial
 from .shapemod import build_module, conjecture1_prediction, count_flags_fq
 from .tableaux import check_word, enumerate_by_parity, enumerate_chess, expand_word
 from .toeplitz import minor, pieri_determinant
@@ -85,13 +85,14 @@ def verify_prop1(lam: Partition, i: int, word, j) -> VerificationReport:
     j = tuple(int(v) for v in j)
     if sum(j) != size(lam):
         raise DomainError(f"content {j} does not sum to |lam| = {size(lam)}")
-    d = expand_word(word, j)
-    tab_count = len(enumerate_by_parity(lam, i, d))
+    tab_count = len(enumerate_by_parity(lam, i, expand_word(word, j)))
     istar = (i + word[0] + 1) % 2
     chess_count = len(enumerate_chess(lam, istar, len(word)).get(j, []))
-    fact = 1
-    for v in j:
-        fact *= factorial(v)
+    return _prop1_report(lam, i, word, j, tab_count, chess_count)
+
+
+def _prop1_report(lam, i, word, j, tab_count: int, chess_count: int) -> VerificationReport:
+    fact = prod(factorial(v) for v in j)
     return VerificationReport(
         check="prop1",
         case={"lambda": _csv(lam), "parity": i, "word": _csv(word), "content": _csv(j)},
@@ -159,10 +160,7 @@ def alternating_words(length: int) -> list[tuple[int, ...]]:
 
 
 def all_words_up_to(max_word: int) -> list[tuple[int, ...]]:
-    out = []
-    for length in range(1, max_word + 1):
-        out.extend(alternating_words(length))
-    return out
+    return [word for length in range(1, max_word + 1) for word in alternating_words(length)]
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -185,11 +183,14 @@ def sweep_theorem2(max_size: int, max_word: int) -> Iterator[VerificationReport]
 
 
 def sweep_prop1(max_size: int, max_word: int) -> Iterator[VerificationReport]:
+    """The ``verify_prop1`` reports, from ``euler_char`` and one ``phi_polynomial`` per word."""
     for lam in partitions_up_to(max_size):
         for i in (0, 1):
             for word in all_words_up_to(max_word):
+                chess = phi_polynomial(lam, i, word)
                 for j in compositions(size(lam), len(word)):
-                    yield verify_prop1(lam, i, word, j)
+                    tab_count = euler_char(lam, i, expand_word(word, j))
+                    yield _prop1_report(lam, i, word, j, tab_count, chess.coefficient(j))
 
 
 def sweep_pieri(max_size: int, max_word: int) -> Iterator[VerificationReport]:

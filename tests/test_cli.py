@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,19 @@ def test_minor_golden_bytes(capsys):
     )
     assert code == 0
     assert out == '{"polynomial":"%s"}\n' % GOLDEN
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "loopminors", "minor", "--word", "1,0,1,0", "--mu", "",
+         "--lambda", "2,1", "--parity", "1"],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b'{"polynomial":"%s"}\n' % GOLDEN.encode()
 
 
 def test_tableaux_golden_bytes(capsys):

@@ -10,11 +10,13 @@ import pytest
 from loopminors.errors import DomainError
 from loopminors.loop import word_to_loop
 from loopminors.networks import enumerate_families, lindstrom_minor
+from loopminors.partitions import check_partition
 from loopminors.phi import euler_char, phi_polynomial
 from loopminors.shapemod import build_module, conjecture1_prediction, count_flags_fq
 from loopminors.tableaux import (
     ChessTableau,
     box_parity,
+    check_bits,
     enumerate_by_parity,
     enumerate_chess,
     enumerate_standard,
@@ -55,6 +57,22 @@ WORD = (1, 0, 1)
 )
 def test_non_bit_parities_are_rejected(call):
     with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_module("x", (), 0),
+        lambda: check_partition((2.5, 1)),
+        lambda: phi_polynomial(("2", 1), 1, WORD),
+        lambda: check_bits((1, 0.5)),
+        lambda: euler_char((2, 1), 1, (1, 0, "0")),
+    ],
+    ids=["build_module", "check_partition", "phi_polynomial", "check_bits", "euler_char"],
+)
+def test_non_integer_entries_are_rejected(call):
+    with pytest.raises(DomainError, match="entries must be integers"):
         call()
 
 

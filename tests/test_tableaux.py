@@ -21,6 +21,7 @@ from loopminors.tableaux import (
     sigma,
     tableau_to_flag,
 )
+from loopminors.verify import alternating_words, compositions
 
 from conftest import hook_length_count, partition_strategy
 
@@ -141,6 +142,15 @@ def test_expand_word_examples():
     assert expand_word((0,), (0,)) == ()
     with pytest.raises(DomainError):
         expand_word((1, 1), (1, 1))
+
+
+def test_expand_word_repeats_each_letter_as_sigma_reads_it():
+    for length in range(1, 7):
+        for word in alternating_words(length):
+            for total in range(7):
+                for j in compositions(total, length):
+                    by_sigma = tuple(word[sigma(j, t) - 1] for t in range(1, total + 1))
+                    assert expand_word(word, j) == by_sigma, (word, j)
 
 
 def test_ground_state_examples():

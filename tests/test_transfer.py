@@ -1,21 +1,28 @@
 """The transfer-matrix counts against the enumerators, which list every object.
 
-``phi_polynomial`` walks over shapes and ``lindstrom_minor`` over path levels;
-neither lists a tableau or a family.  Here the enumerators are the oracle:
-the content counts of ``enumerate_chess`` and the ascent tuples of
-``enumerate_families`` must give the same polynomials.
+``phi_polynomial`` and ``euler_char`` walk over shapes and ``lindstrom_minor``
+over path levels; none lists a tableau or a family.  Here the enumerators are
+the oracle: the content counts of ``enumerate_chess`` and the ascent tuples of
+``enumerate_families`` must give the same polynomials, and
+``enumerate_by_parity`` the same tableau counts.
 """
 
 from collections import Counter
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopminors.multipoly import MultiPoly
 from loopminors.networks import _ascent_counts, enumerate_families, lindstrom_minor
-from loopminors.partitions import partitions_of, partitions_up_to, subpartitions
-from loopminors.phi import phi_polynomial
-from loopminors.tableaux import enumerate_chess
+from loopminors.partitions import partitions_of, partitions_up_to, size, subpartitions
+from loopminors.phi import euler_char, phi_polynomial
+from loopminors.tableaux import (
+    enumerate_by_parity,
+    enumerate_chess,
+    enumerate_standard,
+    parity_string,
+)
 
 
 def alternating(length, start):
@@ -76,3 +83,36 @@ def off_grid_cases(draw):
 @settings(max_examples=40, deadline=2000)
 def test_walks_match_the_enumerators_off_the_grid(case):
     check_case(*case)
+
+
+def test_parity_walk_matches_the_enumerator_on_every_parity_string():
+    cases = realizable = 0
+    for lam in partitions_up_to(6):
+        for i in (0, 1):
+            for d in product((0, 1), repeat=size(lam)):
+                count = euler_char(lam, i, d)
+                assert count == len(enumerate_by_parity(lam, i, d)), (lam, i, d)
+                cases += 1
+                realizable += count > 0
+    assert cases == 2086
+    # most strings fit no tableau, and the walk gives those 0
+    assert realizable == 112
+
+
+@st.composite
+def parity_cases(draw):
+    lam = draw(st.sampled_from(OFF_GRID_SHAPES))
+    i = draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        tableaux = enumerate_standard(lam)
+        d = parity_string(tableaux[draw(st.integers(0, len(tableaux) - 1))], i)
+    else:
+        d = tuple(draw(st.lists(st.integers(0, 1), min_size=size(lam), max_size=size(lam))))
+    return lam, i, d
+
+
+@given(case=parity_cases())
+@settings(max_examples=40, deadline=2000)
+def test_parity_walk_matches_the_enumerator_off_the_grid(case):
+    lam, i, d = case
+    assert euler_char(lam, i, d) == len(enumerate_by_parity(lam, i, d))

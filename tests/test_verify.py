@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from loopminors.errors import DomainError
 from loopminors.loop import word_to_loop
 from loopminors.networks import lindstrom_minor
-from loopminors.partitions import partitions_of, subpartitions
+from loopminors.partitions import partitions_of, partitions_up_to, size, subpartitions
 from loopminors.phi import phi_polynomial
 from loopminors.toeplitz import minor, pieri_determinant
 from loopminors.verify import (
@@ -89,6 +89,19 @@ def test_small_sweeps_have_no_failures():
     assert summarize(sweep_pieri(3, 3))["failures"] == 0
     assert summarize(sweep_lindstrom(3, 3))["failures"] == 0
     assert summarize(sweep_conjecture1(3))["failures"] == 0
+
+
+def test_sweep_prop1_gives_the_reports_of_verify_prop1():
+    # the sweep counts by walks, verify_prop1 by listing tableaux
+    expected = [
+        verify_prop1(lam, i, word, j)
+        for lam in partitions_up_to(4)
+        for i in (0, 1)
+        for word in all_words_up_to(5)
+        for j in compositions(size(lam), len(word))
+    ]
+    assert list(sweep_prop1(4, 5)) == expected
+    assert len(expected) == 3720
 
 
 def test_report_json_statuses():
