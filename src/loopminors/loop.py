@@ -195,17 +195,22 @@ def generator(i: int, a) -> LoopElement:
 def word_to_loop(word) -> LoopElement:
     """Symbolic product of generators along an alternating word.
 
-    The t-th letter contributes the formal parameter a_{t+1}; the result has
-    determinant 1 by construction (re-checked at every multiplication).
+    The t-th letter contributes the formal parameter a_{t+1} as a column
+    operation on the running product: letter 0 adds column 2 times a_{t+1} t
+    to column 1, letter 1 adds column 1 times a_{t+1} to column 2.  These
+    keep the determinant 1, which the one constructor call checks.
     """
     word = check_word(word)
     if not word:
         raise DomainError("a factorization word must have at least one letter")
     k = len(word)
-    product = identity_loop(nvars=k)
+    unit, zero = LaurentPoly.const(MultiPoly.one(k)), LaurentPoly()
+    columns = [(unit, zero), (zero, unit)]
     for t, bit in enumerate(word):
-        product = product * generator(bit, MultiPoly.variable(k, t))
-    return product
+        step = LaurentPoly({1 - bit: MultiPoly.variable(k, t)})
+        columns[bit] = tuple(own + other * step for own, other in zip(columns[bit], columns[1 - bit]))
+    (g11, g21), (g12, g22) = columns
+    return LoopElement(((g11, g12), (g21, g22)), nvars=k)
 
 
 def is_unipotent_plus(g: LoopElement) -> bool:

@@ -27,9 +27,10 @@ def is_alternating(bits) -> bool:
 
 def check_bit(value, what: str = "parity") -> int:
     """The value as an int, if it is 0 or 1; DomainError otherwise."""
+    value = check_int(value, what)
     if value not in (0, 1):
         raise DomainError(f"{what} must be 0 or 1, got {value!r}")
-    return int(value)
+    return value
 
 
 def check_bits(bits, what: str = "bit string") -> BitString:
@@ -84,7 +85,7 @@ class StandardTableau:
     __slots__ = ("rows", "shape", "_positions")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(tuple(check_int(v, "tableau") for v in row) for row in rows)
         while rows and not rows[-1]:
             rows = rows[:-1]
         shape = check_partition(len(row) for row in rows)
@@ -158,7 +159,7 @@ class ChessTableau:
 
     def __post_init__(self):
         check_bit(self.parity)
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(check_int(v, "tableau") for v in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         shape = check_partition(len(row) for row in rows)
         if len(shape) != len(rows):
@@ -283,7 +284,7 @@ def enumerate_chess(
 
 def sigma(j, t: int) -> int:
     """Smallest s (1-origin) with j_1 + ... + j_s >= t."""
-    j = tuple(int(v) for v in j)
+    j = tuple(check_int(v, "content") for v in j)
     if not 1 <= t <= sum(j):
         raise DomainError(f"position {t} outside 1..{sum(j)}")
     return next(s for s, running in enumerate(accumulate(j), start=1) if running >= t)
@@ -296,7 +297,7 @@ def expand_word(word, j) -> BitString:
     len(j) == len(word).
     """
     word = check_word(word)
-    j = tuple(int(v) for v in j)
+    j = tuple(check_int(v, "content") for v in j)
     if len(j) != len(word):
         raise DomainError(f"content length {len(j)} != word length {len(word)}")
     if any(v < 0 for v in j):

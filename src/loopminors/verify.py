@@ -14,10 +14,11 @@ from math import factorial, prod
 from typing import Iterator
 
 from .errors import DomainError
-from .loop import word_to_loop
+from .loop import LoopElement, word_to_loop
 from .networks import lindstrom_minor
 from .partitions import (
     Partition,
+    check_int,
     check_partition,
     partitions_up_to,
     size,
@@ -62,9 +63,13 @@ def verify_theorem2(lam: Partition, i: int, word) -> VerificationReport:
     """Tableau route, path route, and Toeplitz route of the same polynomial."""
     lam = check_partition(lam)
     word = check_word(word)
+    return _theorem2_report(lam, i, word, word_to_loop(word))
+
+
+def _theorem2_report(lam, i, word, g) -> VerificationReport:
     via_phi = phi_polynomial(lam, i, word)
     via_paths = lindstrom_minor(word, (), lam, i)
-    via_minor = minor(word_to_loop(word), (), lam, i)
+    via_minor = minor(g, (), lam, i)
     ok = via_phi == via_paths == via_minor
     return VerificationReport(
         check="theorem2",
@@ -82,7 +87,7 @@ def verify_prop1(lam: Partition, i: int, word, j) -> VerificationReport:
     """Tableau count against factorial times chess count, content by content."""
     lam = check_partition(lam)
     word = check_word(word)
-    j = tuple(int(v) for v in j)
+    j = tuple(check_int(v, "content") for v in j)
     if sum(j) != size(lam):
         raise DomainError(f"content {j} does not sum to |lam| = {size(lam)}")
     tab_count = len(enumerate_by_parity(lam, i, expand_word(word, j)))
@@ -107,7 +112,7 @@ def _prop1_report(lam, i, word, j, tab_count: int, chess_count: int) -> Verifica
 def verify_conjecture1(lam: Partition, i: int, d, q: int) -> VerificationReport:
     """Brute-force point count against the ground-state prediction (report only)."""
     lam = check_partition(lam)
-    d = tuple(int(b) for b in d)
+    d = tuple(check_int(b, "parity string") for b in d)
     module = build_module(lam, (), i)
     predicted = conjecture1_prediction(lam, i, d, q)
     counted = count_flags_fq(module, d, q)
@@ -123,7 +128,10 @@ def verify_pieri(lam: Partition, i: int, word) -> VerificationReport:
     """Pieri determinant against the direct minor, on a word element."""
     lam = check_partition(lam)
     word = check_word(word)
-    g = word_to_loop(word)
+    return _pieri_report(lam, i, word, word_to_loop(word))
+
+
+def _pieri_report(lam, i, word, g) -> VerificationReport:
     via_pieri = pieri_determinant(g, lam, i)
     via_minor = minor(g, (), lam, i)
     return VerificationReport(
@@ -139,8 +147,12 @@ def verify_lindstrom(word, mu: Partition, lam: Partition, i: int) -> Verificatio
     mu = check_partition(mu)
     lam = check_partition(lam)
     word = check_word(word)
+    return _lindstrom_report(word, mu, lam, i, word_to_loop(word))
+
+
+def _lindstrom_report(word, mu, lam, i, g) -> VerificationReport:
     via_paths = lindstrom_minor(word, mu, lam, i)
-    via_minor = minor(word_to_loop(word), mu, lam, i)
+    via_minor = minor(g, mu, lam, i)
     return VerificationReport(
         check="lindstrom",
         case={"lambda": _csv(lam), "mu": _csv(mu), "parity": i, "word": _csv(word)},
@@ -175,11 +187,16 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(comp)
 
 
+def _word_loops(max_word: int) -> list[tuple[tuple[int, ...], LoopElement]]:
+    return [(word, word_to_loop(word)) for word in all_words_up_to(max_word)]
+
+
 def sweep_theorem2(max_size: int, max_word: int) -> Iterator[VerificationReport]:
+    loops = _word_loops(max_word)
     for lam in partitions_up_to(max_size):
         for i in (0, 1):
-            for word in all_words_up_to(max_word):
-                yield verify_theorem2(lam, i, word)
+            for word, g in loops:
+                yield _theorem2_report(lam, i, word, g)
 
 
 def sweep_prop1(max_size: int, max_word: int) -> Iterator[VerificationReport]:
@@ -194,18 +211,20 @@ def sweep_prop1(max_size: int, max_word: int) -> Iterator[VerificationReport]:
 
 
 def sweep_pieri(max_size: int, max_word: int) -> Iterator[VerificationReport]:
+    loops = _word_loops(max_word)
     for lam in partitions_up_to(max_size):
         for i in (0, 1):
-            for word in all_words_up_to(max_word):
-                yield verify_pieri(lam, i, word)
+            for word, g in loops:
+                yield _pieri_report(lam, i, word, g)
 
 
 def sweep_lindstrom(max_size: int, max_word: int) -> Iterator[VerificationReport]:
+    loops = _word_loops(max_word)
     for lam in partitions_up_to(max_size):
         for mu in subpartitions(lam):
             for i in (0, 1):
-                for word in all_words_up_to(max_word):
-                    yield verify_lindstrom(word, mu, lam, i)
+                for word, g in loops:
+                    yield _lindstrom_report(word, mu, lam, i, g)
 
 
 def realizable_parities(lam: Partition, i: int) -> list[tuple[int, ...]]:

@@ -15,15 +15,19 @@ from loopminors.phi import euler_char, phi_polynomial
 from loopminors.shapemod import build_module, conjecture1_prediction, count_flags_fq
 from loopminors.tableaux import (
     ChessTableau,
+    StandardTableau,
     box_parity,
     check_bits,
     enumerate_by_parity,
     enumerate_chess,
     enumerate_standard,
     ground_state,
+    expand_word,
     parity_string,
+    sigma,
 )
 from loopminors.toeplitz import minor, pieri_determinant
+from loopminors.verify import verify_conjecture1, verify_prop1
 
 WORD = (1, 0, 1)
 
@@ -68,8 +72,18 @@ def test_non_bit_parities_are_rejected(call):
         lambda: phi_polynomial(("2", 1), 1, WORD),
         lambda: check_bits((1, 0.5)),
         lambda: euler_char((2, 1), 1, (1, 0, "0")),
+        lambda: phi_polynomial((2, 1), 1.0, WORD),
+        lambda: expand_word((1, 0), (1.5, 0)),
+        lambda: expand_word((1, 0), ("x", 0)),
+        lambda: sigma((1, 1.5), 1),
+        lambda: verify_prop1((2, 1), 1, (1, 0), (1.5, 2)),
+        lambda: StandardTableau(((1.5, 2), (3,))),
+        lambda: ChessTableau(rows=((1.5,),), parity=1, content=(1,)),
+        lambda: verify_conjecture1((1,), 0, (1.0,), 2),
     ],
-    ids=["build_module", "check_partition", "phi_polynomial", "check_bits", "euler_char"],
+    ids=["build_module", "check_partition", "phi_polynomial", "check_bits", "euler_char",
+         "check_bit", "expand_word", "expand_word_str", "sigma", "verify_prop1",
+         "StandardTableau", "ChessTableau", "verify_conjecture1"],
 )
 def test_non_integer_entries_are_rejected(call):
     with pytest.raises(DomainError, match="entries must be integers"):
@@ -99,13 +113,39 @@ print("optimize", sys.flags.optimize)
 """
 
 
-def test_guards_hold_under_python_O():
+def python_O(code: str) -> str:
+    """The stdout of ``code`` run by ``python -O`` on this checkout's src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", GUARDED_CALLS],
+        [sys.executable, "-O", "-c", code],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["rejected", "rejected", "optimize 1", ""]
+    return proc.stdout
+
+
+def test_guards_hold_under_python_O():
+    assert python_O(GUARDED_CALLS).split("\n") == ["rejected", "rejected", "optimize 1", ""]
+
+
+# A loop element built directly, with determinant 2: the constructor's check
+# is the one that word_to_loop relies on, so it must not be an assert.
+BAD_DETERMINANT = """
+from fractions import Fraction
+from loopminors.errors import DomainError
+from loopminors.loop import LaurentPoly, LoopElement
+
+one, two = LaurentPoly({0: Fraction(1)}), LaurentPoly({0: Fraction(2)})
+try:
+    LoopElement(((two, LaurentPoly()), (LaurentPoly(), one)))
+except DomainError as exc:
+    print("rejected", exc)
+else:
+    print("accepted")
+"""
+
+
+def test_loop_determinant_check_holds_under_python_O():
+    assert python_O(BAD_DETERMINANT).startswith("rejected determinant is not 1")

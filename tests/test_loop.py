@@ -62,6 +62,28 @@ def test_word_to_loop_four_letters_top_entry():
     assert g.entry(1, 1) == expected
 
 
+def test_word_to_loop_is_the_checked_product_of_its_generators(monkeypatch):
+    # the column operations against LoopElement.__mul__, which checks det = 1
+    # at every product; word_to_loop itself builds (and checks) one element
+    built = []
+    init = LoopElement.__init__
+    monkeypatch.setattr(
+        LoopElement, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw)
+    )
+    for length in range(1, 11):
+        for start in (0, 1):
+            word = tuple((start + t) % 2 for t in range(length))
+            product = identity_loop(length)
+            for t, bit in enumerate(word):
+                product = product * generator(bit, sym(length, t))
+            built.clear()
+            g = word_to_loop(word)
+            assert len(built) == 1
+            assert g == product
+            assert is_unipotent_plus(g)
+            assert g.determinant() == LaurentPoly({0: MultiPoly.one(length)})
+
+
 def test_word_to_loop_rejects_bad_words():
     with pytest.raises(DomainError):
         word_to_loop((1, 1))

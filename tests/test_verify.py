@@ -104,6 +104,23 @@ def test_sweep_prop1_gives_the_reports_of_verify_prop1():
     assert len(expected) == 3720
 
 
+def test_word_sweeps_give_the_reports_of_verify():
+    # the sweeps build each word's loop element once, verify_* once per case
+    cases = [(lam, i, word) for lam in partitions_up_to(4) for i in (0, 1)
+             for word in all_words_up_to(5)]
+    assert list(sweep_theorem2(4, 5)) == [verify_theorem2(*case) for case in cases]
+    assert list(sweep_pieri(4, 5)) == [verify_pieri(*case) for case in cases]
+    expected = [
+        verify_lindstrom(word, mu, lam, i)
+        for lam in partitions_up_to(4)
+        for mu in subpartitions(lam)
+        for i in (0, 1)
+        for word in all_words_up_to(5)
+    ]
+    assert list(sweep_lindstrom(4, 5)) == expected
+    assert (len(cases), len(expected)) == (240, 1040)
+
+
 def test_report_json_statuses():
     ok = verify_theorem2((1,), 0, (0,)).to_json()
     assert ok["status"] == "ok"
