@@ -25,7 +25,6 @@ from .partitions import (
     max_index,
     parse_partition,
     partitions_of,
-    staircase,
     subpartitions,
 )
 from .phi import euler_char, phi_polynomial
@@ -48,7 +47,7 @@ from .tableaux import (
     parity_string,
     sigma,
 )
-from .toeplitz import entry_E, minor, minor_staircase, pieri_determinant, toeplitz_entry
+from .toeplitz import entry_E, minor, pieri_determinant, toeplitz_entry
 from .verify import (
     VerificationReport,
     verify_conjecture1,
@@ -97,7 +96,6 @@ __all__ = [
     "lindstrom_minor",
     "max_index",
     "minor",
-    "minor_staircase",
     "parity_string",
     "parse_partition",
     "partitions_of",
@@ -106,7 +104,6 @@ __all__ = [
     "pieri_determinant",
     "render_family",
     "sigma",
-    "staircase",
     "subpartitions",
     "toeplitz_entry",
     "verify_conjecture1",

@@ -20,7 +20,6 @@ from fractions import Fraction
 from . import verify as verify_mod
 from .errors import DomainError, LoopMinorsError
 from .loop import LaurentPoly, LoopElement, word_to_loop
-from .multipoly import MultiPoly
 from .networks import enumerate_families, family_weight, lindstrom_minor, render_family
 from .partitions import parse_partition
 from .phi import phi_polynomial

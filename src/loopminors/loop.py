@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .multipoly import MultiPoly
+from .partitions import check_int
 from .tableaux import check_word
 
 
@@ -24,8 +25,9 @@ class LaurentPoly:
         clean = {}
         if terms:
             for exp, coeff in terms.items():
+                exp = check_int(exp, "t-exponent")
                 if coeff:
-                    clean[int(exp)] = coeff
+                    clean[exp] = coeff
         self.terms = clean
 
     @classmethod
@@ -78,16 +80,9 @@ class LaurentPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def min_exp(self) -> int | None:
-        return min(self.terms) if self.terms else None
-
-    def max_exp(self) -> int | None:
-        return max(self.terms) if self.terms else None
-
     def is_polynomial(self) -> bool:
         """No negative powers of t."""
-        low = self.min_exp()
-        return low is None or low >= 0
+        return all(exp >= 0 for exp in self.terms)
 
     def __repr__(self):
         return f"LaurentPoly({self.terms!r})"
@@ -148,19 +143,6 @@ class LoopElement:
 
     def __repr__(self):
         return f"LoopElement({self.entries!r}, nvars={self.nvars})"
-
-    def to_json(self) -> dict:
-        def render(coeff) -> str:
-            return coeff.text() if isinstance(coeff, MultiPoly) else str(coeff)
-
-        out = {}
-        for i in (1, 2):
-            for j in (1, 2):
-                out[f"g{i}{j}"] = {
-                    str(exp): render(coeff)
-                    for exp, coeff in sorted(self.entry(i, j).terms.items())
-                }
-        return out
 
 
 def identity_loop(nvars: int | None = None) -> LoopElement:

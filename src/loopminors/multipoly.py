@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
+from .partitions import check_int
 
 EXPONENT_BITS = 16
 MAX_EXPONENT = (1 << EXPONENT_BITS) - 1
@@ -49,7 +50,7 @@ class MultiPoly:
         bound = 0
         if terms:
             for exps, coeff in terms.items():
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(check_int(e, "exponent") for e in exps)
                 if len(exps) != nvars:
                     raise DomainError(
                         f"exponent tuple {exps} has length {len(exps)}, expected {nvars}"
@@ -61,9 +62,10 @@ class MultiPoly:
                     raise DomainError(
                         f"exponent {top} in {exps} exceeds the limit {MAX_EXPONENT}"
                     )
+                coeff = check_int(coeff, "coefficient")
                 if coeff:
                     key = _pack(exps)
-                    total = clean.get(key, 0) + int(coeff)
+                    total = clean.get(key, 0) + coeff
                     if total:
                         clean[key] = total
                     else:
@@ -89,7 +91,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, nvars: int, value: int) -> "MultiPoly":
-        value = int(value)
+        value = check_int(value, "coefficient")
         return cls._from_packed(nvars, {0: value} if value else {}, 0)
 
     @classmethod
@@ -152,7 +154,7 @@ class MultiPoly:
                 raise DomainError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
             return other
         if isinstance(other, int):
-            return MultiPoly.const(self.nvars, other)
+            return MultiPoly._from_packed(self.nvars, {0: other} if other else {}, 0)
         return NotImplemented
 
     def __add__(self, other):
@@ -251,12 +253,6 @@ class MultiPoly:
         """Highest exponent of each variable; all zero for the zero polynomial."""
         return tuple(max(col) for col in zip(*self._exponents())) or (0,) * self.nvars
 
-    def total_degree(self) -> int:
-        """Maximum monomial degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(exps) for exps in self._exponents())
-
     def is_homogeneous(self, degree: int | None = None) -> bool:
         degrees = {sum(exps) for exps in self._exponents()}
         if not degrees:
@@ -277,14 +273,6 @@ class MultiPoly:
                 term *= v**e
             total += term
         return total
-
-    def embed(self, nvars: int, offset: int = 0) -> "MultiPoly":
-        """Re-index into a larger variable set: a_j becomes a_{j+offset}."""
-        if offset < 0 or self.nvars + offset > nvars:
-            raise DomainError("embedding does not fit the target variable count")
-        shift = EXPONENT_BITS * (nvars - offset - self.nvars)
-        terms = {key << shift: coeff for key, coeff in self.terms.items()}
-        return MultiPoly._from_packed(nvars, terms, self._bound)
 
     # -- canonical output ---------------------------------------------------
 

@@ -87,13 +87,6 @@ def index_set(lam: Partition, i: int, n_max: int) -> list[int]:
     return values
 
 
-def staircase(m: int) -> Partition:
-    """The staircase partition (m, m-1, ..., 1); empty for m = 0."""
-    if m < 0:
-        raise DomainError(f"staircase index must be nonnegative, got {m}")
-    return tuple(range(m, 0, -1))
-
-
 def parse_partition(text: str) -> Partition:
     """Parse a comma-separated part list; the empty string is the empty partition."""
     text = text.strip()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .errors import DomainError
-from .partitions import Partition, check_int, check_partition, part, size
+from .partitions import Partition, check_int, check_partition, size
 
 BitString = tuple[int, ...]
 
@@ -46,11 +46,6 @@ def check_word(bits) -> BitString:
     if not is_alternating(word):
         raise DomainError(f"word {word} is not alternating")
     return word
-
-
-def indicator(q) -> tuple[int, ...]:
-    """Positions (1-origin) of the nonzero entries of q."""
-    return tuple(t + 1 for t, value in enumerate(q) if value)
 
 
 def box_parity(s: int, t: int, i: int) -> int:
@@ -326,53 +321,3 @@ def ground_state(tableau: StandardTableau, i: int) -> int:
             if row_s < row_t and col_t < col_s:
                 count += 1
     return count
-
-
-# -- flags of partitions --------------------------------------------------
-#
-# The q-step flag <-> tableau correspondence is a definitional device; these
-# helpers exist so tests can exercise the round trip.
-
-
-def tableau_to_flag(tableau: StandardTableau, n: int | None = None) -> list[Partition]:
-    """The flag (lam^(0), ..., lam^(n)) recording when each box appears.
-
-    lam^(t) holds the boxes with labels <= t; steps with no label are
-    repeats.  ``n`` defaults to the largest label.
-    """
-    labels = tableau.labels()
-    top = max(labels) if labels else 0
-    if n is None:
-        n = top
-    if n < top:
-        raise DomainError(f"flag length {n} smaller than largest label {top}")
-    flag = []
-    for t in range(n + 1):
-        parts = [sum(1 for v in row if v <= t) for row in tableau.rows]
-        flag.append(check_partition(parts))
-    return flag
-
-
-def flag_to_tableau(flag) -> StandardTableau:
-    """Rebuild the tableau: the box added at step t gets label t."""
-    flag = [check_partition(lam) for lam in flag]
-    if not flag or flag[0] != ():
-        raise DomainError("flag must start at the empty partition")
-    final = flag[-1]
-    grid = [[0] * p for p in final]
-    for t in range(1, len(flag)):
-        prev, cur = flag[t - 1], flag[t]
-        added = [
-            (s, part(prev, s))
-            for s in range(len(cur))
-            if part(cur, s) == part(prev, s) + 1
-        ]
-        if size(cur) == size(prev):
-            if cur != prev:
-                raise DomainError(f"step {t} changes shape without adding a box")
-            continue
-        if size(cur) != size(prev) + 1 or len(added) != 1:
-            raise DomainError(f"step {t} does not add exactly one corner box")
-        s, col = added[0]
-        grid[s][col] = t
-    return StandardTableau(grid)

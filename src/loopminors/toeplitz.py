@@ -14,14 +14,7 @@ from __future__ import annotations
 from .determinants import det_bareiss, det_cofactor
 from .errors import DomainError
 from .loop import LoopElement, is_unipotent_plus
-from .partitions import (
-    Partition,
-    check_partition,
-    contains,
-    index_set,
-    max_index,
-    staircase,
-)
+from .partitions import Partition, check_partition, contains, index_set, max_index
 from .tableaux import check_bit
 
 
@@ -66,13 +59,6 @@ def minor(g: LoopElement, mu: Partition, lam: Partition, i: int):
     rows = index_set(mu, i, n_max)
     cols = index_set(lam, i, n_max)
     return _determinant(g, window(g, rows, cols))
-
-
-def minor_staircase(g: LoopElement, m: int, n: int, i: int):
-    """The staircase minor: mu and lam are the staircases of sizes m and n."""
-    if m > n:
-        raise DomainError(f"staircase minor needs m <= n, got m={m}, n={n}")
-    return minor(g, staircase(m), staircase(n), i)
 
 
 def entry_E(g: LoopElement, i: int, n: int):

@@ -3,12 +3,15 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import loopminors
 from loopminors.errors import DomainError
-from loopminors.loop import word_to_loop
+from loopminors.loop import LaurentPoly, word_to_loop
+from loopminors.multipoly import MultiPoly
 from loopminors.networks import enumerate_families, lindstrom_minor
 from loopminors.partitions import check_partition
 from loopminors.phi import euler_char, phi_polynomial
@@ -80,14 +83,27 @@ def test_non_bit_parities_are_rejected(call):
         lambda: StandardTableau(((1.5, 2), (3,))),
         lambda: ChessTableau(rows=((1.5,),), parity=1, content=(1,)),
         lambda: verify_conjecture1((1,), 0, (1.0,), 2),
+        lambda: MultiPoly(2, {(1.5, 0): 2.7}),
+        lambda: MultiPoly.const(2, 2.5),
+        lambda: LaurentPoly({1.5: Fraction(1)}),
     ],
     ids=["build_module", "check_partition", "phi_polynomial", "check_bits", "euler_char",
          "check_bit", "expand_word", "expand_word_str", "sigma", "verify_prop1",
-         "StandardTableau", "ChessTableau", "verify_conjecture1"],
+         "StandardTableau", "ChessTableau", "verify_conjecture1", "MultiPoly",
+         "MultiPoly.const", "LaurentPoly"],
 )
 def test_non_integer_entries_are_rejected(call):
     with pytest.raises(DomainError, match="entries must be integers"):
         call()
+
+
+def test_public_surface():
+    # every exported name resolves, once, and a star import sees all of them
+    assert all(hasattr(loopminors, name) for name in loopminors.__all__)
+    assert len(set(loopminors.__all__)) == len(loopminors.__all__)
+    namespace = {}
+    exec("from loopminors import *", namespace)
+    assert set(loopminors.__all__) <= set(namespace)
 
 
 # Each guard is fed an input that only an explicit check can refuse: the

@@ -55,18 +55,10 @@ def test_evaluate():
     assert poly.evaluate([Fraction(1, 2), 3]) == Fraction(4)
 
 
-def test_embed_shifts_variables():
-    poly = a(2, 0) * a(2, 1)
-    shifted = poly.embed(4, offset=2)
-    assert shifted == a(4, 2) * a(4, 3)
-
-
 def test_homogeneity_and_degree():
     poly = a(2, 0) * a(2, 0) + a(2, 0) * a(2, 1)
     assert poly.is_homogeneous(2)
-    assert poly.total_degree() == 2
     assert not (poly + 1).is_homogeneous()
-    assert MultiPoly.zero(2).total_degree() == -1
 
 
 def small_polys(k=2):
@@ -145,10 +137,6 @@ class TuplePoly:
             total += term
         return total
 
-    def embed(self, nvars, offset):
-        pad = nvars - offset - self.nvars
-        return TuplePoly(nvars, {(0,) * offset + e + (0,) * pad: c for e, c in self.terms.items()})
-
     def json_terms(self):
         return {",".join(map(str, e)): c for e, c in sorted(self.terms.items(), reverse=True)}
 
@@ -205,8 +193,6 @@ def test_packed_ring_matches_tuple_reference(data):
         assert p.coefficient(exps) == rp.terms.get(exps, 0)
     values = data.draw(st.lists(st.sampled_from([0, 1, -1, 2, Fraction(1, 2)]), min_size=k, max_size=k))
     assert p.evaluate(values) == rp.evaluate(values)
-    offset = data.draw(st.integers(0, 2), label="offset")
-    assert_same(p.embed(k + 2, offset), rp.embed(k + 2, offset))
 
 
 def test_transfer_sum_counts_walks_by_step_exponents():

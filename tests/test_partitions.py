@@ -15,7 +15,6 @@ from loopminors.partitions import (
     partitions_of,
     partitions_up_to,
     size,
-    staircase,
     subpartitions,
 )
 
@@ -88,12 +87,6 @@ def test_parse_and_format_round_trip():
     assert format_partition(()) == ""
     with pytest.raises(DomainError):
         parse_partition("2,x")
-
-
-def test_staircase():
-    assert staircase(0) == ()
-    assert staircase(2) == (2, 1)
-    assert staircase(4) == (4, 3, 2, 1)
 
 
 def test_partitions_of_counts():

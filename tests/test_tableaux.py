@@ -1,10 +1,8 @@
-from math import factorial
-
 import pytest
 from hypothesis import given, settings
 
 from loopminors.errors import DomainError
-from loopminors.partitions import partitions_up_to, size
+from loopminors.partitions import partitions_up_to
 from loopminors.tableaux import (
     StandardTableau,
     box_parity,
@@ -13,13 +11,10 @@ from loopminors.tableaux import (
     enumerate_chess,
     enumerate_standard,
     expand_word,
-    flag_to_tableau,
     ground_state,
-    indicator,
     is_alternating,
     parity_string,
     sigma,
-    tableau_to_flag,
 )
 from loopminors.verify import alternating_words, compositions
 
@@ -36,7 +31,6 @@ def test_is_alternating_and_indicator():
     assert is_alternating((1, 0, 1, 0))
     assert not is_alternating((1, 1))
     assert is_alternating(())
-    assert indicator((1, 1, 0, 1, 1, 1, 0, 1)) == (1, 2, 4, 5, 6, 8)
 
 
 def test_check_word_rejects():
@@ -166,43 +160,3 @@ def test_ground_state_three_one_shape():
     assert ground_state(T_b, 0) == 1
     assert ground_state(T_c, 0) == 0
 
-
-def test_flag_round_trip_content_one():
-    for lam in partitions_up_to(5):
-        for T in enumerate_standard(lam):
-            assert flag_to_tableau(tableau_to_flag(T)) == T
-
-
-def test_flag_round_trip_sparse_content():
-    # content (1,1,0,1,1,1,0,1): relabel a standard tableau along the indicator
-    positions = (1, 2, 4, 5, 6, 8)
-    for T in enumerate_standard((3, 2, 1)):
-        relabeled = StandardTableau(
-            [[positions[v - 1] for v in row] for row in T.rows]
-        )
-        flag = tableau_to_flag(relabeled, n=8)
-        assert len(flag) == 9
-        assert flag_to_tableau(flag) == relabeled
-
-
-def test_flag_of_the_worked_example():
-    tableau = StandardTableau([[1, 4, 6], [2, 8], [5]])
-    flag = tableau_to_flag(tableau, n=8)
-    assert flag == [
-        (),
-        (1,),
-        (1, 1),
-        (1, 1),
-        (2, 1),
-        (2, 1, 1),
-        (3, 1, 1),
-        (3, 1, 1),
-        (3, 2, 1),
-    ]
-
-
-def test_flag_to_tableau_rejects_bad_flags():
-    with pytest.raises(DomainError):
-        flag_to_tableau([(1,), (1, 1)])
-    with pytest.raises(DomainError):
-        flag_to_tableau([(), (2,)])

@@ -11,7 +11,6 @@ from loopminors.toeplitz import (
     decompose_index,
     entry_E,
     minor,
-    minor_staircase,
     pieri_determinant,
     toeplitz_entry,
     window,
@@ -72,19 +71,11 @@ def test_minor_rejects_non_contained():
         minor(g, (3,), (2, 2), 0)
 
 
-def test_minor_staircase_matches_explicit_partitions():
-    g = word_to_loop((1, 0, 1, 0))
-    assert minor_staircase(g, 0, 2, 1) == minor(g, (), (2, 1), 1)
-    assert minor_staircase(g, 1, 2, 0) == minor(g, (1,), (2, 1), 0)
-    with pytest.raises(DomainError):
-        minor_staircase(g, 2, 1, 0)
-
-
-def test_minor_staircase_degenerate_window():
+def test_minor_degenerate_window():
     # mu = lam = empty gives the 1x1 window at the diagonal entry
     g = word_to_loop((1, 0))
-    assert minor_staircase(g, 0, 0, 0) == MultiPoly.one(2)
-    assert minor_staircase(identity_loop(), 3, 3, 1) == Fraction(1)
+    assert minor(g, (), (), 0) == MultiPoly.one(2)
+    assert minor(identity_loop(), (3, 2, 1), (3, 2, 1), 1) == Fraction(1)
 
 
 def test_entry_E_examples():
