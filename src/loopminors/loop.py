@@ -92,7 +92,9 @@ class LoopElement:
     """A 2x2 Laurent matrix of determinant 1.
 
     ``nvars`` is None in numeric (rational) mode, or the shared variable
-    count of the symbolic coefficients.
+    count of the symbolic coefficients.  The constructor checks that every
+    coefficient is exact (an int or Fraction in numeric mode, a MultiPoly in
+    ``nvars`` variables in symbolic mode) and that the determinant is 1.
     """
 
     __slots__ = ("entries", "nvars")
@@ -101,6 +103,13 @@ class LoopElement:
         entries = tuple(tuple(row) for row in entries)
         if len(entries) != 2 or any(len(row) != 2 for row in entries):
             raise DomainError("a loop element is a 2x2 matrix")
+        ring = (int, Fraction) if nvars is None else MultiPoly
+        for entry in (entry for row in entries for entry in row):
+            if not isinstance(entry, LaurentPoly):
+                raise DomainError(f"loop element entries must be LaurentPoly, got {entry!r}")
+            for coeff in entry.terms.values():
+                if not isinstance(coeff, ring) or (nvars is not None and coeff.nvars != nvars):
+                    raise DomainError(f"inexact loop coefficient {coeff!r} for nvars={nvars}")
         self.entries = entries
         self.nvars = nvars
         det = self.determinant()

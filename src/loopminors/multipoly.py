@@ -309,6 +309,8 @@ class MultiPoly:
             text += (" - " if neg else " + ") + body
         return text
 
+    __str__ = text
+
     def json_terms(self) -> dict[str, int]:
         """Exponent-keyed coefficient map, e.g. {"1,2,0,0": 1}."""
         return {

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .multipoly import MultiPoly
-from .partitions import Partition, check_partition, contains, index_set, max_index
+from .partitions import Partition, check_int, check_partition, contains, index_set, max_index
 from .tableaux import BitString, ChessTableau, check_bit, check_word
 
 ChipWord = BitString
@@ -44,7 +44,7 @@ class PathFamily:
     def __post_init__(self):
         word = check_word(self.word)
         object.__setattr__(self, "word", word)
-        levels = tuple(tuple(int(l) for l in path) for path in self.levels)
+        levels = tuple(tuple(check_int(l, "path level") for l in path) for path in self.levels)
         object.__setattr__(self, "levels", levels)
         k = len(word)
         for path in levels:
@@ -68,10 +68,6 @@ class PathFamily:
     @property
     def sources(self) -> tuple[int, ...]:
         return tuple(path[0] for path in self.levels)
-
-    @property
-    def sinks(self) -> tuple[int, ...]:
-        return tuple(path[-1] for path in self.levels)
 
     def ascent_chips(self, n: int) -> tuple[int, ...]:
         """1-origin chip indices where the n-th path ascends."""

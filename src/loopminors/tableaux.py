@@ -58,85 +58,52 @@ def box_parity(s: int, t: int, i: int) -> int:
 
 
 def _rows_standard(rows) -> bool:
-    """Strict increase along rows and down columns."""
-    for row in rows:
-        if any(a >= b for a, b in zip(row, row[1:])):
-            return False
-    for upper, lower in zip(rows, rows[1:]):
-        if len(lower) > len(upper):
-            return False
-        if any(upper[t] >= lower[t] for t in range(len(lower))):
-            return False
-    return True
+    """Strict increase along the rows and down the columns of a partition-shaped grid."""
+    return all(a < b for row in rows for a, b in zip(row, row[1:])) and all(
+        a < b for upper, lower in zip(rows, rows[1:]) for a, b in zip(upper, lower)
+    )
 
 
+def _check_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """Integer rows of a partition shape, strictly increasing both ways."""
+    rows = tuple(tuple(check_int(v, "tableau") for v in row) for row in rows)
+    if len(check_partition(len(row) for row in rows)) != len(rows):
+        raise DomainError("empty rows are not allowed in a tableau")
+    if not _rows_standard(rows):
+        raise DomainError(f"filling {rows} does not increase strictly along rows and columns")
+    return rows
+
+
+def _boxes(rows) -> dict[int, tuple[int, int]]:
+    """Label -> (row, column) of a filling with distinct labels."""
+    return {label: (s, t) for s, row in enumerate(rows) for t, label in enumerate(row)}
+
+
+@dataclass(frozen=True)
 class StandardTableau:
     """A filling of a partition shape with distinct, strictly increasing labels.
 
     Labels may be any distinct positive integers (content a bit string); a
     plain standard tableau of shape lam uses 1..|lam| exactly once.
+    Trailing empty rows are dropped.
     """
 
-    __slots__ = ("rows", "shape", "_positions")
+    rows: tuple[tuple[int, ...], ...]
 
-    def __init__(self, rows):
-        rows = tuple(tuple(check_int(v, "tableau") for v in row) for row in rows)
+    def __post_init__(self):
+        rows = [tuple(row) for row in self.rows]
         while rows and not rows[-1]:
-            rows = rows[:-1]
-        shape = check_partition(len(row) for row in rows)
-        if len(shape) != len(rows):
-            raise DomainError("empty rows are not allowed in a tableau")
-        if not _rows_standard(rows):
-            raise DomainError(f"filling {rows} is not standard")
-        positions: dict[int, tuple[int, int]] = {}
-        for s, row in enumerate(rows):
-            for t, label in enumerate(row):
-                if label < 1:
-                    raise DomainError(f"labels must be positive, got {label}")
-                if label in positions:
-                    raise DomainError(f"label {label} repeated")
-                positions[label] = (s, t)
-        self.rows = rows
-        self.shape = shape
-        self._positions = positions
-
-    @property
-    def n(self) -> int:
-        return size(self.shape)
-
-    def labels(self) -> tuple[int, ...]:
-        return tuple(sorted(self._positions))
-
-    def position(self, label: int) -> tuple[int, int]:
-        try:
-            return self._positions[label]
-        except KeyError:
-            raise DomainError(f"label {label} not in tableau") from None
-
-    def row_word(self) -> tuple[int, ...]:
-        return tuple(v for row in self.rows for v in row)
+            rows.pop()
+        rows = _check_rows(rows)
+        object.__setattr__(self, "rows", rows)
+        labels = [label for row in rows for label in row]
+        if any(label < 1 for label in labels):
+            raise DomainError(f"labels must be positive, got {min(labels)}")
+        if len(set(labels)) != len(labels):
+            raise DomainError(f"labels must be distinct, got {labels}")
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
-
-    def swap(self, a: int, b: int) -> "StandardTableau | None":
-        """Exchange labels a and b; None if the result is not standard."""
-        sa, ta = self.position(a)
-        sb, tb = self.position(b)
-        grid = [list(row) for row in self.rows]
-        grid[sa][ta], grid[sb][tb] = b, a
-        if not _rows_standard(grid):
-            return None
-        return StandardTableau(grid)
-
-    def __eq__(self, other):
-        return isinstance(other, StandardTableau) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"StandardTableau({self.to_lists()})"
 
 
 @dataclass(frozen=True)
@@ -144,8 +111,9 @@ class ChessTableau:
     """A semi-standard filling whose box parities match the label parities.
 
     Rows and columns must weakly increase.  The parity condition makes
-    neighbouring labels differ, so the increase is then strict both ways.
-    Both conditions are checked on construction.
+    neighbouring labels differ, so the increase is then strict both ways,
+    which is the row check shared with ``StandardTableau``.  Both conditions
+    are checked on construction.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -153,31 +121,22 @@ class ChessTableau:
     content: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        check_bit(self.parity)
-        rows = tuple(tuple(check_int(v, "tableau") for v in row) for row in self.rows)
+        parity = check_bit(self.parity)
+        rows = _check_rows(self.rows)
         object.__setattr__(self, "rows", rows)
-        shape = check_partition(len(row) for row in rows)
-        if len(shape) != len(rows):
-            raise DomainError("empty rows are not allowed in a tableau")
         k = len(self.content)
         counts = [0] * k
         for s, row in enumerate(rows):
             for t, label in enumerate(row):
                 if not 1 <= label <= k:
                     raise DomainError(f"label {label} outside 1..{k}")
-                if label % 2 != box_parity(s, t, self.parity):
+                if label % 2 != (s + t + parity) % 2:
                     raise DomainError(
                         f"label {label} at box ({s},{t}) violates the parity condition"
                     )
                 counts[label - 1] += 1
         if tuple(counts) != tuple(self.content):
             raise DomainError(f"content mismatch: counted {tuple(counts)}")
-        if not _rows_standard(rows):
-            raise DomainError(f"filling {rows} is not semi-standard")
-
-    @property
-    def shape(self) -> Partition:
-        return check_partition(len(row) for row in self.rows)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
@@ -208,7 +167,7 @@ def enumerate_standard(lam: Partition) -> list[StandardTableau]:
                 rows[s].pop()
 
     place(1)
-    found.sort(key=lambda T: T.row_word())
+    found.sort(key=lambda T: T.rows)
     return found
 
 
@@ -217,11 +176,12 @@ def parity_string(tableau: StandardTableau, i: int) -> BitString:
 
     Requires content (1, ..., 1): every label 1..n present exactly once.
     """
-    check_bit(i)
-    n = tableau.n
-    if tableau.labels() != tuple(range(1, n + 1)):
+    i = check_bit(i)
+    boxes = _boxes(tableau.rows)
+    n = len(boxes)
+    if set(boxes) != set(range(1, n + 1)):
         raise DomainError("parity string requires content (1,...,1)")
-    return tuple(box_parity(*tableau.position(label), i) for label in range(1, n + 1))
+    return tuple((s + t + i) % 2 for _, (s, t) in sorted(boxes.items()))
 
 
 def enumerate_by_parity(lam: Partition, i: int, d) -> list[StandardTableau]:
@@ -266,7 +226,7 @@ def enumerate_chess(
             lo = grid[s][t - 1] + 1
         if s > 0:
             lo = max(lo, grid[s - 1][t])
-        want = box_parity(s, t, i)
+        want = (s + t + i) % 2
         for label in range(lo, k + 1):
             if label % 2 == want:
                 grid[s][t] = label
@@ -308,16 +268,16 @@ def ground_state(tableau: StandardTableau, i: int) -> int:
     is above the row of t, and the column of t is left of the column of s.
     """
     d = parity_string(tableau, i)
-    n = tableau.n
+    boxes = _boxes(tableau.rows)
+    grid = [list(row) for row in tableau.rows]
     count = 0
-    for s in range(1, n + 1):
-        for t in range(s + 1, n + 1):
-            if d[s - 1] != d[t - 1]:
+    for s in range(1, len(d) + 1):
+        row_s, col_s = boxes[s]
+        for t in range(s + 1, len(d) + 1):
+            row_t, col_t = boxes[t]
+            if d[s - 1] != d[t - 1] or not (row_s < row_t and col_t < col_s):
                 continue
-            if tableau.swap(s, t) is None:
-                continue
-            row_s, col_s = tableau.position(s)
-            row_t, col_t = tableau.position(t)
-            if row_s < row_t and col_t < col_s:
-                count += 1
+            grid[row_s][col_s], grid[row_t][col_t] = t, s
+            count += _rows_standard(grid)
+            grid[row_s][col_s], grid[row_t][col_t] = s, t
     return count

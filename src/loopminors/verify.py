@@ -26,7 +26,14 @@ from .partitions import (
 )
 from .phi import euler_char, phi_polynomial
 from .shapemod import build_module, conjecture1_prediction, count_flags_fq
-from .tableaux import check_word, enumerate_by_parity, enumerate_chess, expand_word
+from .tableaux import (
+    check_word,
+    enumerate_by_parity,
+    enumerate_chess,
+    enumerate_standard,
+    expand_word,
+    parity_string,
+)
 from .toeplitz import minor, pieri_determinant
 
 # The verify targets in CLI order; target t sweeps with ``sweep_<t>``.
@@ -75,9 +82,9 @@ def _theorem2_report(lam, i, word, g) -> VerificationReport:
         check="theorem2",
         case={"lambda": _csv(lam), "parity": i, "word": _csv(word)},
         values={
-            "phi": via_phi.text(),
-            "lindstrom": via_paths.text(),
-            "toeplitz": via_minor.text(),
+            "phi": via_phi,
+            "lindstrom": via_paths,
+            "toeplitz": via_minor,
         },
         ok=ok,
     )
@@ -137,7 +144,7 @@ def _pieri_report(lam, i, word, g) -> VerificationReport:
     return VerificationReport(
         check="pieri",
         case={"lambda": _csv(lam), "parity": i, "word": _csv(word)},
-        values={"pieri": via_pieri.text(), "minor": via_minor.text()},
+        values={"pieri": via_pieri, "minor": via_minor},
         ok=via_pieri == via_minor,
     )
 
@@ -156,7 +163,7 @@ def _lindstrom_report(word, mu, lam, i, g) -> VerificationReport:
     return VerificationReport(
         check="lindstrom",
         case={"lambda": _csv(lam), "mu": _csv(mu), "parity": i, "word": _csv(word)},
-        values={"lindstrom": via_paths.text(), "toeplitz": via_minor.text()},
+        values={"lindstrom": via_paths, "toeplitz": via_minor},
         ok=via_paths == via_minor,
     )
 
@@ -229,8 +236,6 @@ def sweep_lindstrom(max_size: int, max_word: int) -> Iterator[VerificationReport
 
 def realizable_parities(lam: Partition, i: int) -> list[tuple[int, ...]]:
     """Distinct i-parity strings of the standard tableaux of shape lam."""
-    from .tableaux import enumerate_standard, parity_string
-
     return sorted({parity_string(T, i) for T in enumerate_standard(lam)})
 
 

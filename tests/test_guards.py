@@ -10,9 +10,9 @@ import pytest
 
 import loopminors
 from loopminors.errors import DomainError
-from loopminors.loop import LaurentPoly, word_to_loop
+from loopminors.loop import LaurentPoly, LoopElement, word_to_loop
 from loopminors.multipoly import MultiPoly
-from loopminors.networks import enumerate_families, lindstrom_minor
+from loopminors.networks import PathFamily, enumerate_families, lindstrom_minor
 from loopminors.partitions import check_partition
 from loopminors.phi import euler_char, phi_polynomial
 from loopminors.shapemod import build_module, conjecture1_prediction, count_flags_fq
@@ -86,14 +86,39 @@ def test_non_bit_parities_are_rejected(call):
         lambda: MultiPoly(2, {(1.5, 0): 2.7}),
         lambda: MultiPoly.const(2, 2.5),
         lambda: LaurentPoly({1.5: Fraction(1)}),
+        lambda: PathFamily(word=(0,), levels=((0.5, 1.9),)),
+        lambda: PathFamily(word=(0,), levels=(("0", "1"),)),
     ],
     ids=["build_module", "check_partition", "phi_polynomial", "check_bits", "euler_char",
          "check_bit", "expand_word", "expand_word_str", "sigma", "verify_prop1",
          "StandardTableau", "ChessTableau", "verify_conjecture1", "MultiPoly",
-         "MultiPoly.const", "LaurentPoly"],
+         "MultiPoly.const", "LaurentPoly", "PathFamily", "PathFamily_str"],
 )
 def test_non_integer_entries_are_rejected(call):
     with pytest.raises(DomainError, match="entries must be integers"):
+        call()
+
+
+def _unipotent(upper, diagonal=Fraction(1), nvars=None):
+    """[[diagonal, upper], [0, diagonal]], built directly."""
+    unit = LaurentPoly({0: diagonal})
+    return LoopElement(((unit, LaurentPoly({0: upper})), (LaurentPoly(), unit)), nvars=nvars)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # floats pass the det = 1 check (1.0 == 1), but then the product of the
+        # elements with upper entries 0.1 and 0.2 has 0.30000000000000004 there
+        lambda: _unipotent(0.1, diagonal=1.0),
+        lambda: _unipotent("1"),
+        lambda: _unipotent(Fraction(1), diagonal=MultiPoly.one(1)),
+        lambda: _unipotent(Fraction(1), diagonal=MultiPoly.one(1), nvars=1),
+    ],
+    ids=["float", "str", "MultiPoly_in_numeric", "Fraction_in_symbolic"],
+)
+def test_inexact_loop_coefficients_are_rejected(call):
+    with pytest.raises(DomainError, match="inexact loop coefficient"):
         call()
 
 

@@ -159,3 +159,5 @@ def test_loop_element_rejects_bad_determinant():
     one = LaurentPoly({0: Fraction(1)})
     with pytest.raises(DomainError):
         LoopElement(((one, one), (one, one)))
+    with pytest.raises(DomainError):
+        LoopElement(((1, 0), (0, 1)))

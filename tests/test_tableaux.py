@@ -160,3 +160,52 @@ def test_ground_state_three_one_shape():
     assert ground_state(T_b, 0) == 1
     assert ground_state(T_c, 0) == 0
 
+
+
+def _standard(rows) -> bool:
+    # strict increase along each row and down each column, box by box
+    for s, row in enumerate(rows):
+        for t, label in enumerate(row):
+            if t > 0 and row[t - 1] >= label:
+                return False
+            if s > 0 and rows[s - 1][t] >= label:
+                return False
+    return True
+
+
+def _ground_state_by_docstring(rows, i) -> int:
+    # pairs s < t with d_s = d_t whose exchange stays standard, s in a higher
+    # row than t and t in a column left of s
+    where = {label: (r, c) for r, row in enumerate(rows) for c, label in enumerate(row)}
+    d = {label: (r + c + i) % 2 for label, (r, c) in where.items()}
+    count = 0
+    for s in where:
+        for t in where:
+            if not (s < t and d[s] == d[t]):
+                continue
+            (row_s, col_s), (row_t, col_t) = where[s], where[t]
+            swapped = [[{s: t, t: s}.get(v, v) for v in row] for row in rows]
+            if _standard(swapped) and row_s < row_t and col_t < col_s:
+                count += 1
+    return count
+
+
+def test_ground_state_and_parity_string_on_every_shape_up_to_six():
+    for lam in partitions_up_to(6):
+        for T in enumerate_standard(lam):
+            rows = T.to_lists()
+            for i in (0, 1):
+                assert ground_state(T, i) == _ground_state_by_docstring(rows, i), (rows, i)
+                by_box = {v: box_parity(s, t, i) for s, row in enumerate(rows) for t, v in enumerate(row)}
+                assert parity_string(T, i) == tuple(by_box[v] for v in range(1, len(by_box) + 1))
+
+
+def test_standard_tableau_is_a_value():
+    T = StandardTableau([[1, 2], [3], []])
+    assert T == StandardTableau(((1, 2), (3,)))
+    assert hash(T) == hash(StandardTableau(((1, 2), (3,))))
+    assert T.rows == ((1, 2), (3,))
+    with pytest.raises(DomainError):
+        StandardTableau([[0, 2], [3]])
+    with pytest.raises(DomainError):
+        StandardTableau([[1, 3], [3]])
