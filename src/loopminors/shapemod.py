@@ -151,10 +151,14 @@ def _gf_matrices(module: ShapeModule, field: gf.GF):
     return arrows, idempotents
 
 
-def _count_series(field, arrows, idempotents, d: tuple[int, ...]) -> int:
+def _count_series(field, arrows, idempotents, d: tuple[int, ...], memo: dict) -> int:
     dim = len(d)
     if dim == 0:
         return 1
+    # len(d) fixes every matrix shape and each entry is below q <= 5: an exact key
+    key = bytes(d) + bytes(x for mat in (*arrows, *idempotents) for row in mat for x in row)
+    if key in memo:
+        return memo[key]
     eps = d[-1]
     # A functional f with quotient S_eps vanishes off vertex eps, and every
     # arrow X swaps the two vertices, so f X lives on vertex 1 - eps and lies
@@ -165,23 +169,25 @@ def _count_series(field, arrows, idempotents, d: tuple[int, ...]) -> int:
     total = 0
     for coeffs in gf.projective_vectors(field, len(functional_basis)):
         f = [0] * dim
-        for c, base in zip(coeffs, functional_basis):
-            if c:
-                f = [field.add(x, field.mul(c, b)) for x, b in zip(f, base)]
-        # the kernel basis B of f is the identity off f's pivot row, so the
-        # restriction of M to ker f is M B with that row dropped
+        for coeff, base in zip(coeffs, functional_basis):
+            if coeff:
+                f = [field.add(x, field.mul(coeff, b)) for x, b in zip(f, base)]
+        # the kernel basis B of f is the identity off f's pivot row p and
+        # c = -f / f_p on it, so M restricts to ker f as M B without row p,
+        # a rank-one update: M[r][j] + c_j M[r][p] for r, j != p
         pivot = next(i for i, value in enumerate(f) if value)
-        kernel = gf.kernel_basis(field, [f])
-        basis = [[vec[i] for vec in kernel] for i in range(dim)]
+        c = [field.mul(field.neg(field.inv(f[pivot])), value) for value in f]
+        keep = [j for j in range(dim) if j != pivot]
 
         def restrict(mat):
-            image = gf.mat_mul(field, mat, basis)
-            del image[pivot]
-            return image
+            return [
+                [field.add(mat[r][j], field.mul(c[j], mat[r][pivot])) for j in keep] for r in keep
+            ]
 
         total += _count_series(
-            field, [restrict(X) for X in arrows], [restrict(E) for E in idempotents], d[:-1]
+            field, [restrict(X) for X in arrows], [restrict(E) for E in idempotents], d[:-1], memo
         )
+    memo[key] = total
     return total
 
 
@@ -189,8 +195,9 @@ def count_flags_fq(module: ShapeModule, d, q: int) -> int:
     """Exact number of composition series over F_q with quotients S_{d_t}.
 
     Enumerates, top down, every stable hyperplane whose quotient is the
-    required simple, as the projective points of one left kernel; guarded
-    to dim <= 7 and q <= 5 because the recursion is exhaustive by design.
+    required simple, as the projective points of one left kernel, restricts
+    to it by a rank-one update, and counts each distinct restricted module
+    once through a memo that lives for this call.  Guarded to dim <= 7, q <= 5.
     """
     d = check_bits(d, "parity string")
     if len(d) != module.dim:
@@ -203,7 +210,7 @@ def count_flags_fq(module: ShapeModule, d, q: int) -> int:
         raise ResourceLimitError(f"brute-force counting is guarded to q <= 5 (got {q})")
     field = gf.GF(q)
     arrows, idempotents = _gf_matrices(module, field)
-    return _count_series(field, arrows, idempotents, d)
+    return _count_series(field, arrows, idempotents, d, {})
 
 
 def conjecture1_prediction(lam: Partition, i: int, d, q: int) -> int:

@@ -123,8 +123,10 @@ class ChessTableau:
     def __post_init__(self):
         parity = check_bit(self.parity)
         rows = _check_rows(self.rows)
+        content = tuple(check_int(x, "content") for x in self.content)
         object.__setattr__(self, "rows", rows)
-        k = len(self.content)
+        object.__setattr__(self, "content", content)
+        k = len(content)
         counts = [0] * k
         for s, row in enumerate(rows):
             for t, label in enumerate(row):
@@ -135,7 +137,7 @@ class ChessTableau:
                         f"label {label} at box ({s},{t}) violates the parity condition"
                     )
                 counts[label - 1] += 1
-        if tuple(counts) != tuple(self.content):
+        if tuple(counts) != content:
             raise DomainError(f"content mismatch: counted {tuple(counts)}")
 
     def to_lists(self) -> list[list[int]]:
@@ -204,6 +206,7 @@ def enumerate_chess(
     """
     lam = check_partition(lam)
     i = check_bit(i)
+    k = check_int(k, "label bound")
     if k < 0:
         raise DomainError(f"label bound must be nonnegative, got {k}")
     boxes = [(s, t) for s in range(len(lam)) for t in range(lam[s])]

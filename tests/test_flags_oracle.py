@@ -1,10 +1,14 @@
 """The linear stable-functional search against the exhaustive one.
 
 ``count_flags_fq`` visits only the projective points of one left kernel, the
-stable functionals, and restricts each arrow to ker f by dropping a row.  The
-reference below is the exhaustive counter it replaced: it visits every
-projective point of ker E_{1-eps}, keeps those f with f X in span(f) for each
-arrow X, and restricts by solving B Y = M B column by column.
+stable functionals, restricts each arrow and idempotent to ker f by a rank-one
+update with f's pivot row and column dropped, and counts each distinct
+restricted module once, through a memo that lives for one call.  The
+reference below is the exhaustive counter it replaced: it keeps no memo,
+visits every projective point of ker E_{1-eps}, keeps those f with f X in
+span(f) for each arrow X, and restricts by solving B Y = M B column by column.
+The last two tests pin counts across field sizes, which a memo shared between
+calls would break, and a dimension-7 case past the benchmark pool's budget.
 """
 
 from itertools import product
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 from loopminors import gf
 from loopminors.errors import DomainError
 from loopminors.partitions import partitions_up_to, size, subpartitions
+from loopminors.phi import euler_char
 from loopminors.shapemod import _gf_matrices, build_module, count_flags_fq
 
 
@@ -133,3 +138,22 @@ def larger_cases(draw):
 def test_counts_match_the_exhaustive_search_off_the_grid(case):
     module, d, q = case
     assert count_flags_fq(module, d, q) == reference_count(module, d, q)
+
+
+def test_counts_do_not_leak_between_field_sizes():
+    # one module counted at q = 2..5 in turn: a count remembered from one call
+    # would be read back at the next q, whose key carries no q
+    module = build_module((3, 2, 1), (), 1)
+    d = (1, 0, 1, 0, 1, 1)
+    assert [count_flags_fq(module, d, q) for q in (2, 3, 4, 5)] == [9, 16, 25, 36]
+    # P(q) = (q + 1)^2, so the Euler characteristic P(1) is the tableau count
+    assert euler_char((3, 2, 1), 1, d) == 4
+
+
+def test_the_over_budget_case_at_every_field_size():
+    # dimension 7, past the pool's functional budget
+    module = build_module((4, 4, 2, 1), (3, 1), 0)
+    d = (0, 0, 1, 1, 1, 1, 0)
+    counts = [count_flags_fq(module, d, q) for q in (2, 3, 4, 5)]
+    assert counts == [945, 8320, 44625, 174096]
+    assert counts[0] == reference_count(module, d, 2)

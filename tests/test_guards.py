@@ -82,6 +82,9 @@ def test_non_bit_parities_are_rejected(call):
         lambda: verify_prop1((2, 1), 1, (1, 0), (1.5, 2)),
         lambda: StandardTableau(((1.5, 2), (3,))),
         lambda: ChessTableau(rows=((1.5,),), parity=1, content=(1,)),
+        lambda: ChessTableau(rows=((1,),), parity=1, content=(1.0,)),
+        lambda: enumerate_chess((1,), 1, 2.5),
+        lambda: enumerate_chess((1,), 1, "3"),
         lambda: verify_conjecture1((1,), 0, (1.0,), 2),
         lambda: MultiPoly(2, {(1.5, 0): 2.7}),
         lambda: MultiPoly.const(2, 2.5),
@@ -91,7 +94,8 @@ def test_non_bit_parities_are_rejected(call):
     ],
     ids=["build_module", "check_partition", "phi_polynomial", "check_bits", "euler_char",
          "check_bit", "expand_word", "expand_word_str", "sigma", "verify_prop1",
-         "StandardTableau", "ChessTableau", "verify_conjecture1", "MultiPoly",
+         "StandardTableau", "ChessTableau", "ChessTableau_content", "enumerate_chess",
+         "enumerate_chess_str", "verify_conjecture1", "MultiPoly",
          "MultiPoly.const", "LaurentPoly", "PathFamily", "PathFamily_str"],
 )
 def test_non_integer_entries_are_rejected(call):
