@@ -22,10 +22,11 @@ Jordan type is the row-length partition lam for every shape module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from . import gf
 from .errors import DomainError, ResourceLimitError
-from .partitions import Partition, SkewShape, check_partition, format_partition
+from .partitions import Partition, SkewShape, check_int, check_partition, format_partition
 from .tableaux import check_bit, check_bits, enumerate_by_parity, ground_state
 
 Box = tuple[int, int]
@@ -151,41 +152,55 @@ def _gf_matrices(module: ShapeModule, field: gf.GF):
     return arrows, idempotents
 
 
-def _count_series(field, arrows, idempotents, d: tuple[int, ...], memo: dict) -> int:
+# arrows into vertex 0 (beta, alpha*) and into vertex 1 (alpha, beta*), by ARROW_NAMES index
+_INTO = ((1, 2), (0, 3))
+
+
+def _count_series(field, add, mul, blocks, d: tuple[int, ...], memo: dict) -> int:
     dim = len(d)
     if dim == 0:
         return 1
-    # len(d) fixes every matrix shape and each entry is below q <= 5: an exact key
-    key = bytes(d) + bytes(x for mat in (*arrows, *idempotents) for row in mat for x in row)
+    # blocks[v] has one row per basis vector at vertex v and one column per pair
+    # (arrow into v, basis vector at 1 - v); its row count n_v fixes its shape,
+    # and each entry is below q <= 5, so the key is exact
+    key = bytes((dim, len(blocks[0]), *d, *chain.from_iterable(chain(*blocks))))
     if key in memo:
         return memo[key]
     eps = d[-1]
-    # A functional f with quotient S_eps vanishes off vertex eps, and every
-    # arrow X swaps the two vertices, so f X lives on vertex 1 - eps and lies
-    # in span(f) only as 0: the stable f are the left kernel of
-    # [E_{1-eps} | X_alpha | X_beta | X_alpha* | X_beta*].
-    stacked = [sum(rows, []) for rows in zip(idempotents[1 - eps], *arrows)]
-    functional_basis = gf.left_kernel_basis(field, stacked)
+    into, out = blocks[eps], blocks[1 - eps]
+    n = len(into)
+    # A functional f with quotient S_eps vanishes off vertex eps and f X lives
+    # on vertex 1 - eps, so f X lies in span(f) only as 0: the stable f are the
+    # left kernel of the arrows into eps, [X_in | X_in'].
+    functional_basis = gf.left_kernel_basis(field, into)
     total = 0
     for coeffs in gf.projective_vectors(field, len(functional_basis)):
-        f = [0] * dim
+        f = [0] * n
         for coeff, base in zip(coeffs, functional_basis):
             if coeff:
-                f = [field.add(x, field.mul(coeff, b)) for x, b in zip(f, base)]
-        # the kernel basis B of f is the identity off f's pivot row p and
-        # c = -f / f_p on it, so M restricts to ker f as M B without row p,
-        # a rank-one update: M[r][j] + c_j M[r][p] for r, j != p
-        pivot = next(i for i, value in enumerate(f) if value)
-        c = [field.mul(field.neg(field.inv(f[pivot])), value) for value in f]
-        keep = [j for j in range(dim) if j != pivot]
-
-        def restrict(mat):
-            return [
-                [field.add(mat[r][j], field.mul(c[j], mat[r][pivot])) for j in keep] for r in keep
-            ]
-
+                scale = mul[coeff]
+                f = [add[x][scale[b]] for x, b in zip(f, base)]
+        # ker f has the basis e_j + c_j e_p (j != p) at vertex eps, with p f's
+        # pivot and c = -f / f_p, and every vector at 1 - eps.  So the arrows
+        # into eps lose row p, and each half of a row of the arrows out of eps
+        # takes the rank-one update x_j + c_j x_p and loses column p.
+        pivot = next(j for j, value in enumerate(f) if value)
+        scale = mul[field.neg(field.inv(f[pivot]))]
+        c = [scale[value] for value in f]
+        restricted = []
+        for row in out:
+            new_row = []
+            for start in (0, n):
+                half = row[start:start + n]
+                if half[pivot]:
+                    scale = mul[half[pivot]]
+                    half = [add[x][scale[y]] for x, y in zip(half, c)]
+                del half[pivot]
+                new_row += half
+            restricted.append(new_row)
+        sub = into[:pivot] + into[pivot + 1:]
         total += _count_series(
-            field, [restrict(X) for X in arrows], [restrict(E) for E in idempotents], d[:-1], memo
+            field, add, mul, (sub, restricted) if eps == 0 else (restricted, sub), d[:-1], memo
         )
     memo[key] = total
     return total
@@ -194,12 +209,16 @@ def _count_series(field, arrows, idempotents, d: tuple[int, ...], memo: dict) ->
 def count_flags_fq(module: ShapeModule, d, q: int) -> int:
     """Exact number of composition series over F_q with quotients S_{d_t}.
 
-    Enumerates, top down, every stable hyperplane whose quotient is the
-    required simple, as the projective points of one left kernel, restricts
-    to it by a rank-one update, and counts each distinct restricted module
-    once through a memo that lives for this call.  Guarded to dim <= 7, q <= 5.
+    Works on the module's vertex grading: one block per vertex holds the two
+    arrows into it.  Enumerates, top down, every stable hyperplane whose
+    quotient is the required simple, as the projective points of the left
+    kernel of the arrows into that vertex, restricts to it by dropping one
+    row there and a rank-one update of the arrows out of it, with add and mul
+    read from tables, and counts each distinct restricted module once through
+    a memo that lives for this call.  Guarded to dim <= 7, q <= 5.
     """
     d = check_bits(d, "parity string")
+    q = check_int(q, "field size")
     if len(d) != module.dim:
         raise DomainError(f"series length {len(d)} != module dimension {module.dim}")
     if module.dim > 7:
@@ -210,9 +229,16 @@ def count_flags_fq(module: ShapeModule, d, q: int) -> int:
         raise ResourceLimitError(f"brute-force counting is guarded to q <= 5 (got {q})")
     field = gf.GF(q)
     arrows, idempotents = _gf_matrices(module, field)
-    return _count_series(field, arrows, idempotents, d, {})
+    at = [[k for k in range(module.dim) if idempotents[v][k][k]] for v in (0, 1)]
+    blocks = tuple(
+        [[arrows[a][r][s] for a in _INTO[v] for s in at[1 - v]] for r in at[v]] for v in (0, 1)
+    )
+    add = [[field.add(a, b) for b in field.elements()] for a in field.elements()]
+    mul = [[field.mul(a, b) for b in field.elements()] for a in field.elements()]
+    return _count_series(field, add, mul, blocks, d, {})
 
 
 def conjecture1_prediction(lam: Partition, i: int, d, q: int) -> int:
     """Sum of q^(ground state) over the tableaux with i-parity string d."""
+    q = check_int(q, "field size")
     return sum(q ** ground_state(T, i) for T in enumerate_by_parity(lam, i, d))

@@ -1,14 +1,19 @@
-"""The linear stable-functional search against the exhaustive one.
+"""The vertex-graded stable-functional search against the exhaustive one.
 
-``count_flags_fq`` visits only the projective points of one left kernel, the
-stable functionals, restricts each arrow and idempotent to ker f by a rank-one
-update with f's pivot row and column dropped, and counts each distinct
-restricted module once, through a memo that lives for one call.  The
-reference below is the exhaustive counter it replaced: it keeps no memo,
-visits every projective point of ker E_{1-eps}, keeps those f with f X in
-span(f) for each arrow X, and restricts by solving B Y = M B column by column.
-The last two tests pin counts across field sizes, which a memo shared between
-calls would break, and a dimension-7 case past the benchmark pool's budget.
+``count_flags_fq`` keeps one block per vertex, the two arrows into it, and
+visits only the projective points of the left kernel of the block into the
+top vertex, the stable functionals.  It restricts to ker f by dropping f's
+pivot row from that block and by a rank-one update, with the pivot column
+dropped, of the block out of it, with field arithmetic read from tables, and
+counts each distinct restricted module once, through a memo that lives for
+one call.  The reference below is the exhaustive counter it replaced: it
+keeps no memo, visits every projective point of ker E_{1-eps}, keeps those f
+with f X in span(f) for each arrow X, and restricts every dense matrix by
+solving B Y = M B column by column.  Off the grid both are drawn at F2 and F3
+and, separately, at F4 and F5.  A series that asks for more quotients at one
+vertex than the module has must count nothing.  The last two tests pin
+counts across field sizes, which a memo shared between calls would break,
+and a dimension-7 case past the benchmark pool's budget.
 """
 
 from itertools import product
@@ -125,12 +130,12 @@ SKEW_SHAPES = [
 
 
 @st.composite
-def larger_cases(draw):
+def larger_cases(draw, qs=(2, 3)):
     lam, mu = draw(st.sampled_from(SKEW_SHAPES))
     module = build_module(lam, mu, draw(st.integers(0, 1)))
     # a parity string with the module's dimension vector, so counts can be nonzero
     d = draw(st.permutations([module.vertex(box) for box in module.boxes]))
-    return module, tuple(d), draw(st.sampled_from((2, 3)))
+    return module, tuple(d), draw(st.sampled_from(qs))
 
 
 @given(case=larger_cases())
@@ -138,6 +143,29 @@ def larger_cases(draw):
 def test_counts_match_the_exhaustive_search_off_the_grid(case):
     module, d, q = case
     assert count_flags_fq(module, d, q) == reference_count(module, d, q)
+
+
+@given(case=larger_cases(qs=(4, 5)))
+@settings(max_examples=30, deadline=3000)
+def test_counts_match_the_exhaustive_search_off_the_grid_over_f4_and_f5(case):
+    module, d, q = case
+    assert count_flags_fq(module, d, q) == reference_count(module, d, q)
+
+
+def test_a_series_that_runs_out_of_one_vertex_counts_nothing():
+    # each module has n_eps vectors at vertex eps and d asks for one more S_eps
+    # quotient, with the others taken first, so the walk reaches n_eps = 0
+    # below the top: S_i^3 from three boxes on one diagonal, whose full flags
+    # number (q + 1)(q^2 + q + 1), and the hook, with two corners at vertex 0
+    for lam, mu, i, full, d in (
+        ((3, 2, 1), (2, 1), 0, (0, 0, 0), (1, 0, 0)),
+        ((3, 2, 1), (2, 1), 1, (1, 1, 1), (0, 1, 1)),
+        ((2, 1), (), 1, (1, 0, 0), (0, 0, 0)),
+    ):
+        module = build_module(lam, mu, i)
+        for q in (2, 3, 4, 5):
+            assert count_flags_fq(module, full, q) > 0
+            assert count_flags_fq(module, d, q) == 0 == reference_count(module, d, q)
 
 
 def test_counts_do_not_leak_between_field_sizes():

@@ -86,6 +86,10 @@ def test_non_bit_parities_are_rejected(call):
         lambda: enumerate_chess((1,), 1, 2.5),
         lambda: enumerate_chess((1,), 1, "3"),
         lambda: verify_conjecture1((1,), 0, (1.0,), 2),
+        lambda: count_flags_fq(build_module((2, 1), (), 1), (1, 0, 0), 2.0),
+        lambda: count_flags_fq(build_module((2, 1), (), 1), (1, 0, 0), "3"),
+        lambda: verify_conjecture1((2, 1), 1, (1, 0, 0), 2.0),
+        lambda: conjecture1_prediction((2, 1), 1, (1, 0, 0), 2.5),
         lambda: MultiPoly(2, {(1.5, 0): 2.7}),
         lambda: MultiPoly.const(2, 2.5),
         lambda: LaurentPoly({1.5: Fraction(1)}),
@@ -95,7 +99,8 @@ def test_non_bit_parities_are_rejected(call):
     ids=["build_module", "check_partition", "phi_polynomial", "check_bits", "euler_char",
          "check_bit", "expand_word", "expand_word_str", "sigma", "verify_prop1",
          "StandardTableau", "ChessTableau", "ChessTableau_content", "enumerate_chess",
-         "enumerate_chess_str", "verify_conjecture1", "MultiPoly",
+         "enumerate_chess_str", "verify_conjecture1", "count_flags_fq_q",
+         "count_flags_fq_q_str", "verify_conjecture1_q", "conjecture1_prediction_q", "MultiPoly",
          "MultiPoly.const", "LaurentPoly", "PathFamily", "PathFamily_str"],
 )
 def test_non_integer_entries_are_rejected(call):
