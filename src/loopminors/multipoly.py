@@ -232,7 +232,7 @@ class MultiPoly:
     # -- queries -----------------------------------------------------------
 
     def coefficient(self, exps) -> int:
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(check_int(e, "exponent") for e in exps)
         if len(exps) != self.nvars or not all(0 <= e <= MAX_EXPONENT for e in exps):
             return 0
         return self.terms.get(_pack(exps), 0)

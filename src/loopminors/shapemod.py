@@ -108,24 +108,23 @@ def _check_relations(module: ShapeModule) -> None:
 
 
 def delta_partition_type(module: ShapeModule) -> Partition:
-    """Jordan type of delta = alpha + beta, via ranks of its powers."""
-    n = module.dim
-    if n == 0:
-        return ()
-    index = {box: idx for idx, box in enumerate(module.boxes)}
-    delta = gf.zero_matrix(n, n)
-    for name in ("alpha", "beta"):
-        for src, dst in module.actions[name].items():
-            delta[index[dst]][index[src]] += 1
-    ranks = [n]
-    power = delta
-    for _ in range(n):
-        ranks.append(len(gf.rref(gf.QQ, power)[1]))
-        if ranks[-1] == 0:
-            break
-        power = gf.mat_mul(gf.QQ, power, delta)
-    if ranks[-1] != 0:
-        raise AssertionError("delta is not nilpotent on a shape module")
+    """Jordan type of delta = alpha + beta, via ranks of its powers.
+
+    alpha and beta move disjoint sets of boxes, so delta is a partial map on
+    the boxes; a 0/1 matrix with at most one 1 per column has rank the size
+    of its image, so delta^j has rank |delta^j(boxes)|.
+    """
+    alpha, beta = module.actions["alpha"], module.actions["beta"]
+    if alpha.keys() & beta.keys():
+        raise DomainError("alpha and beta both move a box, so delta is not a partial map")
+    delta = {**alpha, **beta}
+    image = set(module.boxes)
+    ranks = [len(image)]
+    while image:
+        image = {delta[box] for box in image if box in delta}
+        if len(image) == ranks[-1]:
+            raise DomainError("delta is not nilpotent on this module")
+        ranks.append(len(image))
     blocks_ge = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))]
     jordan: list[int] = []
     for j, count in enumerate(blocks_ge, start=1):
@@ -137,26 +136,11 @@ def delta_partition_type(module: ShapeModule) -> Partition:
     return check_partition(sorted(jordan, reverse=True))
 
 
-def _gf_matrices(module: ShapeModule, field: gf.GF):
-    n = module.dim
-    index = {box: idx for idx, box in enumerate(module.boxes)}
-    arrows = []
-    for name in ARROW_NAMES:
-        mat = gf.zero_matrix(n, n)
-        for src, dst in module.actions[name].items():
-            mat[index[dst]][index[src]] = 1
-        arrows.append(mat)
-    idempotents = [gf.zero_matrix(n, n), gf.zero_matrix(n, n)]
-    for box, idx in index.items():
-        idempotents[module.vertex(box)][idx][idx] = 1
-    return arrows, idempotents
+# the arrows into vertex 0 and into vertex 1
+_INTO = (("beta", "alpha*"), ("alpha", "beta*"))
 
 
-# arrows into vertex 0 (beta, alpha*) and into vertex 1 (alpha, beta*), by ARROW_NAMES index
-_INTO = ((1, 2), (0, 3))
-
-
-def _count_series(field, add, mul, blocks, d: tuple[int, ...], memo: dict) -> int:
+def _count_series(field: gf.GF, blocks, d: tuple[int, ...], memo: dict) -> int:
     dim = len(d)
     if dim == 0:
         return 1
@@ -173,6 +157,7 @@ def _count_series(field, add, mul, blocks, d: tuple[int, ...], memo: dict) -> in
     # on vertex 1 - eps, so f X lies in span(f) only as 0: the stable f are the
     # left kernel of the arrows into eps, [X_in | X_in'].
     functional_basis = gf.left_kernel_basis(field, into)
+    add, mul = field.add, field.mul
     total = 0
     for coeffs in gf.projective_vectors(field, len(functional_basis)):
         f = [0] * n
@@ -185,7 +170,7 @@ def _count_series(field, add, mul, blocks, d: tuple[int, ...], memo: dict) -> in
         # into eps lose row p, and each half of a row of the arrows out of eps
         # takes the rank-one update x_j + c_j x_p and loses column p.
         pivot = next(j for j, value in enumerate(f) if value)
-        scale = mul[field.neg(field.inv(f[pivot]))]
+        scale = mul[field.neg[field.inv[f[pivot]]]]
         c = [scale[value] for value in f]
         restricted = []
         for row in out:
@@ -200,7 +185,7 @@ def _count_series(field, add, mul, blocks, d: tuple[int, ...], memo: dict) -> in
             restricted.append(new_row)
         sub = into[:pivot] + into[pivot + 1:]
         total += _count_series(
-            field, add, mul, (sub, restricted) if eps == 0 else (restricted, sub), d[:-1], memo
+            field, (sub, restricted) if eps == 0 else (restricted, sub), d[:-1], memo
         )
     memo[key] = total
     return total
@@ -214,8 +199,8 @@ def count_flags_fq(module: ShapeModule, d, q: int) -> int:
     quotient is the required simple, as the projective points of the left
     kernel of the arrows into that vertex, restricts to it by dropping one
     row there and a rank-one update of the arrows out of it, with add and mul
-    read from tables, and counts each distinct restricted module once through
-    a memo that lives for this call.  Guarded to dim <= 7, q <= 5.
+    read from the field's tables, and counts each distinct restricted module
+    once through a memo that lives for this call.  Guarded to dim <= 7, q <= 5.
     """
     d = check_bits(d, "parity string")
     q = check_int(q, "field size")
@@ -227,15 +212,15 @@ def count_flags_fq(module: ShapeModule, d, q: int) -> int:
         )
     if q > 5:
         raise ResourceLimitError(f"brute-force counting is guarded to q <= 5 (got {q})")
-    field = gf.GF(q)
-    arrows, idempotents = _gf_matrices(module, field)
-    at = [[k for k in range(module.dim) if idempotents[v][k][k]] for v in (0, 1)]
+    at = [[box for box in module.boxes if module.vertex(box) == v] for v in (0, 1)]
     blocks = tuple(
-        [[arrows[a][r][s] for a in _INTO[v] for s in at[1 - v]] for r in at[v]] for v in (0, 1)
+        [
+            [int(module.actions[name].get(src) == dst) for name in _INTO[v] for src in at[1 - v]]
+            for dst in at[v]
+        ]
+        for v in (0, 1)
     )
-    add = [[field.add(a, b) for b in field.elements()] for a in field.elements()]
-    mul = [[field.mul(a, b) for b in field.elements()] for a in field.elements()]
-    return _count_series(field, add, mul, blocks, d, {})
+    return _count_series(gf.GF(q), blocks, d, {})
 
 
 def conjecture1_prediction(lam: Partition, i: int, d, q: int) -> int:

@@ -50,11 +50,10 @@ def check_word(bits) -> BitString:
 
 def box_parity(s: int, t: int, i: int) -> int:
     """Parity of s + t + i for the box in row s, column t."""
+    s, t = check_int(s, "box coordinate"), check_int(t, "box coordinate")
     if s < 0 or t < 0:
         raise DomainError(f"box coordinates must be nonnegative, got ({s}, {t})")
-    if i not in (0, 1):
-        raise DomainError(f"parity must be 0 or 1, got {i!r}")
-    return (s + t + i) % 2
+    return (s + t + check_bit(i)) % 2
 
 
 def _rows_standard(rows) -> bool:

@@ -8,8 +8,9 @@ dropped, of the block out of it, with field arithmetic read from tables, and
 counts each distinct restricted module once, through a memo that lives for
 one call.  The reference below is the exhaustive counter it replaced: it
 keeps no memo, visits every projective point of ker E_{1-eps}, keeps those f
-with f X in span(f) for each arrow X, and restricts every dense matrix by
-solving B Y = M B column by column.  Off the grid both are drawn at F2 and F3
+with f X in span(f) for each arrow X, and restricts every dense matrix, built
+here from the module's arrows and vertices, by solving B Y = M B column by
+column.  Off the grid both are drawn at F2 and F3
 and, separately, at F4 and F5.  A series that asks for more quotients at one
 vertex than the module has must count nothing.  The last two tests pin
 counts across field sizes, which a memo shared between calls would break,
@@ -25,18 +26,38 @@ from loopminors import gf
 from loopminors.errors import DomainError
 from loopminors.partitions import partitions_up_to, size, subpartitions
 from loopminors.phi import euler_char
-from loopminors.shapemod import _gf_matrices, build_module, count_flags_fq
+from loopminors.shapemod import ARROW_NAMES, build_module, count_flags_fq
+
+
+def dense_matrices(module):
+    """The four arrows and the two vertex idempotents as dense dim x dim 0/1 matrices."""
+    n = module.dim
+    index = {box: idx for idx, box in enumerate(module.boxes)}
+    arrows = []
+    for name in ARROW_NAMES:
+        mat = [[0] * n for _ in range(n)]
+        for src, dst in module.actions[name].items():
+            mat[index[dst]][index[src]] = 1
+        arrows.append(mat)
+    idempotents = [[[0] * n for _ in range(n)] for _ in (0, 1)]
+    for box, idx in index.items():
+        idempotents[module.vertex(box)][idx][idx] = 1
+    return arrows, idempotents
+
+
+def mat_mul(field, a, b):
+    cols = len(b[0]) if b else 0
+    out = [[0] * cols for _ in a]
+    for i, row in enumerate(a):
+        for k, aik in enumerate(row):
+            if aik:
+                for j in range(cols):
+                    out[i][j] = field.add[out[i][j]][field.mul[aik][b[k][j]]]
+    return out
 
 
 def row_vec_mul(field, row, mat):
-    cols = len(mat[0]) if mat else 0
-    out = [0] * cols
-    for k, coeff in enumerate(row):
-        if not coeff:
-            continue
-        for j in range(cols):
-            out[j] = field.add(out[j], field.mul(coeff, mat[k][j]))
-    return out
+    return mat_mul(field, [row], mat)[0]
 
 
 def solve_columns(field, basis, targets):
@@ -57,7 +78,7 @@ def solve_columns(field, basis, targets):
         raise DomainError("target column outside the span of the basis")
     if len(pivots) != cols:
         raise DomainError("basis columns are dependent")
-    out = gf.zero_matrix(cols, tcols)
+    out = [[0] * tcols for _ in range(cols)]
     for r, p in enumerate(pivots):
         for j in range(tcols):
             out[p][j] = reduced[r][cols + j]
@@ -66,8 +87,8 @@ def solve_columns(field, basis, targets):
 
 def _in_span(field, f, v):
     pivot = next(i for i, value in enumerate(f) if value)
-    scale = field.mul(v[pivot], field.inv(f[pivot]))
-    return all(value == field.mul(scale, base) for value, base in zip(v, f))
+    scale = field.mul[v[pivot]][field.inv[f[pivot]]]
+    return all(value == field.mul[scale][base] for value, base in zip(v, f))
 
 
 def _count_series(field, arrows, idempotents, d):
@@ -83,18 +104,18 @@ def _count_series(field, arrows, idempotents, d):
         f = [0] * dim
         for c, base in zip(coeffs, functional_basis):
             if c:
-                f = [field.add(x, field.mul(c, b)) for x, b in zip(f, base)]
+                f = [field.add[x][field.mul[c][b]] for x, b in zip(f, base)]
         if not any(f):
             continue
         if not all(_in_span(field, f, row_vec_mul(field, f, X)) for X in arrows):
             continue
-        kernel = gf.kernel_basis(field, [f])
+        kernel = gf.left_kernel_basis(field, [[v] for v in f])
         basis = [[vec[i] for vec in kernel] for i in range(dim)]
         sub_arrows = [
-            solve_columns(field, basis, gf.mat_mul(field, X, basis)) for X in arrows
+            solve_columns(field, basis, mat_mul(field, X, basis)) for X in arrows
         ]
         sub_idem = [
-            solve_columns(field, basis, gf.mat_mul(field, E, basis))
+            solve_columns(field, basis, mat_mul(field, E, basis))
             for E in idempotents
         ]
         total += _count_series(field, sub_arrows, sub_idem, d[:-1])
@@ -103,7 +124,7 @@ def _count_series(field, arrows, idempotents, d):
 
 def reference_count(module, d, q):
     field = gf.GF(q)
-    return _count_series(field, *_gf_matrices(module, field), tuple(d))
+    return _count_series(field, *dense_matrices(module), tuple(d))
 
 
 def test_counts_match_the_exhaustive_search_on_the_full_grid():

@@ -95,17 +95,31 @@ def test_non_bit_parities_are_rejected(call):
         lambda: LaurentPoly({1.5: Fraction(1)}),
         lambda: PathFamily(word=(0,), levels=((0.5, 1.9),)),
         lambda: PathFamily(word=(0,), levels=(("0", "1"),)),
+        lambda: box_parity(0, 0, 1.0),
+        lambda: box_parity(1.5, 0.5, 1),
+        lambda: phi_polynomial((2, 1), 1, WORD).coefficient((1.7, 2.2, 0.9)),
+        lambda: phi_polynomial((2, 1), 1, WORD).coefficient(("1", "2", "0")),
     ],
     ids=["build_module", "check_partition", "phi_polynomial", "check_bits", "euler_char",
          "check_bit", "expand_word", "expand_word_str", "sigma", "verify_prop1",
          "StandardTableau", "ChessTableau", "ChessTableau_content", "enumerate_chess",
          "enumerate_chess_str", "verify_conjecture1", "count_flags_fq_q",
          "count_flags_fq_q_str", "verify_conjecture1_q", "conjecture1_prediction_q", "MultiPoly",
-         "MultiPoly.const", "LaurentPoly", "PathFamily", "PathFamily_str"],
+         "MultiPoly.const", "LaurentPoly", "PathFamily", "PathFamily_str", "box_parity",
+         "box_parity_coordinates", "coefficient", "coefficient_str"],
 )
 def test_non_integer_entries_are_rejected(call):
     with pytest.raises(DomainError, match="entries must be integers"):
         call()
+
+
+def test_coefficient_of_an_absent_monomial_is_zero():
+    poly = phi_polynomial((2, 1), 1, WORD)
+    assert poly.coefficient((1, 2, 0)) == 1
+    # the wrong number of exponents, or one out of range, names no monomial
+    assert poly.coefficient((1, 2)) == 0
+    assert poly.coefficient((1, 2, -1)) == 0
+    assert poly.coefficient((1, 2, 1 << 40)) == 0
 
 
 def _unipotent(upper, diagonal=Fraction(1), nvars=None):

@@ -5,6 +5,8 @@ from loopminors.errors import DomainError, ResourceLimitError
 from loopminors.partitions import partitions_up_to, subpartitions
 from loopminors.phi import euler_char
 from loopminors.shapemod import (
+    ARROW_NAMES,
+    ShapeModule,
     build_module,
     conjecture1_prediction,
     count_flags_fq,
@@ -85,6 +87,28 @@ def test_delta_type_examples():
 def test_delta_type_of_shape_modules_is_the_shape(lam):
     for i in (0, 1):
         assert delta_partition_type(build_module(lam, (), i)) == lam
+
+
+def test_delta_type_of_skew_modules_is_the_row_lengths():
+    for lam in partitions_up_to(6):
+        for mu in subpartitions(lam):
+            padded = mu + (0,) * (len(lam) - len(mu))
+            rows = sorted((a - b for a, b in zip(lam, padded) if a > b), reverse=True)
+            for i in (0, 1):
+                assert delta_partition_type(build_module(lam, mu, i)) == tuple(rows), (lam, mu, i)
+
+
+def _hand_built(**moves):
+    actions = {name: {} for name in ARROW_NAMES}
+    actions.update(moves)
+    return ShapeModule((2,), (), 0, ((0, 0), (0, 1)), actions)
+
+
+def test_delta_type_rejects_modules_where_delta_is_no_partial_map_or_cycles():
+    with pytest.raises(DomainError, match="both move a box"):
+        delta_partition_type(_hand_built(alpha={(0, 1): (0, 0)}, beta={(0, 1): (0, 0)}))
+    with pytest.raises(DomainError, match="not nilpotent"):
+        delta_partition_type(_hand_built(alpha={(0, 1): (0, 0)}, beta={(0, 0): (0, 1)}))
 
 
 def test_count_flags_examples():
