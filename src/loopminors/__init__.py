@@ -18,7 +18,6 @@ from .networks import (
     render_family,
 )
 from .partitions import (
-    SkewShape,
     contains,
     format_partition,
     index_set,
@@ -70,7 +69,6 @@ __all__ = [
     "PathFamily",
     "ResourceLimitError",
     "ShapeModule",
-    "SkewShape",
     "StandardTableau",
     "VerificationReport",
     "box_parity",

@@ -173,17 +173,15 @@ def cmd_paths(args, out: Output) -> int:
     families = enumerate_families(word, mu, lam, args.parity)
     total = lindstrom_minor(word, mu, lam, args.parity)
     if args.render:
-        blocks = []
-        for fam in families:
-            blocks.append(f"weight {family_weight(fam).text()}")
-            blocks.append(render_family(fam))
-        blocks.append(f"sum {total.text()}")
-        obj = {
-            "count": len(families),
-            "polynomial": total.text(),
-            "rendered": [render_family(fam) for fam in families],
-        }
-        out.emit(obj, text="\n".join(blocks))
+        rendered = [render_family(fam) for fam in families]
+        text = None
+        if out.fmt == "text":
+            blocks = [
+                f"weight {family_weight(fam).text()}\n{art}" for fam, art in zip(families, rendered)
+            ]
+            text = "\n".join(blocks + [f"sum {total.text()}"])
+        obj = {"count": len(families), "polynomial": total.text(), "rendered": rendered}
+        out.emit(obj, text=text)
         return 0
     obj = {
         "count": len(families),

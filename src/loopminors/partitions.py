@@ -8,7 +8,6 @@ beyond the stored length yields 0.  The empty tuple is the empty partition.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .errors import DomainError, InvalidWindowError
 
@@ -142,29 +141,3 @@ def subpartitions(lam: Partition) -> list[Partition]:
 
     # the recursion can emit duplicates after zero-stripping
     return sorted({check_partition(mu) for mu in rec(0, lam[0] if lam else 0)}, reverse=True)
-
-
-@dataclass(frozen=True)
-class SkewShape:
-    """A pair of nested partitions; the boxes of ``outer`` not in ``inner``."""
-
-    outer: Partition
-    inner: Partition
-
-    def __post_init__(self):
-        object.__setattr__(self, "outer", check_partition(self.outer))
-        object.__setattr__(self, "inner", check_partition(self.inner))
-        if not contains(self.inner, self.outer):
-            raise DomainError(f"{self.inner} is not contained in {self.outer}")
-
-    @property
-    def size(self) -> int:
-        return size(self.outer) - size(self.inner)
-
-    def boxes(self) -> list[tuple[int, int]]:
-        """Row-major (row, column) coordinates of the skew boxes."""
-        return [
-            (s, t)
-            for s in range(len(self.outer))
-            for t in range(part(self.inner, s), self.outer[s])
-        ]

@@ -1,46 +1,67 @@
 """Skew-shape modules over the doubled two-vertex quiver, and flag counting.
 
 A skew shape lam/mu and a parity i determine a nilpotent module with one
-basis vector per skew box.  The four arrows act by moving boxes left along
-rows or up along columns, gated by the box parity (s + t + i) mod 2:
+basis vector per skew box, which sits at vertex (s + t + i) mod 2.  Each
+arrow moves a box one step left along its row or one step up its column,
+and zero whenever the target box is missing; which arrow a move is depends
+only on the vertex of the box it starts from:
 
-    alpha:  (s, t) -> (s, t-1)   when the box parity is even
-    beta:   (s, t) -> (s, t-1)   when the box parity is odd
-    alpha*: (s, t) -> (s-1, t)   when the box parity is odd
-    beta*:  (s, t) -> (s-1, t)   when the box parity is even
+    alpha:  left from vertex 0      beta:   left from vertex 1
+    beta*:  up from vertex 0        alpha*: up from vertex 1
 
-and zero whenever the target box is missing.  A basis vector sits at vertex
-(s + t + i) mod 2, which is the unique grading making alpha and beta* act
-0 -> 1 and beta and alpha* act 1 -> 0.  The relations
-alpha* alpha = beta beta* and beta* beta = alpha alpha* are verified on
-every basis vector at construction time.
+So alpha and beta* act 0 -> 1 and beta and alpha* act 1 -> 0.  A module is
+its skew shape: it keeps the two moves, ``left`` and ``up``, as partial maps
+on its boxes, and names arrows only where they are printed.  The relations
+alpha* alpha = beta beta* and beta* beta = alpha alpha* both say that
+left-then-up equals up-then-left, which is checked at every box at
+construction time.
 
-With this orientation delta = alpha + beta walks left along rows, so its
-Jordan type is the row-length partition lam for every shape module.
+delta = alpha + beta is the move ``left``, so its Jordan type is the
+row-length partition lam for every shape module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 from . import gf
 from .errors import DomainError, ResourceLimitError
-from .partitions import Partition, SkewShape, check_int, check_partition, format_partition
+from .partitions import Partition, check_int, check_partition, contains, format_partition, part
 from .tableaux import check_bit, check_bits, enumerate_by_parity, ground_state
 
 Box = tuple[int, int]
 
-ARROW_NAMES = ("alpha", "beta", "alpha*", "beta*")
+# each arrow name as (move, vertex of the box it starts from)
+ARROWS = {"alpha": ("left", 0), "beta": ("left", 1), "beta*": ("up", 0), "alpha*": ("up", 1)}
 
 
 @dataclass(frozen=True)
 class ShapeModule:
+    """The module of the boxes of ``outer`` not in ``inner``, at one parity."""
+
     outer: Partition
     inner: Partition
     parity: int
-    boxes: tuple[Box, ...]
-    actions: dict[str, dict[Box, Box]]
+    boxes: tuple[Box, ...] = field(init=False, compare=False)
+    left: dict[Box, Box] = field(init=False, compare=False)
+    up: dict[Box, Box] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        outer, inner = check_partition(self.outer), check_partition(self.inner)
+        if not contains(inner, outer):
+            raise DomainError(f"{inner} is not contained in {outer}")
+        parity = check_bit(self.parity)
+        boxes = tuple((s, t) for s in range(len(outer)) for t in range(part(inner, s), outer[s]))
+        present = set(boxes)
+        left = {(s, t): (s, t - 1) for s, t in boxes if (s, t - 1) in present}
+        up = {(s, t): (s - 1, t) for s, t in boxes if (s - 1, t) in present}
+        for box in boxes:
+            if up.get(left.get(box)) != left.get(up.get(box)):
+                raise AssertionError(f"left and up do not commute at {box}")
+        fields = dict(outer=outer, inner=inner, parity=parity, boxes=boxes, left=left, up=up)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -51,16 +72,19 @@ class ShapeModule:
         return (s + t + self.parity) % 2
 
     def apply(self, arrow: str, box: Box) -> Box | None:
-        if arrow not in ARROW_NAMES:
+        if arrow not in ARROWS:
             raise DomainError(f"unknown arrow {arrow!r}")
-        return self.actions[arrow].get(box)
+        move, source = ARROWS[arrow]
+        target = getattr(self, move).get(box)
+        return target if target is not None and self.vertex(box) == source else None
 
     def to_json(self) -> dict:
-        arrows = []
-        for name in ARROW_NAMES:
-            for src, dst in sorted(self.actions[name].items()):
-                arrows.append([list(src), name, list(dst)])
-        arrows.sort(key=lambda item: (item[0], item[1]))
+        arrows = sorted(
+            [list(src), name, list(dst)]
+            for name, (move, source) in ARROWS.items()
+            for src, dst in getattr(self, move).items()
+            if self.vertex(src) == source
+        )
         return {
             "outer": format_partition(self.outer),
             "inner": format_partition(self.inner),
@@ -72,72 +96,23 @@ class ShapeModule:
 
 def build_module(lam: Partition, mu: Partition, i: int) -> ShapeModule:
     """Construct the skew-shape module for mu inside lam at parity i."""
-    shape = SkewShape(lam, mu)
-    i = check_bit(i)
-    boxes = tuple(shape.boxes())
-    box_set = set(boxes)
-    actions: dict[str, dict[Box, Box]] = {name: {} for name in ARROW_NAMES}
-    for s, t in boxes:
-        even = (s + t + i) % 2 == 0
-        left = (s, t - 1)
-        up = (s - 1, t)
-        if left in box_set:
-            actions["alpha" if even else "beta"][(s, t)] = left
-        if up in box_set:
-            actions["beta*" if even else "alpha*"][(s, t)] = up
-    module = ShapeModule(shape.outer, shape.inner, i, boxes, actions)
-    _check_relations(module)
-    return module
-
-
-def _compose(module: ShapeModule, first: str, second: str, box: Box) -> Box | None:
-    mid = module.apply(first, box)
-    return None if mid is None else module.apply(second, mid)
-
-
-def _check_relations(module: ShapeModule) -> None:
-    for box in module.boxes:
-        lhs = _compose(module, "alpha", "alpha*", box)
-        rhs = _compose(module, "beta*", "beta", box)
-        if lhs != rhs:
-            raise AssertionError(f"alpha* alpha != beta beta* at {box}")
-        lhs = _compose(module, "beta", "beta*", box)
-        rhs = _compose(module, "alpha*", "alpha", box)
-        if lhs != rhs:
-            raise AssertionError(f"beta* beta != alpha alpha* at {box}")
+    return ShapeModule(lam, mu, i)
 
 
 def delta_partition_type(module: ShapeModule) -> Partition:
     """Jordan type of delta = alpha + beta, via ranks of its powers.
 
-    alpha and beta move disjoint sets of boxes, so delta is a partial map on
-    the boxes; a 0/1 matrix with at most one 1 per column has rank the size
-    of its image, so delta^j has rank |delta^j(boxes)|.
+    delta is the partial map ``module.left`` on the boxes, and a 0/1 matrix
+    with at most one 1 per column has rank the size of its image, so delta^j
+    has rank r_j = |delta^j(boxes)|.  The drop r_{j-1} - r_j counts the
+    Jordan blocks of size >= j, so the drops are the conjugate of the type.
     """
-    alpha, beta = module.actions["alpha"], module.actions["beta"]
-    if alpha.keys() & beta.keys():
-        raise DomainError("alpha and beta both move a box, so delta is not a partial map")
-    delta = {**alpha, **beta}
-    image = set(module.boxes)
-    ranks = [len(image)]
+    image, ranks = set(module.boxes), []
     while image:
-        image = {delta[box] for box in image if box in delta}
-        if len(image) == ranks[-1]:
-            raise DomainError("delta is not nilpotent on this module")
         ranks.append(len(image))
-    blocks_ge = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))]
-    jordan: list[int] = []
-    for j, count in enumerate(blocks_ge, start=1):
-        # count = number of Jordan blocks of size >= j
-        while len(jordan) < count:
-            jordan.append(0)
-        for idx in range(count):
-            jordan[idx] = j
-    return check_partition(sorted(jordan, reverse=True))
-
-
-# the arrows into vertex 0 and into vertex 1
-_INTO = (("beta", "alpha*"), ("alpha", "beta*"))
+        image = {module.left[box] for box in image if box in module.left}
+    drops = [a - b for a, b in zip(ranks, ranks[1:] + [0])]
+    return tuple(sum(drop > k for drop in drops) for k in range(drops[0] if drops else 0))
 
 
 def _count_series(field: gf.GF, blocks, d: tuple[int, ...], memo: dict) -> int:
@@ -212,12 +187,11 @@ def count_flags_fq(module: ShapeModule, d, q: int) -> int:
         )
     if q > 5:
         raise ResourceLimitError(f"brute-force counting is guarded to q <= 5 (got {q})")
+    # the arrows into v are the two moves applied to the boxes at 1 - v
     at = [[box for box in module.boxes if module.vertex(box) == v] for v in (0, 1)]
+    moves = (module.left, module.up)
     blocks = tuple(
-        [
-            [int(module.actions[name].get(src) == dst) for name in _INTO[v] for src in at[1 - v]]
-            for dst in at[v]
-        ]
+        [[int(move.get(src) == dst) for move in moves for src in at[1 - v]] for dst in at[v]]
         for v in (0, 1)
     )
     return _count_series(gf.GF(q), blocks, d, {})

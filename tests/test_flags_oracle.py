@@ -12,21 +12,29 @@ with f X in span(f) for each arrow X, and restricts every dense matrix, built
 here from the module's arrows and vertices, by solving B Y = M B column by
 column.  Off the grid both are drawn at F2 and F3
 and, separately, at F4 and F5.  A series that asks for more quotients at one
-vertex than the module has must count nothing.  The last two tests pin
-counts across field sizes, which a memo shared between calls would break,
-and a dimension-7 case past the benchmark pool's budget.
+vertex than the module has must count nothing.  Two tests pin counts across
+field sizes, which a memo shared between calls would break, and a
+dimension-7 case past the benchmark pool's budget.
+
+Every shape module has 0/1 arrows, so its restrictions never read the
+rank-one coefficient c = -f/f_p off a general entry.  The last tests hand
+``shapemod._count_series`` vertex blocks with general entries and compare it
+with the reference on the dense matrices of the same blocks.
 """
 
+import random
 from itertools import product
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopminors import gf
+from loopminors import gf, shapemod
 from loopminors.errors import DomainError
 from loopminors.partitions import partitions_up_to, size, subpartitions
 from loopminors.phi import euler_char
-from loopminors.shapemod import ARROW_NAMES, build_module, count_flags_fq
+from loopminors.shapemod import ARROWS, build_module, count_flags_fq
 
 
 def dense_matrices(module):
@@ -34,10 +42,12 @@ def dense_matrices(module):
     n = module.dim
     index = {box: idx for idx, box in enumerate(module.boxes)}
     arrows = []
-    for name in ARROW_NAMES:
+    for name in ARROWS:
         mat = [[0] * n for _ in range(n)]
-        for src, dst in module.actions[name].items():
-            mat[index[dst]][index[src]] = 1
+        for src in module.boxes:
+            dst = module.apply(name, src)
+            if dst is not None:
+                mat[index[dst]][index[src]] = 1
         arrows.append(mat)
     idempotents = [[[0] * n for _ in range(n)] for _ in (0, 1)]
     for box, idx in index.items():
@@ -206,3 +216,122 @@ def test_the_over_budget_case_at_every_field_size():
     counts = [count_flags_fq(module, d, q) for q in (2, 3, 4, 5)]
     assert counts == [945, 8320, 44625, 174096]
     assert counts[0] == reference_count(module, d, 2)
+
+
+def dense_from_blocks(blocks):
+    """The arrows and vertex idempotents of the module that two vertex blocks give.
+
+    The basis is the n0 vectors at vertex 0, then the n1 at vertex 1, and
+    column h * n_{1-v} + c of ``blocks[v]`` is the h-th arrow into v applied
+    to the c-th vector at 1 - v, as in ``count_flags_fq``.
+    """
+    sizes = (len(blocks[0]), len(blocks[1]))
+    offset = (0, sizes[0])
+    n = sum(sizes)
+    arrows = []
+    for v in (0, 1):
+        width = sizes[1 - v]
+        for h in (0, 1):
+            mat = [[0] * n for _ in range(n)]
+            for r, row in enumerate(blocks[v]):
+                for c in range(width):
+                    mat[offset[v] + r][offset[1 - v] + c] = row[h * width + c]
+            arrows.append(mat)
+    idempotents = [
+        [[int(j == k and (j >= sizes[0]) == v) for k in range(n)] for j in range(n)]
+        for v in (0, 1)
+    ]
+    return arrows, idempotents
+
+
+@pytest.mark.parametrize(
+    "q, blocks, d, count",
+    [
+        (5, ([[1, 0], [0, 0], [4, 0]], [[3, 0, 3, 0, 0, 0]]), (0, 1, 0, 0), 6),
+        (
+            4,
+            (
+                [[0, 1, 0, 3], [0, 0, 0, 0], [0, 0, 2, 3], [0, 0, 0, 0]],
+                [[0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 3, 0]],
+            ),
+            (0, 1, 0, 1, 0, 0),
+            5,
+        ),
+    ],
+)
+def test_general_blocks_pin_the_rank_one_coefficient(q, blocks, d, count):
+    # with c = f in place of -f/f_p these count 1 and 0
+    field = gf.GF(q)
+    assert shapemod._count_series(field, blocks, d, {}) == count
+    assert _count_series(field, *dense_from_blocks(blocks), d) == count
+
+
+def test_sparse_general_blocks_match_the_exhaustive_search():
+    # dense random blocks almost always count 0, so most entries are drawn 0
+    rng = random.Random(2005)
+    nonzero = 0
+    for _ in range(60):
+        q = rng.choice((3, 4, 5))
+        sizes = (rng.randint(1, 3), rng.randint(1, 3))
+        blocks = tuple(
+            [
+                [rng.randrange(1, q) if rng.random() < 0.2 else 0 for _ in range(2 * sizes[1 - v])]
+                for _ in range(sizes[v])
+            ]
+            for v in (0, 1)
+        )
+        d = tuple(rng.sample([0] * sizes[0] + [1] * sizes[1], sum(sizes)))
+        field = gf.GF(q)
+        count = shapemod._count_series(field, blocks, d, {})
+        assert count == _count_series(field, *dense_from_blocks(blocks), d), (q, blocks, d)
+        nonzero += count != 0
+    assert nonzero >= 15
+
+
+def change_basis(field, blocks, v, i, j, k):
+    """The blocks after coordinate i at vertex v gains k times coordinate j.
+
+    Row i of the block into v gains k times row j, and in both halves of the
+    block out of v column j loses k times column i.
+    """
+    add, mul = field.add, field.mul
+    into, out = [row[:] for row in blocks[v]], [row[:] for row in blocks[1 - v]]
+    into[i] = [add[x][mul[k][y]] for x, y in zip(into[i], into[j])]
+    for row in out:
+        for h in (0, len(into)):
+            row[h + j] = add[row[h + j]][mul[field.neg[k]][row[h + i]]]
+    return (into, out) if v == 0 else (out, into)
+
+
+def test_shape_modules_in_a_random_basis_keep_their_counts():
+    # a random basis at each vertex fills the blocks of a shape module with
+    # general entries and leaves its counts, often nonzero, as they were; a
+    # plain sparse draw almost never reaches a functional whose c = -f/f_p
+    # changes the count
+    rng = random.Random(2005)
+    shapes = [
+        (lam, mu) for lam in partitions_up_to(7) for mu in subpartitions(lam)
+        if 3 <= size(lam) - size(mu) <= 5
+    ]
+    nonzero = 0
+    for _ in range(100):
+        module = build_module(*rng.choice(shapes), rng.randint(0, 1))
+        d = tuple(rng.sample([module.vertex(box) for box in module.boxes], module.dim))
+        q = rng.choice((3, 4, 5))
+        field = gf.GF(q)
+        at = [[box for box in module.boxes if module.vertex(box) == v] for v in (0, 1)]
+        blocks = tuple(
+            [[int(m.get(src) == dst) for m in (module.left, module.up) for src in at[1 - v]]
+             for dst in at[v]]
+            for v in (0, 1)
+        )
+        for _ in range(10):
+            v = rng.randint(0, 1)
+            if len(blocks[v]) >= 2:
+                i, j = rng.sample(range(len(blocks[v])), 2)
+                blocks = change_basis(field, blocks, v, i, j, rng.randrange(1, q))
+        count = count_flags_fq(module, d, q)
+        assert shapemod._count_series(field, blocks, d, {}) == count, (module, d, q, blocks)
+        assert _count_series(field, *dense_from_blocks(blocks), d) == count
+        nonzero += count != 0
+    assert nonzero >= 30

@@ -4,7 +4,6 @@ import pytest
 
 from loopminors.errors import DomainError, InvalidWindowError
 from loopminors.partitions import (
-    SkewShape,
     check_partition,
     contains,
     format_partition,
@@ -109,11 +108,3 @@ def test_subpartitions_are_contained_and_complete(lam):
     assert len(set(subs)) == len(subs)
     assert all(contains(mu, lam) for mu in subs)
     assert () in subs and lam in subs
-
-
-def test_skew_shape_invariant():
-    shape = SkewShape(outer=(4, 3, 2, 2, 1), inner=(2, 1))
-    assert shape.size == 9
-    assert (0, 2) in shape.boxes() and (0, 1) not in shape.boxes()
-    with pytest.raises(DomainError):
-        SkewShape(outer=(2, 2), inner=(3,))

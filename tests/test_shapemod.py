@@ -5,7 +5,7 @@ from loopminors.errors import DomainError, ResourceLimitError
 from loopminors.partitions import partitions_up_to, subpartitions
 from loopminors.phi import euler_char
 from loopminors.shapemod import (
-    ARROW_NAMES,
+    ARROWS,
     ShapeModule,
     build_module,
     conjecture1_prediction,
@@ -22,8 +22,8 @@ def test_build_column_module():
     assert module.dim == 2
     # the only arrow moves the lower box up the column
     assert module.apply("alpha*", (1, 0)) == (0, 0)
-    for name in ("alpha", "beta", "beta*"):
-        assert not module.actions[name]
+    assert module.left == {} and module.up == {(1, 0): (0, 0)}
+    assert [arrow[1] for arrow in module.to_json()["arrows"]] == ["alpha*"]
     assert module.vertex((0, 0)) == 0 and module.vertex((1, 0)) == 1
 
 
@@ -41,12 +41,9 @@ def test_build_module_skew_example_arrow_diagram():
         ((3, 1), "beta*", (2, 1)),
         ((4, 0), "beta*", (3, 0)),
     }
-    actual = {
-        (src, name, dst)
-        for name in module.actions
-        for src, dst in module.actions[name].items()
-    }
+    actual = {(tuple(src), name, tuple(dst)) for src, name, dst in module.to_json()["arrows"]}
     assert actual == expected
+    assert all(module.apply(name, src) == dst for src, name, dst in expected)
 
 
 def test_zero_module():
@@ -59,6 +56,27 @@ def test_zero_module():
 def test_build_module_rejects_non_contained():
     with pytest.raises(DomainError):
         build_module((2, 2), (3,), 0)
+
+
+def test_shape_module_invariant():
+    module = ShapeModule(outer=(4, 3, 2, 2, 1), inner=(2, 1), parity=0)
+    assert module.dim == 9
+    assert (0, 2) in module.boxes and (0, 1) not in module.boxes
+    assert module.boxes == tuple(sorted(module.boxes))  # row-major
+    with pytest.raises(DomainError, match="not contained"):
+        ShapeModule(outer=(2, 2), inner=(3,), parity=0)
+    with pytest.raises(DomainError):
+        ShapeModule(outer=(2, 1), inner=(), parity=2)
+    # the partitions are normalized like any other partition argument
+    assert ShapeModule(outer=[2, 1, 0], inner=[0], parity=1).outer == (2, 1)
+
+
+def test_equal_modules_hash_equal():
+    module = build_module((2, 1), (), 1)
+    same = ShapeModule((2, 1, 0), (), 1)
+    assert module == same and hash(module) == hash(same)
+    assert module != build_module((2, 1), (), 0) != build_module((2, 1), (1,), 1)
+    assert len({module, same, build_module((2, 1), (), 0)}) == 2
 
 
 def test_module_json_shape():
@@ -74,6 +92,40 @@ def test_relations_hold_on_all_small_skew_modules():
         for mu in subpartitions(lam):
             for i in (0, 1):
                 build_module(lam, mu, i)  # relation check runs at construction
+
+
+# the vertex each arrow starts from, read off the quiver: alpha and beta* go
+# 0 -> 1, beta and alpha* go 1 -> 0
+SOURCE = {"alpha": 0, "beta*": 0, "beta": 1, "alpha*": 1}
+
+
+def _then(module, first, second, box):
+    mid = module.apply(first, box)
+    return None if mid is None else module.apply(second, mid)
+
+
+def test_arrow_names_satisfy_the_preprojective_relations():
+    assert set(ARROWS) == set(SOURCE)
+    for lam in partitions_up_to(7):
+        for mu in subpartitions(lam):
+            for i in (0, 1):
+                module = build_module(lam, mu, i)
+                named = 0
+                for box in module.boxes:
+                    assert _then(module, "alpha", "alpha*", box) == _then(
+                        module, "beta*", "beta", box
+                    ), (lam, mu, i, box)
+                    assert _then(module, "beta", "beta*", box) == _then(
+                        module, "alpha*", "alpha", box
+                    ), (lam, mu, i, box)
+                    for name, source in SOURCE.items():
+                        target = module.apply(name, box)
+                        if target is not None:
+                            assert module.vertex(box) == source, (lam, mu, i, box, name)
+                            assert module.vertex(target) == 1 - source
+                            named += 1
+                # every move carries exactly one name
+                assert named == len(module.left) + len(module.up)
 
 
 def test_delta_type_examples():
@@ -98,19 +150,6 @@ def test_delta_type_of_skew_modules_is_the_row_lengths():
                 assert delta_partition_type(build_module(lam, mu, i)) == tuple(rows), (lam, mu, i)
 
 
-def _hand_built(**moves):
-    actions = {name: {} for name in ARROW_NAMES}
-    actions.update(moves)
-    return ShapeModule((2,), (), 0, ((0, 0), (0, 1)), actions)
-
-
-def test_delta_type_rejects_modules_where_delta_is_no_partial_map_or_cycles():
-    with pytest.raises(DomainError, match="both move a box"):
-        delta_partition_type(_hand_built(alpha={(0, 1): (0, 0)}, beta={(0, 1): (0, 0)}))
-    with pytest.raises(DomainError, match="not nilpotent"):
-        delta_partition_type(_hand_built(alpha={(0, 1): (0, 0)}, beta={(0, 0): (0, 1)}))
-
-
 def test_count_flags_examples():
     uniserial = build_module((1, 1), (), 0)
     assert count_flags_fq(uniserial, (0, 1), 2) == 1
@@ -123,7 +162,7 @@ def test_count_flags_on_a_semisimple_skew_module():
     # (2,1)/(1) at parity 0 has two boxes of the same vertex and no arrows,
     # so a series picks any line first: q + 1 choices, then forced
     semisimple = build_module((2, 1), (1,), 0)
-    assert all(not acts for acts in semisimple.actions.values())
+    assert not semisimple.left and not semisimple.up
     for q in (2, 3, 4, 5):
         assert count_flags_fq(semisimple, (1, 1), q) == q + 1
         assert count_flags_fq(semisimple, (1, 0), q) == 0
