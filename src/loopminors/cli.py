@@ -21,22 +21,15 @@ from . import verify as verify_mod
 from .errors import DomainError, LoopMinorsError
 from .loop import LaurentPoly, LoopElement, word_to_loop
 from .networks import enumerate_families, family_weight, lindstrom_minor, render_family
-from .partitions import parse_partition
+from .partitions import check_bits, format_partition, parse_ints, parse_partition
 from .phi import phi_polynomial
 from .shapemod import build_module, count_flags_fq
-from .tableaux import check_bits, enumerate_by_parity, enumerate_chess, enumerate_standard
+from .tableaux import enumerate_by_parity, enumerate_chess, enumerate_standard
 from .toeplitz import minor, pieri_determinant
 
 
 def _parse_bits(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        bits = tuple(int(b) for b in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"cannot parse bit list {text!r}") from exc
-    return check_bits(bits)
+    return check_bits(parse_ints(text, "bit list"))
 
 
 def _dumps(obj) -> str:
@@ -55,30 +48,15 @@ class Output:
             except OSError as exc:
                 raise DomainError(f"cannot write output file {path!r}: {exc.strerror}") from exc
 
-    def _write(self, line: str) -> None:
+    def emit(self, obj, text: str | None = None) -> None:
+        line = text if self.fmt == "text" and text is not None else _dumps(obj)
         handle = self.handle or sys.stdout
         handle.write(line + "\n")
         handle.flush()
 
-    def emit_json(self, obj) -> None:
-        self._write(_dumps(obj))
-
-    def emit_text(self, text: str) -> None:
-        self._write(text)
-
-    def emit(self, obj, text: str | None = None) -> None:
-        if self.fmt == "text" and text is not None:
-            self.emit_text(text)
-        else:
-            self.emit_json(obj)
-
     def close(self) -> None:
         if self.handle:
             self.handle.close()
-
-
-def _tableaux_json(tabs) -> list:
-    return [t.to_lists() for t in tabs]
 
 
 def cmd_tableaux(args, out: Output) -> int:
@@ -87,9 +65,11 @@ def cmd_tableaux(args, out: Output) -> int:
         if args.parity is None:
             raise DomainError("--d requires --parity")
         tabs = enumerate_by_parity(lam, args.parity, _parse_bits(args.d))
+    elif args.parity is not None:
+        raise DomainError("--parity requires --d")
     else:
         tabs = enumerate_standard(lam)
-    obj = {"count": len(tabs), "tableaux": _tableaux_json(tabs)}
+    obj = {"count": len(tabs), "tableaux": [t.to_lists() for t in tabs]}
     out.emit(obj, text="\n".join(str(t.to_lists()) for t in tabs) or "(none)")
     return 0
 
@@ -97,10 +77,7 @@ def cmd_tableaux(args, out: Output) -> int:
 def cmd_chess(args, out: Output) -> int:
     lam = parse_partition(args.shape)
     grouped = enumerate_chess(lam, args.parity, args.max_label)
-    contents = {
-        ",".join(str(v) for v in j): [t.to_lists() for t in tabs]
-        for j, tabs in grouped.items()
-    }
+    contents = {format_partition(j): [t.to_lists() for t in tabs] for j, tabs in grouped.items()}
     total = sum(len(tabs) for tabs in grouped.values())
     text = "\n".join(f"{key}: {tabs}" for key, tabs in contents.items()) or "(none)"
     out.emit({"count": total, "contents": contents}, text=text)
@@ -326,7 +303,7 @@ def main(argv=None) -> int:
         out = Output(args.format, args.out)
         return args.func(args, out)
     except LoopMinorsError as exc:
-        out.emit_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        out.emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 1
     finally:
         out.close()

@@ -12,8 +12,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .multipoly import MultiPoly
-from .partitions import check_int
-from .tableaux import check_word
+from .partitions import check_factorization_word, check_int
 
 
 class LaurentPoly:
@@ -191,9 +190,7 @@ def word_to_loop(word) -> LoopElement:
     to column 1, letter 1 adds column 1 times a_{t+1} to column 2.  These
     keep the determinant 1, which the one constructor call checks.
     """
-    word = check_word(word)
-    if not word:
-        raise DomainError("a factorization word must have at least one letter")
+    word = check_factorization_word(word)
     k = len(word)
     unit, zero = LaurentPoly.const(MultiPoly.one(k)), LaurentPoly()
     columns = [(unit, zero), (zero, unit)]

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .multipoly import MultiPoly
-from .partitions import Partition, check_int, check_partition, contains, index_set, max_index
-from .tableaux import BitString, ChessTableau, check_bit, check_word
-
-ChipWord = BitString
+from .partitions import BitString, Partition, check_bit, check_int, check_word, index_windows
+from .tableaux import ChessTableau
 
 
 def chip_weight_entry(bit: int, source: int, sink: int) -> MultiPoly:
@@ -38,7 +36,7 @@ def chip_weight_entry(bit: int, source: int, sink: int) -> MultiPoly:
 class PathFamily:
     """Pairwise non-crossing paths through a concatenated chip diagram."""
 
-    word: ChipWord
+    word: BitString
     levels: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
@@ -78,7 +76,7 @@ class PathFamily:
         return [list(path) for path in self.levels]
 
 
-def _paths_between(word: ChipWord, source: int, sink: int) -> list[tuple[int, ...]]:
+def _paths_between(word: BitString, source: int, sink: int) -> list[tuple[int, ...]]:
     """All admissible level sequences from source to sink, lexicographically."""
     k = len(word)
     found: list[tuple[int, ...]] = []
@@ -102,27 +100,14 @@ def _paths_between(word: ChipWord, source: int, sink: int) -> list[tuple[int, ..
     return found
 
 
-def _endpoints(word, mu: Partition, lam: Partition, i: int):
-    """The checked word, and the source and sink levels of the paths.
-
-    Path n runs from mu[n] + i - n to lam[n] + i - n for n in 0..maxIndex(lam).
-    """
-    word = check_word(word)
-    mu = check_partition(mu)
-    lam = check_partition(lam)
-    i = check_bit(i)
-    if not contains(mu, lam):
-        raise DomainError(f"{mu} is not contained in {lam}")
-    n_max = max_index(lam)
-    return word, tuple(index_set(mu, i, n_max)), tuple(index_set(lam, i, n_max))
-
-
 def enumerate_families(word, mu: Partition, lam: Partition, i: int) -> list[PathFamily]:
     """All non-crossing families joining the mu-sources to the lam-sinks.
 
-    The list is empty when no family exists.
+    Path n runs from mu[n] + i - n to lam[n] + i - n for n in 0..maxIndex(lam);
+    the list is empty when no family exists.
     """
-    word, sources, sinks = _endpoints(word, mu, lam, i)
+    word = check_word(word)
+    sources, sinks = index_windows(mu, lam, i)
     per_path = [_paths_between(word, u, v) for u, v in zip(sources, sinks)]
     families: list[PathFamily] = []
 
@@ -167,7 +152,8 @@ def lindstrom_minor(word, mu: Partition, lam: Partition, i: int) -> MultiPoly:
     non-crossing condition; a tuple is dropped once some path can no longer
     reach its sink.
     """
-    word, sources, sinks = _endpoints(word, mu, lam, i)
+    word = check_word(word)
+    sources, sinks = index_windows(mu, lam, i)
     k = len(word)
 
     def moves(c: int, levels: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:

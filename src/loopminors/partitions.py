@@ -1,4 +1,7 @@
-"""Partitions, skew containment, and the integer index windows behind minors.
+"""The input layer: partitions, bits and words, and the index windows of minors.
+
+Every public entry point checks its inputs with the functions here, so each
+input rule and its message is written once.
 
 A partition is stored as a tuple of its positive parts in weakly decreasing
 order, indexed from 0 (so ``lam[0]`` is the longest row).  Reading an index
@@ -12,6 +15,7 @@ import operator
 from .errors import DomainError, InvalidWindowError
 
 Partition = tuple[int, ...]
+BitString = tuple[int, ...]
 
 
 def check_int(value, what: str) -> int:
@@ -20,6 +24,51 @@ def check_int(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{what} entries must be integers, got {value!r}") from None
+
+
+def is_alternating(bits) -> bool:
+    """True iff consecutive entries always differ (vacuously for length <= 1)."""
+    bits = tuple(bits)
+    return all(a != b for a, b in zip(bits, bits[1:]))
+
+
+def check_bit(value, what: str = "parity") -> int:
+    """The value as an int, if it is 0 or 1; DomainError otherwise."""
+    value = check_int(value, what)
+    if value not in (0, 1):
+        raise DomainError(f"{what} must be 0 or 1, got {value!r}")
+    return value
+
+
+def check_bits(bits, what: str = "bit string") -> BitString:
+    """A tuple of ints, each 0 or 1; DomainError otherwise."""
+    out = tuple(check_int(b, what) for b in bits)
+    if any(b not in (0, 1) for b in out):
+        raise DomainError(f"{what} entries must be 0 or 1, got {out}")
+    return out
+
+
+def check_word(bits) -> BitString:
+    word = check_bits(bits, "word")
+    if not is_alternating(word):
+        raise DomainError(f"word {word} is not alternating")
+    return word
+
+
+def check_factorization_word(bits) -> BitString:
+    """An alternating word with at least one letter, one per generator."""
+    word = check_word(bits)
+    if not word:
+        raise DomainError("a factorization word must have at least one letter")
+    return word
+
+
+def check_parity_string(d, lam: Partition) -> BitString:
+    """A bit string with one bit per box of the checked partition ``lam``."""
+    d = check_bits(d, "parity string")
+    if len(d) != size(lam):
+        raise DomainError(f"parity string length {len(d)} != |lam| = {size(lam)}")
+    return d
 
 
 def check_partition(parts) -> Partition:
@@ -64,6 +113,11 @@ def contains(inner: Partition, outer: Partition) -> bool:
     return all(part(inner, t) <= part(outer, t) for t in range(len(inner)))
 
 
+def check_contained(inner: Partition, outer: Partition) -> None:
+    if not contains(inner, outer):
+        raise DomainError(f"{inner} is not contained in {outer}")
+
+
 def index_set(lam: Partition, i: int, n_max: int) -> list[int]:
     """The window ``[lam[n] + i - n for n in 0..n_max]`` in canonical order.
 
@@ -86,16 +140,31 @@ def index_set(lam: Partition, i: int, n_max: int) -> list[int]:
     return values
 
 
-def parse_partition(text: str) -> Partition:
-    """Parse a comma-separated part list; the empty string is the empty partition."""
+def index_windows(mu: Partition, lam: Partition, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Check mu inside lam and the bit i; the windows of mu and lam cut at maxIndex(lam),
+    which are the rows and columns of the minor and the sources and sinks of its paths."""
+    mu = check_partition(mu)
+    lam = check_partition(lam)
+    i = check_bit(i)
+    check_contained(mu, lam)
+    n_max = max_index(lam)
+    return tuple(index_set(mu, i, n_max)), tuple(index_set(lam, i, n_max))
+
+
+def parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Parse a comma-separated integer list; the empty string is the empty list."""
     text = text.strip()
     if not text:
         return ()
     try:
-        parts = [int(p) for p in text.split(",")]
+        return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise DomainError(f"cannot parse partition {text!r}") from exc
-    return check_partition(parts)
+        raise DomainError(f"cannot parse {what} {text!r}") from exc
+
+
+def parse_partition(text: str) -> Partition:
+    """Parse a comma-separated part list; the empty string is the empty partition."""
+    return check_partition(parse_ints(text, "partition"))
 
 
 def format_partition(lam: Partition) -> str:

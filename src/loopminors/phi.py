@@ -10,10 +10,10 @@ degree |lam|.
 
 from __future__ import annotations
 
-from .errors import DomainError
 from .multipoly import MultiPoly
-from .partitions import Partition, check_partition, size
-from .tableaux import check_bit, check_bits, check_word
+from .partitions import (
+    Partition, check_bit, check_factorization_word, check_parity_string, check_partition, size
+)
 
 
 def euler_char(lam: Partition, i: int, d) -> int:
@@ -24,9 +24,7 @@ def euler_char(lam: Partition, i: int, d) -> int:
     """
     lam = check_partition(lam)
     i = check_bit(i)
-    d = check_bits(d, "parity string")
-    if len(d) != size(lam):
-        raise DomainError(f"parity string length {len(d)} != |lam| = {size(lam)}")
+    d = check_parity_string(d, lam)
     layer = {(0,) * len(lam): 1}
     for bit in d:
         nxt: dict[tuple[int, ...], int] = {}
@@ -51,9 +49,7 @@ def phi_polynomial(lam: Partition, i: int, word) -> MultiPoly:
     """
     lam = check_partition(lam)
     i = check_bit(i)
-    word = check_word(word)
-    if not word:
-        raise DomainError("a factorization word must have at least one letter")
+    word = check_factorization_word(word)
     k = len(word)
     istar = (i + word[0] + 1) % 2
 

@@ -27,8 +27,11 @@ from itertools import chain
 
 from . import gf
 from .errors import DomainError, ResourceLimitError
-from .partitions import Partition, check_int, check_partition, contains, format_partition, part
-from .tableaux import check_bit, check_bits, enumerate_by_parity, ground_state
+from .partitions import (
+    Partition, check_bit, check_bits, check_contained, check_int, check_partition, format_partition,
+    part,
+)
+from .tableaux import enumerate_by_parity, ground_state
 
 Box = tuple[int, int]
 
@@ -49,8 +52,7 @@ class ShapeModule:
 
     def __post_init__(self):
         outer, inner = check_partition(self.outer), check_partition(self.inner)
-        if not contains(inner, outer):
-            raise DomainError(f"{inner} is not contained in {outer}")
+        check_contained(inner, outer)
         parity = check_bit(self.parity)
         boxes = tuple((s, t) for s in range(len(outer)) for t in range(part(inner, s), outer[s]))
         present = set(boxes)
@@ -72,8 +74,12 @@ class ShapeModule:
         return (s + t + self.parity) % 2
 
     def apply(self, arrow: str, box: Box) -> Box | None:
+        """Where the named arrow takes a box; None if the box is not in its domain."""
         if arrow not in ARROWS:
             raise DomainError(f"unknown arrow {arrow!r}")
+        if not isinstance(box, (tuple, list)) or len(box) != 2:
+            raise DomainError(f"a box is a pair of integers, got {box!r}")
+        box = check_int(box[0], "box"), check_int(box[1], "box")
         move, source = ARROWS[arrow]
         target = getattr(self, move).get(box)
         return target if target is not None and self.vertex(box) == source else None

@@ -14,38 +14,9 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .errors import DomainError
-from .partitions import Partition, check_int, check_partition, size
-
-BitString = tuple[int, ...]
-
-
-def is_alternating(bits) -> bool:
-    """True iff consecutive entries always differ (vacuously for length <= 1)."""
-    bits = tuple(bits)
-    return all(a != b for a, b in zip(bits, bits[1:]))
-
-
-def check_bit(value, what: str = "parity") -> int:
-    """The value as an int, if it is 0 or 1; DomainError otherwise."""
-    value = check_int(value, what)
-    if value not in (0, 1):
-        raise DomainError(f"{what} must be 0 or 1, got {value!r}")
-    return value
-
-
-def check_bits(bits, what: str = "bit string") -> BitString:
-    """A tuple of ints, each 0 or 1; DomainError otherwise."""
-    out = tuple(check_int(b, what) for b in bits)
-    if any(b not in (0, 1) for b in out):
-        raise DomainError(f"{what} entries must be 0 or 1, got {out}")
-    return out
-
-
-def check_word(bits) -> BitString:
-    word = check_bits(bits, "word")
-    if not is_alternating(word):
-        raise DomainError(f"word {word} is not alternating")
-    return word
+from .partitions import (
+    BitString, Partition, check_bit, check_int, check_parity_string, check_partition, check_word, size
+)
 
 
 def box_parity(s: int, t: int, i: int) -> int:
@@ -189,9 +160,7 @@ def enumerate_by_parity(lam: Partition, i: int, d) -> list[StandardTableau]:
     """Standard tableaux of shape lam whose i-parity string equals d."""
     lam = check_partition(lam)
     i = check_bit(i)
-    d = check_bits(d, "parity string")
-    if len(d) != size(lam):
-        raise DomainError(f"parity string length {len(d)} != |lam| = {size(lam)}")
+    d = check_parity_string(d, lam)
     return [T for T in enumerate_standard(lam) if parity_string(T, i) == d]
 
 

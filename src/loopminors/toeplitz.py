@@ -14,8 +14,7 @@ from __future__ import annotations
 from .determinants import det_bareiss, det_cofactor
 from .errors import DomainError
 from .loop import LoopElement, is_unipotent_plus
-from .partitions import Partition, check_partition, contains, index_set, max_index
-from .tableaux import check_bit
+from .partitions import Partition, check_bit, check_partition, index_windows, max_index
 
 
 def decompose_index(l: int) -> tuple[int, int]:
@@ -50,14 +49,7 @@ def minor(g: LoopElement, mu: Partition, lam: Partition, i: int):
     making the determinant sign deterministic; the window is square of side
     maxIndex(lam) + 1.
     """
-    mu = check_partition(mu)
-    lam = check_partition(lam)
-    i = check_bit(i)
-    if not contains(mu, lam):
-        raise DomainError(f"{mu} is not contained in {lam}")
-    n_max = max_index(lam)
-    rows = index_set(mu, i, n_max)
-    cols = index_set(lam, i, n_max)
+    rows, cols = index_windows(mu, lam, i)
     return _determinant(g, window(g, rows, cols))
 
 

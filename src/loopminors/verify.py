@@ -20,6 +20,8 @@ from .partitions import (
     Partition,
     check_int,
     check_partition,
+    check_word,
+    format_partition,
     partitions_up_to,
     size,
     subpartitions,
@@ -27,7 +29,6 @@ from .partitions import (
 from .phi import euler_char, phi_polynomial
 from .shapemod import build_module, conjecture1_prediction, count_flags_fq
 from .tableaux import (
-    check_word,
     enumerate_by_parity,
     enumerate_chess,
     enumerate_standard,
@@ -62,10 +63,6 @@ class VerificationReport:
         }
 
 
-def _csv(values) -> str:
-    return ",".join(str(v) for v in values)
-
-
 def verify_theorem2(lam: Partition, i: int, word) -> VerificationReport:
     """Tableau route, path route, and Toeplitz route of the same polynomial."""
     lam = check_partition(lam)
@@ -80,7 +77,7 @@ def _theorem2_report(lam, i, word, g) -> VerificationReport:
     ok = via_phi == via_paths == via_minor
     return VerificationReport(
         check="theorem2",
-        case={"lambda": _csv(lam), "parity": i, "word": _csv(word)},
+        case={"lambda": format_partition(lam), "parity": i, "word": format_partition(word)},
         values={
             "phi": via_phi,
             "lindstrom": via_paths,
@@ -107,7 +104,8 @@ def _prop1_report(lam, i, word, j, tab_count: int, chess_count: int) -> Verifica
     fact = prod(factorial(v) for v in j)
     return VerificationReport(
         check="prop1",
-        case={"lambda": _csv(lam), "parity": i, "word": _csv(word), "content": _csv(j)},
+        case={"lambda": format_partition(lam), "parity": i, "word": format_partition(word),
+              "content": format_partition(j)},
         values={
             "tab_count": tab_count,
             "factorial_times_chess": fact * chess_count,
@@ -125,7 +123,7 @@ def verify_conjecture1(lam: Partition, i: int, d, q: int) -> VerificationReport:
     counted = count_flags_fq(module, d, q)
     return VerificationReport(
         check="conjecture1",
-        case={"lambda": _csv(lam), "parity": i, "d": _csv(d), "q": q},
+        case={"lambda": format_partition(lam), "parity": i, "d": format_partition(d), "q": q},
         values={"prediction": predicted, "brute_force": counted},
         ok=predicted == counted,
     )
@@ -143,7 +141,7 @@ def _pieri_report(lam, i, word, g) -> VerificationReport:
     via_minor = minor(g, (), lam, i)
     return VerificationReport(
         check="pieri",
-        case={"lambda": _csv(lam), "parity": i, "word": _csv(word)},
+        case={"lambda": format_partition(lam), "parity": i, "word": format_partition(word)},
         values={"pieri": via_pieri, "minor": via_minor},
         ok=via_pieri == via_minor,
     )
@@ -162,7 +160,8 @@ def _lindstrom_report(word, mu, lam, i, g) -> VerificationReport:
     via_minor = minor(g, mu, lam, i)
     return VerificationReport(
         check="lindstrom",
-        case={"lambda": _csv(lam), "mu": _csv(mu), "parity": i, "word": _csv(word)},
+        case={"lambda": format_partition(lam), "mu": format_partition(mu), "parity": i,
+              "word": format_partition(word)},
         values={"lindstrom": via_paths, "toeplitz": via_minor},
         ok=via_paths == via_minor,
     )
@@ -251,10 +250,15 @@ def sweep(target: str, max_size: int, max_word: int, qs=None) -> Iterator[Verifi
     """The reports of ``sweep_<target>``, given the bounds that sweep takes.
 
     The sweep is looked up when called, so a rebound ``sweep_<target>`` is
-    the one that runs; ``qs`` defaults to ``DEFAULT_QS``.
+    the one that runs; ``qs`` defaults to ``DEFAULT_QS``, and a sweep that
+    does not take it rejects it.
     """
     if target not in TARGETS:
         raise DomainError(f"unknown verify target {target!r}")
+    if qs is not None and target not in _Q_SWEEPS:
+        raise DomainError(f"{target} sweeps words, not field sizes; drop --q")
+    if qs is not None and not qs:
+        raise DomainError(f"{target} needs at least one field size q")
     run = globals()[f"sweep_{target}"]
     return run(max_size, tuple(qs or DEFAULT_QS) if target in _Q_SWEEPS else max_word)
 

@@ -304,3 +304,97 @@ def test_verify_rejects_an_empty_sweep(capsys):
     code, out, _ = run_cli(capsys, "verify", "theorem2", "--max-word", "0")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "theorem2", "--max-size", "2", "--max-word", "1", "--q", "7"],
+        ["tableaux", "--shape", "2,1", "--parity", "1"],
+        ["--format", "text", "tableaux", "--shape", "2,1", "--parity", "1"],
+    ],
+    ids=["verify-q", "tableaux-parity", "tableaux-parity-text"],
+)
+def test_an_option_the_command_would_ignore_is_an_error(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+# The --format text bytes and exit code of every subcommand; an error stays
+# one JSON line.
+TEXT_OUTPUTS = {
+    "tableaux": (
+        ["tableaux", "--shape", "3,1"],
+        0,
+        "[[1, 2, 3], [4]]\n[[1, 2, 4], [3]]\n[[1, 3, 4], [2]]\n",
+    ),
+    "tableaux-none": (
+        ["tableaux", "--shape", "2,1", "--parity", "1", "--d", "1,1,1"],
+        0,
+        "(none)\n",
+    ),
+    "chess": (
+        ["chess", "--shape", "2,1", "--parity", "1", "--max-label", "4"],
+        0,
+        "0,0,1,2: [[[3, 4], [4]]]\n"
+        "1,0,0,2: [[[1, 4], [4]]]\n"
+        "1,1,0,1: [[[1, 2], [4]], [[1, 4], [2]]]\n"
+        "1,2,0,0: [[[1, 2], [2]]]\n",
+    ),
+    "phi": (["phi", "--shape", "2,1", "--parity", "1", "--word", "1,0,1,0"], 0, GOLDEN + "\n"),
+    "minor": (["minor", "--word", "1,0,1,0", "--lambda", "2,1", "--parity", "1"], 0, GOLDEN + "\n"),
+    "pieri": (["pieri", "--word", "1,0,1", "--lambda", "2,1", "--parity", "0"], 0, "a2*a3^2\n"),
+    "paths": (
+        ["paths", "--word", "1,0", "--mu", "1", "--lambda", "2,1", "--parity", "1"],
+        0,
+        "[[2, 2, 3], [0, 0, 1]]\n",
+    ),
+    "paths-render": (
+        ["paths", "--word", "1,0,1", "--lambda", "1,1", "--parity", "0", "--render"],
+        0,
+        "weight a2*a3\n"
+        "   1 o   o   *---*\n"
+        "           /\n"
+        "   0 *---*   o   *\n"
+        "               /\n"
+        "  -1 *---*---*   o\n"
+        "sum a2*a3\n",
+    ),
+    "module": (
+        ["module", "--lambda", "3,1", "--mu", "1", "--parity", "1"],
+        0,
+        "dim 3\n[0, 2] --beta--> [0, 1]\n",
+    ),
+    "points": (["points", "--lambda", "2,1", "--parity", "1", "--d", "1,0,0", "--q", "2"], 0, "3\n"),
+    "verify": (
+        ["verify", "pieri", "--max-size", "1", "--max-word", "1", "--verbose"],
+        0,
+        'ok {"lambda":"","parity":0,"word":"0"}\n'
+        'ok {"lambda":"","parity":0,"word":"1"}\n'
+        'ok {"lambda":"","parity":1,"word":"0"}\n'
+        'ok {"lambda":"","parity":1,"word":"1"}\n'
+        'ok {"lambda":"1","parity":0,"word":"0"}\n'
+        'ok {"lambda":"1","parity":0,"word":"1"}\n'
+        'ok {"lambda":"1","parity":1,"word":"0"}\n'
+        'ok {"lambda":"1","parity":1,"word":"1"}\n'
+        "cases 8, failures 0\n",
+    ),
+    "error": (
+        ["module", "--lambda", "3", "--mu", "5", "--parity", "0"],
+        1,
+        '{"error":{"message":"(5,) is not contained in (3,)","type":"DomainError"}}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, expected", TEXT_OUTPUTS.values(), ids=TEXT_OUTPUTS.keys())
+def test_text_output_bytes(capsys, argv, code, expected):
+    assert run_cli(capsys, "--format", "text", *argv) == (code, expected, "")
+
+
+def test_text_output_to_a_file(tmp_path, capsys):
+    target = tmp_path / "phi.txt"
+    argv = ["phi", "--shape", "2,1", "--parity", "1", "--word", "1,0,1,0"]
+    assert run_cli(capsys, "--format", "text", "--out", str(target), *argv) == (0, "", "")
+    assert target.read_bytes() == GOLDEN.encode() + b"\n"

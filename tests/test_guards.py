@@ -13,14 +13,13 @@ from loopminors.errors import DomainError
 from loopminors.loop import LaurentPoly, LoopElement, word_to_loop
 from loopminors.multipoly import MultiPoly
 from loopminors.networks import PathFamily, enumerate_families, lindstrom_minor
-from loopminors.partitions import check_partition
+from loopminors.partitions import check_bits, check_partition
 from loopminors.phi import euler_char, phi_polynomial
 from loopminors.shapemod import build_module, conjecture1_prediction, count_flags_fq
 from loopminors.tableaux import (
     ChessTableau,
     StandardTableau,
     box_parity,
-    check_bits,
     enumerate_by_parity,
     enumerate_chess,
     enumerate_standard,
@@ -120,6 +119,21 @@ def test_coefficient_of_an_absent_monomial_is_zero():
     assert poly.coefficient((1, 2)) == 0
     assert poly.coefficient((1, 2, -1)) == 0
     assert poly.coefficient((1, 2, 1 << 40)) == 0
+
+
+@pytest.mark.parametrize(
+    "box", [(0.5, 1), "x", 5, (0, 1, 2)], ids=["float", "str", "int", "triple"]
+)
+def test_apply_rejects_a_box_that_is_no_pair_of_integers(box):
+    with pytest.raises(DomainError):
+        build_module((2, 1), (), 1).apply("beta", box)
+
+
+def test_apply_takes_any_pair_of_integers_and_gives_none_off_the_module():
+    module = build_module((2, 1), (), 1)
+    assert module.apply("beta", [0, 1]) is None  # (0, 1) sits at vertex 0, beta leaves 1
+    assert module.apply("alpha", [0, 1]) == module.apply("alpha", (0, 1)) == (0, 0)
+    assert module.apply("alpha", (5, 5)) is None
 
 
 def _unipotent(upper, diagonal=Fraction(1), nvars=None):

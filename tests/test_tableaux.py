@@ -2,17 +2,15 @@ import pytest
 from hypothesis import given, settings
 
 from loopminors.errors import DomainError
-from loopminors.partitions import partitions_up_to
+from loopminors.partitions import check_word, is_alternating, partitions_up_to
 from loopminors.tableaux import (
     StandardTableau,
     box_parity,
-    check_word,
     enumerate_by_parity,
     enumerate_chess,
     enumerate_standard,
     expand_word,
     ground_state,
-    is_alternating,
     parity_string,
     sigma,
 )

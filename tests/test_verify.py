@@ -151,6 +151,16 @@ def test_sweep_passes_each_target_its_bounds():
         sweep("summarize", 3, 3)
 
 
+@pytest.mark.parametrize(
+    "target, qs, message",
+    [("theorem2", [9], "not field sizes"), ("lindstrom", (), "not field sizes"),
+     ("conjecture1", [], "at least one field size")],
+)
+def test_sweep_rejects_field_sizes_it_would_ignore(target, qs, message):
+    with pytest.raises(DomainError, match=message):
+        sweep(target, 2, 0, qs)
+
+
 OFF_GRID_SHAPES = [lam for n in range(7, 11) for lam in partitions_of(n)]
 
 
