@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .multipoly import MultiPoly
-from .partitions import check_factorization_word, check_int
+from .partitions import EXACT, check_bit, check_exact, check_factorization_word, check_int
 
 
 class LaurentPoly:
@@ -102,7 +102,7 @@ class LoopElement:
         entries = tuple(tuple(row) for row in entries)
         if len(entries) != 2 or any(len(row) != 2 for row in entries):
             raise DomainError("a loop element is a 2x2 matrix")
-        ring = (int, Fraction) if nvars is None else MultiPoly
+        ring = EXACT if nvars is None else MultiPoly
         for entry in (entry for row in entries for entry in row):
             if not isinstance(entry, LaurentPoly):
                 raise DomainError(f"loop element entries must be LaurentPoly, got {entry!r}")
@@ -161,14 +161,17 @@ def identity_loop(nvars: int | None = None) -> LoopElement:
 
 
 def generator(i: int, a) -> LoopElement:
-    """The one-parameter elements [[1,0],[a t,1]] (i=0) and [[1,a],[0,1]] (i=1)."""
-    if i not in (0, 1):
-        raise DomainError(f"generator parity must be 0 or 1, got {i}")
+    """The one-parameter elements [[1,0],[a t,1]] (i=0) and [[1,a],[0,1]] (i=1).
+
+    The parameter ``a`` is a MultiPoly (symbolic) or an int or Fraction
+    (numeric); anything else, a float or a string included, is a DomainError.
+    """
+    i = check_bit(i, "generator parity")
     if isinstance(a, MultiPoly):
         nvars = a.nvars
         one = MultiPoly.one(nvars)
     else:
-        a = Fraction(a)
+        a = Fraction(check_exact(a, "generator parameter"))
         nvars = None
         one = Fraction(1)
     unit = LaurentPoly.const(one)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .partitions import check_int
+from .partitions import check_exact, check_int
 
 EXPONENT_BITS = 16
 MAX_EXPONENT = (1 << EXPONENT_BITS) - 1
@@ -31,10 +31,13 @@ def _pack(exps: tuple[int, ...]) -> int:
     return key
 
 
-def _unpack(key: int, nvars: int) -> tuple[int, ...]:
-    return tuple(
-        (key >> (EXPONENT_BITS * shift)) & MAX_EXPONENT for shift in range(nvars - 1, -1, -1)
-    )
+def _shifts(nvars: int) -> list[int]:
+    """The bit offset of each variable's exponent field in a key, a1 first."""
+    return [EXPONENT_BITS * k for k in range(nvars - 1, -1, -1)]
+
+
+def _unpack(key: int, shifts: list[int]) -> tuple[int, ...]:
+    return tuple((key >> shift) & MAX_EXPONENT for shift in shifts)
 
 
 class MultiPoly:
@@ -246,8 +249,8 @@ class MultiPoly:
 
     def _exponents(self):
         """The exponent tuples of the terms, in no particular order."""
-        n = self.nvars
-        return (_unpack(key, n) for key in self.terms)
+        shifts = _shifts(self.nvars)
+        return (_unpack(key, shifts) for key in self.terms)
 
     def _degrees(self) -> tuple[int, ...]:
         """Highest exponent of each variable; all zero for the zero polynomial."""
@@ -262,59 +265,68 @@ class MultiPoly:
         return degree is None or degrees == {degree}
 
     def evaluate(self, values) -> Fraction:
-        """Evaluate at rational values, one per variable."""
-        values = [Fraction(v) for v in values]
+        """Evaluate at exact values (int or Fraction), one per variable.
+
+        With value k written n_k/d_k and D_k the top exponent of variable k,
+        each term adds coeff * prod n_k^e * d_k^(D_k - e) to one int total,
+        which is divided once, by prod d_k^D_k.  Powers are computed only for
+        the exponents that occur, so a lone a1^65535 costs one power.
+        """
+        values = [check_exact(v, "evaluation value") for v in values]
         if len(values) != self.nvars:
             raise DomainError(f"expected {self.nvars} values, got {len(values)}")
-        total = Fraction(0)
-        for exps, coeff in zip(self._exponents(), self.terms.values()):
-            term = Fraction(coeff)
-            for v, e in zip(values, exps):
-                term *= v**e
-            total += term
-        return total
+        keys = list(self.terms)
+        column = list(self.terms.values())
+        denominator = 1
+        for value, shift in zip(values, _shifts(self.nvars)):
+            fields = [(key >> shift) & MAX_EXPONENT for key in keys]
+            top = max(fields, default=0)
+            if top:
+                num, den = value.numerator, value.denominator
+                power = {e: num**e * den ** (top - e) for e in set(fields)}
+                column = [c * power[e] for c, e in zip(column, fields)]
+                denominator *= den**top
+        return Fraction(sum(column), denominator)
 
     # -- canonical output ---------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """(exponent tuple, coefficient) pairs in descending lexicographic order."""
-        n = self.nvars
-        return [
-            (_unpack(key, n), coeff)
-            for key, coeff in sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
-        ]
+        shifts = _shifts(self.nvars)
+        return [(_unpack(key, shifts), self.terms[key]) for key in sorted(self.terms, reverse=True)]
 
     def text(self) -> str:
         if not self.terms:
             return "0"
+        names = [(shift, f"a{k + 1}") for k, shift in enumerate(_shifts(self.nvars))]
         pieces = []
-        for exps, coeff in self.sorted_terms():
+        for key in sorted(self.terms, reverse=True):
+            coeff = self.terms[key]
             factors = []
-            for idx, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"a{idx + 1}")
-                elif e > 1:
-                    factors.append(f"a{idx + 1}^{e}")
+            for shift, name in names:
+                e = (key >> shift) & MAX_EXPONENT
+                if e:
+                    factors.append(name if e == 1 else f"{name}^{e}")
             mag = abs(coeff)
             if not factors:
                 body = str(mag)
             elif mag == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
-            pieces.append((coeff < 0, body))
-        first_neg, first_body = pieces[0]
-        text = ("-" if first_neg else "") + first_body
-        for neg, body in pieces[1:]:
-            text += (" - " if neg else " + ") + body
-        return text
+                body = f"{mag}*" + "*".join(factors)
+            pieces.append((" - " if coeff < 0 else " + ") + body)
+        text = "".join(pieces)
+        # the leading term keeps only a minus sign
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     __str__ = text
 
     def json_terms(self) -> dict[str, int]:
         """Exponent-keyed coefficient map, e.g. {"1,2,0,0": 1}."""
+        shifts = _shifts(self.nvars)
         return {
-            ",".join(str(e) for e in exps): coeff for exps, coeff in self.sorted_terms()
+            ",".join([str((key >> shift) & MAX_EXPONENT) for shift in shifts]): self.terms[key]
+            for key in sorted(self.terms, reverse=True)
         }
 
     def __repr__(self):

@@ -11,11 +11,13 @@ beyond the stored length yields 0.  The empty tuple is the empty partition.
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 
 from .errors import DomainError, InvalidWindowError
 
 Partition = tuple[int, ...]
 BitString = tuple[int, ...]
+EXACT = (int, Fraction)  # the types of an exact rational value
 
 
 def check_int(value, what: str) -> int:
@@ -24,6 +26,13 @@ def check_int(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{what} entries must be integers, got {value!r}") from None
+
+
+def check_exact(value, what: str):
+    """The value if it is an int or a Fraction; DomainError otherwise."""
+    if not isinstance(value, EXACT):
+        raise DomainError(f"{what} must be an int or Fraction, got {value!r}")
+    return value
 
 
 def is_alternating(bits) -> bool:

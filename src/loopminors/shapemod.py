@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from math import isqrt
 
 from . import gf
 from .errors import DomainError, ResourceLimitError
@@ -203,7 +204,22 @@ def count_flags_fq(module: ShapeModule, d, q: int) -> int:
     return _count_series(gf.GF(q), blocks, d, {})
 
 
+def _is_prime_power(q: int) -> bool:
+    if q < 2:
+        return False
+    p = next((p for p in range(2, isqrt(q) + 1) if q % p == 0), q)  # least prime factor
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
 def conjecture1_prediction(lam: Partition, i: int, d, q: int) -> int:
-    """Sum of q^(ground state) over the tableaux with i-parity string d."""
+    """Sum of q^(ground state) over the tableaux with i-parity string d.
+
+    q is a field size, so a prime power, or 1, where the sum is the Euler
+    characteristic ``euler_char``; any other q is a DomainError.
+    """
     q = check_int(q, "field size")
+    if q != 1 and not _is_prime_power(q):
+        raise DomainError(f"field size {q} is neither a prime power nor 1")
     return sum(q ** ground_state(T, i) for T in enumerate_by_parity(lam, i, d))

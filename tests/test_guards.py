@@ -10,7 +10,7 @@ import pytest
 
 import loopminors
 from loopminors.errors import DomainError
-from loopminors.loop import LaurentPoly, LoopElement, word_to_loop
+from loopminors.loop import LaurentPoly, LoopElement, generator, word_to_loop
 from loopminors.multipoly import MultiPoly
 from loopminors.networks import PathFamily, enumerate_families, lindstrom_minor
 from loopminors.partitions import check_bits, check_partition
@@ -54,12 +54,13 @@ WORD = (1, 0, 1)
         lambda: box_parity(0, 1, 3),
         lambda: parity_string(enumerate_standard((2, 1))[0], 3),
         lambda: ground_state(enumerate_standard((2, 1))[0], -1),
+        lambda: generator(2, 1),
     ],
     ids=["minor", "pieri_determinant", "phi_polynomial", "enumerate_families",
          "lindstrom_minor", "count_flags_fq", "enumerate_by_parity",
          "enumerate_by_parity_d", "euler_char", "enumerate_chess", "ChessTableau",
          "build_module", "conjecture1_prediction", "conjecture1_prediction_d",
-         "box_parity", "parity_string", "ground_state"],
+         "box_parity", "parity_string", "ground_state", "generator"],
 )
 def test_non_bit_parities_are_rejected(call):
     with pytest.raises(DomainError):
@@ -98,6 +99,8 @@ def test_non_bit_parities_are_rejected(call):
         lambda: box_parity(1.5, 0.5, 1),
         lambda: phi_polynomial((2, 1), 1, WORD).coefficient((1.7, 2.2, 0.9)),
         lambda: phi_polynomial((2, 1), 1, WORD).coefficient(("1", "2", "0")),
+        lambda: generator(0.0, 1),
+        lambda: generator("x", 1),
     ],
     ids=["build_module", "check_partition", "phi_polynomial", "check_bits", "euler_char",
          "check_bit", "expand_word", "expand_word_str", "sigma", "verify_prop1",
@@ -105,11 +108,40 @@ def test_non_bit_parities_are_rejected(call):
          "enumerate_chess_str", "verify_conjecture1", "count_flags_fq_q",
          "count_flags_fq_q_str", "verify_conjecture1_q", "conjecture1_prediction_q", "MultiPoly",
          "MultiPoly.const", "LaurentPoly", "PathFamily", "PathFamily_str", "box_parity",
-         "box_parity_coordinates", "coefficient", "coefficient_str"],
+         "box_parity_coordinates", "coefficient", "coefficient_str", "generator_float",
+         "generator_str"],
 )
 def test_non_integer_entries_are_rejected(call):
     with pytest.raises(DomainError, match="entries must be integers"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: MultiPoly.variable(1, 0).evaluate([0.1]),
+        lambda: MultiPoly.variable(1, 0).evaluate(["1/3"]),
+        lambda: MultiPoly.one(2).evaluate([1, 2.0]),
+        lambda: generator(1, 0.5),
+        lambda: generator(0, "1/3"),
+    ],
+    ids=["evaluate_float", "evaluate_str", "evaluate_second", "generator_float", "generator_str"],
+)
+def test_inexact_values_are_rejected(call):
+    with pytest.raises(DomainError, match="must be an int or Fraction"):
+        call()
+
+
+@pytest.mark.parametrize("q", [0, -3, 6, 12])
+def test_conjecture1_prediction_rejects_a_q_that_is_no_field_size(q):
+    with pytest.raises(DomainError, match="neither a prime power nor 1"):
+        conjecture1_prediction((2, 1), 1, (1, 0, 0), q)
+
+
+def test_conjecture1_prediction_takes_prime_powers_and_one():
+    # one tableau in ground state 0 and one in ground state 1
+    for q in (1, 2, 3, 4, 5, 7, 8, 9):
+        assert conjecture1_prediction((2, 1), 1, (1, 0, 0), q) == 1 + q
 
 
 def test_coefficient_of_an_absent_monomial_is_zero():

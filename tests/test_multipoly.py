@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from loopminors.errors import DomainError
 from loopminors.multipoly import MAX_EXPONENT, MultiPoly
+from loopminors.phi import phi_polynomial
 
 
 def a(k, idx):
@@ -171,10 +173,23 @@ def term_maps(k):
     return st.dictionaries(st.tuples(*[exponents] * k), st.integers(-4, 4), max_size=4)
 
 
+# evaluation points: several denominators and both signs, and the cheap values
+# used at exponents near MAX_EXPONENT, where a generic rational's powers would
+# need a gcd of million-bit integers
+VALUES = [0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(-7, 4), -3]
+CHEAP_VALUES = [0, 1, -1, 2, Fraction(1, 2)]
+
+
+def assert_same_value(packed, ref, values):
+    value = packed.evaluate(values)
+    assert type(value) is Fraction
+    assert value == ref.evaluate(values)
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_packed_ring_matches_tuple_reference(data):
-    k = data.draw(st.integers(1, 3), label="k")
+    k = data.draw(st.integers(1, 6), label="k")
     p_terms = data.draw(term_maps(k), label="p")
     q_terms = data.draw(term_maps(k), label="q")
     p, q = MultiPoly(k, p_terms), MultiPoly(k, q_terms)
@@ -191,8 +206,42 @@ def test_packed_ring_matches_tuple_reference(data):
     probe = data.draw(st.tuples(*[exponents] * k), label="probe")
     for exps in list(p_terms) + [probe]:
         assert p.coefficient(exps) == rp.terms.get(exps, 0)
-    values = data.draw(st.lists(st.sampled_from([0, 1, -1, 2, Fraction(1, 2)]), min_size=k, max_size=k))
-    assert p.evaluate(values) == rp.evaluate(values)
+    cheap = data.draw(st.lists(st.sampled_from(CHEAP_VALUES), min_size=k, max_size=k))
+    assert_same_value(p, rp, cheap)
+    small = data.draw(
+        st.dictionaries(st.tuples(*[st.integers(0, 4)] * k), st.integers(-4, 4), max_size=8),
+        label="small",
+    )
+    values = data.draw(st.lists(st.sampled_from(VALUES), min_size=k, max_size=k), label="values")
+    assert_same_value(MultiPoly(k, small), TuplePoly(k, small), values)
+
+
+def test_readers_match_the_reference_on_the_twelve_variable_anchor():
+    word = tuple((t + 1) % 2 for t in range(12))
+    poly = phi_polynomial((5, 4, 3, 2, 1), 1, word)
+    ref = TuplePoly(12, dict(poly.sorted_terms()))
+    assert len(ref.terms) == 3885
+    assert_same(poly, ref)
+    assert_same_value(poly, ref, [Fraction((-1) ** t * (t + 2), t + 3) for t in range(12)])
+    assert_same_value(poly, ref, [Fraction(-2, 3), Fraction(5, 7), 2, -1, 0, Fraction(1, 2)] * 2)
+
+
+def test_evaluate_powers_only_the_exponents_that_occur():
+    # 2^65535 takes 8 KiB; a table of 2^e for every e up to 65535 would take 256 MiB
+    tracemalloc.start()
+    try:
+        value = MultiPoly.monomial(1, (MAX_EXPONENT,)).evaluate([Fraction(1, 2)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert value == Fraction(1, 2**MAX_EXPONENT)
+    assert type(value) is Fraction
+    mixed = MultiPoly(2, {(MAX_EXPONENT, 1): 3, (0, 2): -1})
+    assert mixed.evaluate([Fraction(-1, 2), Fraction(2, 3)]) == (
+        3 * Fraction(-1, 2) ** MAX_EXPONENT * Fraction(2, 3) - Fraction(4, 9)
+    )
+    assert type(MultiPoly.zero(2).evaluate([1, 2])) is Fraction
 
 
 def test_transfer_sum_counts_walks_by_step_exponents():
