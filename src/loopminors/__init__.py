@@ -47,14 +47,7 @@ from .tableaux import (
     sigma,
 )
 from .toeplitz import entry_E, minor, pieri_determinant, toeplitz_entry
-from .verify import (
-    VerificationReport,
-    verify_conjecture1,
-    verify_lindstrom,
-    verify_pieri,
-    verify_prop1,
-    verify_theorem2,
-)
+from .verify import VerificationReport, check
 
 __version__ = "0.1.0"
 
@@ -73,6 +66,7 @@ __all__ = [
     "VerificationReport",
     "box_parity",
     "build_module",
+    "check",
     "conjecture1_prediction",
     "contains",
     "count_flags_fq",
@@ -104,10 +98,5 @@ __all__ = [
     "sigma",
     "subpartitions",
     "toeplitz_entry",
-    "verify_conjecture1",
-    "verify_lindstrom",
-    "verify_pieri",
-    "verify_prop1",
-    "verify_theorem2",
     "word_to_loop",
 ]

@@ -7,7 +7,8 @@ comma lists with the empty string for the empty partition; words, parity
 strings, and contents are comma lists of integers.
 
 Exit codes: 0 on success (including reported conjecture mismatches), 1 for
-domain errors, 2 for bad options (argparse usage errors).
+domain errors, 2 for bad options (argparse usage errors), 130 for a ``verify``
+sweep ended by an interrupt, after its partial summary.
 """
 
 from __future__ import annotations
@@ -211,7 +212,10 @@ def cmd_verify(args, out: Output) -> int:
     reports = verify_mod.sweep(args.target, args.max_size, args.max_word, args.q)
     summary = verify_mod.summarize(emitted(reports))
     failures = summary["failures"]
-    out.emit(summary, text=f"cases {summary['cases']}, failures {failures}")
+    interrupted = ", interrupted" if summary.get("interrupted") else ""
+    out.emit(summary, text=f"cases {summary['cases']}, failures {failures}{interrupted}")
+    if interrupted:
+        return 130
     if args.target in verify_mod.REPORT_ONLY:
         if failures:
             print(

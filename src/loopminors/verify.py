@@ -1,48 +1,72 @@
 """Cross-route equality drivers: each checked identity computed two or three ways.
 
-Theorem-style checks (three-route polynomial equality, the factorial
-identity, the Pieri and path/Toeplitz equalities) are hard assertions:
-a failing case is a regression.  The finite-field point-count comparison is
-a conjecture, so its mismatches are reported, never raised.
+Each target is one row of ``_ROWS``; a case passes when its route values are all
+equal.  A theorem's failure is a regression, a conjecture's mismatch a finding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import factorial, prod
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError
-from .loop import LoopElement, word_to_loop
+from .loop import word_to_loop
 from .networks import lindstrom_minor
-from .partitions import (
-    Partition,
-    check_int,
-    check_partition,
-    check_word,
-    format_partition,
-    partitions_up_to,
-    size,
-    subpartitions,
-)
+from .partitions import Partition, check_int, format_partition, partitions_up_to, size, subpartitions
 from .phi import euler_char, phi_polynomial
 from .shapemod import build_module, conjecture1_prediction, count_flags_fq
-from .tableaux import (
-    enumerate_by_parity,
-    enumerate_chess,
-    enumerate_standard,
-    expand_word,
-    parity_string,
-)
+from .tableaux import enumerate_standard, expand_word, parity_string
 from .toeplitz import minor, pieri_determinant
 
-# The verify targets in CLI order; target t sweeps with ``sweep_<t>``.
-TARGETS = ("theorem2", "prop1", "conjecture1", "pieri", "lindstrom")
+
+class _Row(NamedTuple):
+    fields: tuple[str, ...]  # a case: the arguments of check, the keys of its report
+    shares: int  # how many leading fields the shared value reads
+    share: Callable  # the shared value, from those fields
+    values: Callable  # the route values, from the shared value and the case
+
+
+# Fields follow lindstrom_minor(word, mu, lam, i); rows call routes by name, so rebinding reaches them.
+_BY_WORD = 1, lambda word: word_to_loop(word)
+_ROWS = {
+    "theorem2": _Row(("word", "lambda", "parity"), *_BY_WORD, lambda g, word, lam, i: {
+        "phi": phi_polynomial(lam, i, word),
+        "lindstrom": lindstrom_minor(word, (), lam, i),
+        "toeplitz": minor(g, (), lam, i),
+    }),
+    # tableaux counted by euler_char's walk, chess tableaux read off phi's
+    "prop1": _Row(
+        ("word", "lambda", "parity", "content"), 3,
+        lambda word, lam, i: phi_polynomial(lam, i, word),
+        lambda chess, word, lam, i, j: {
+            "tab_count": euler_char(lam, i, expand_word(word, j)),
+            "factorial_times_chess": prod(factorial(v) for v in j) * chess.coefficient(j),
+        },
+    ),
+    "conjecture1": _Row(
+        ("lambda", "parity", "d", "q"), 2,
+        lambda lam, i: build_module(lam, (), i),
+        lambda module, lam, i, d, q: {
+            "prediction": conjecture1_prediction(lam, i, d, q),
+            "brute_force": count_flags_fq(module, d, q),
+        },
+    ),
+    "pieri": _Row(("word", "lambda", "parity"), *_BY_WORD, lambda g, word, lam, i: {
+        "pieri": pieri_determinant(g, lam, i),
+        "minor": minor(g, (), lam, i),
+    }),
+    "lindstrom": _Row(("word", "mu", "lambda", "parity"), *_BY_WORD, lambda g, word, mu, lam, i: {
+        "lindstrom": lindstrom_minor(word, mu, lam, i),
+        "toeplitz": minor(g, mu, lam, i),
+    }),
+}
+
+# The verify targets in CLI order; target t sweeps the cases of ``sweep_<t>``.
+TARGETS = tuple(_ROWS)
 # Conjectures: a mismatch is reported, never a failure.
 REPORT_ONLY = frozenset({"conjecture1"})
-# Point counts sweep field sizes q where the identities sweep words.
-_Q_SWEEPS = frozenset({"conjecture1"})
 DEFAULT_QS = (2, 3)
 
 
@@ -51,123 +75,38 @@ class VerificationReport:
     check: str
     case: dict[str, object]
     values: dict[str, object]
-    ok: bool = field(default=False)
+    ok: bool = False
 
     def to_json(self) -> dict:
         status = "ok" if self.ok else ("mismatch" if self.check in REPORT_ONLY else "fail")
-        return {
-            "check": self.check,
-            "case": self.case,
-            "values": {k: str(v) for k, v in self.values.items()},
-            "status": status,
-        }
+        values = {k: str(v) for k, v in self.values.items()}
+        return {"check": self.check, "case": self.case, "values": values, "status": status}
 
 
-def verify_theorem2(lam: Partition, i: int, word) -> VerificationReport:
-    """Tableau route, path route, and Toeplitz route of the same polynomial."""
-    lam = check_partition(lam)
-    word = check_word(word)
-    return _theorem2_report(lam, i, word, word_to_loop(word))
+def _row(target: str) -> _Row:
+    if target not in _ROWS:
+        raise DomainError(f"unknown verify target {target!r}")
+    return _ROWS[target]
 
 
-def _theorem2_report(lam, i, word, g) -> VerificationReport:
-    via_phi = phi_polynomial(lam, i, word)
-    via_paths = lindstrom_minor(word, (), lam, i)
-    via_minor = minor(g, (), lam, i)
-    ok = via_phi == via_paths == via_minor
+def check(target: str, *case) -> VerificationReport:
+    """The report of one case, given as its row's fields in order, such as
+    ``check("lindstrom", word, mu, lam, i)``; each route checks its inputs."""
+    row = _row(target)
+    return _check(target, case, row.share(*case[: row.shares]))
+
+
+def _check(target: str, case: tuple, shared) -> VerificationReport:
+    """Every report: one case's route values, given its row's shared value."""
+    fields, _, _, route_values = _ROWS[target]
+    values = route_values(shared, *case)
+    routes = list(values.values())
     return VerificationReport(
-        check="theorem2",
-        case={"lambda": format_partition(lam), "parity": i, "word": format_partition(word)},
-        values={
-            "phi": via_phi,
-            "lindstrom": via_paths,
-            "toeplitz": via_minor,
-        },
-        ok=ok,
+        check=target,
+        case={k: v if isinstance(v, int) else format_partition(v) for k, v in zip(fields, case)},
+        values=values,
+        ok=routes.count(routes[0]) == len(routes),
     )
-
-
-def verify_prop1(lam: Partition, i: int, word, j) -> VerificationReport:
-    """Tableau count against factorial times chess count, content by content."""
-    lam = check_partition(lam)
-    word = check_word(word)
-    j = tuple(check_int(v, "content") for v in j)
-    if sum(j) != size(lam):
-        raise DomainError(f"content {j} does not sum to |lam| = {size(lam)}")
-    tab_count = len(enumerate_by_parity(lam, i, expand_word(word, j)))
-    istar = (i + word[0] + 1) % 2
-    chess_count = len(enumerate_chess(lam, istar, len(word)).get(j, []))
-    return _prop1_report(lam, i, word, j, tab_count, chess_count)
-
-
-def _prop1_report(lam, i, word, j, tab_count: int, chess_count: int) -> VerificationReport:
-    fact = prod(factorial(v) for v in j)
-    return VerificationReport(
-        check="prop1",
-        case={"lambda": format_partition(lam), "parity": i, "word": format_partition(word),
-              "content": format_partition(j)},
-        values={
-            "tab_count": tab_count,
-            "factorial_times_chess": fact * chess_count,
-        },
-        ok=tab_count == fact * chess_count,
-    )
-
-
-def verify_conjecture1(lam: Partition, i: int, d, q: int) -> VerificationReport:
-    """Brute-force point count against the ground-state prediction (report only)."""
-    lam = check_partition(lam)
-    d = tuple(check_int(b, "parity string") for b in d)
-    module = build_module(lam, (), i)
-    predicted = conjecture1_prediction(lam, i, d, q)
-    counted = count_flags_fq(module, d, q)
-    return VerificationReport(
-        check="conjecture1",
-        case={"lambda": format_partition(lam), "parity": i, "d": format_partition(d), "q": q},
-        values={"prediction": predicted, "brute_force": counted},
-        ok=predicted == counted,
-    )
-
-
-def verify_pieri(lam: Partition, i: int, word) -> VerificationReport:
-    """Pieri determinant against the direct minor, on a word element."""
-    lam = check_partition(lam)
-    word = check_word(word)
-    return _pieri_report(lam, i, word, word_to_loop(word))
-
-
-def _pieri_report(lam, i, word, g) -> VerificationReport:
-    via_pieri = pieri_determinant(g, lam, i)
-    via_minor = minor(g, (), lam, i)
-    return VerificationReport(
-        check="pieri",
-        case={"lambda": format_partition(lam), "parity": i, "word": format_partition(word)},
-        values={"pieri": via_pieri, "minor": via_minor},
-        ok=via_pieri == via_minor,
-    )
-
-
-def verify_lindstrom(word, mu: Partition, lam: Partition, i: int) -> VerificationReport:
-    """Path-family sum against the Toeplitz minor, including nonempty mu."""
-    mu = check_partition(mu)
-    lam = check_partition(lam)
-    word = check_word(word)
-    return _lindstrom_report(word, mu, lam, i, word_to_loop(word))
-
-
-def _lindstrom_report(word, mu, lam, i, g) -> VerificationReport:
-    via_paths = lindstrom_minor(word, mu, lam, i)
-    via_minor = minor(g, mu, lam, i)
-    return VerificationReport(
-        check="lindstrom",
-        case={"lambda": format_partition(lam), "mu": format_partition(mu), "parity": i,
-              "word": format_partition(word)},
-        values={"lindstrom": via_paths, "toeplitz": via_minor},
-        ok=via_paths == via_minor,
-    )
-
-
-# -- sweep drivers ---------------------------------------------------------
 
 
 def alternating_words(length: int) -> list[tuple[int, ...]]:
@@ -193,84 +132,79 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(comp)
 
 
-def _word_loops(max_word: int) -> list[tuple[tuple[int, ...], LoopElement]]:
-    return [(word, word_to_loop(word)) for word in all_words_up_to(max_word)]
-
-
-def sweep_theorem2(max_size: int, max_word: int) -> Iterator[VerificationReport]:
-    loops = _word_loops(max_word)
-    for lam in partitions_up_to(max_size):
-        for i in (0, 1):
-            for word, g in loops:
-                yield _theorem2_report(lam, i, word, g)
-
-
-def sweep_prop1(max_size: int, max_word: int) -> Iterator[VerificationReport]:
-    """The ``verify_prop1`` reports, from ``euler_char`` and one ``phi_polynomial`` per word."""
-    for lam in partitions_up_to(max_size):
-        for i in (0, 1):
-            for word in all_words_up_to(max_word):
-                chess = phi_polynomial(lam, i, word)
-                for j in compositions(size(lam), len(word)):
-                    tab_count = euler_char(lam, i, expand_word(word, j))
-                    yield _prop1_report(lam, i, word, j, tab_count, chess.coefficient(j))
-
-
-def sweep_pieri(max_size: int, max_word: int) -> Iterator[VerificationReport]:
-    loops = _word_loops(max_word)
-    for lam in partitions_up_to(max_size):
-        for i in (0, 1):
-            for word, g in loops:
-                yield _pieri_report(lam, i, word, g)
-
-
-def sweep_lindstrom(max_size: int, max_word: int) -> Iterator[VerificationReport]:
-    loops = _word_loops(max_word)
-    for lam in partitions_up_to(max_size):
-        for mu in subpartitions(lam):
-            for i in (0, 1):
-                for word, g in loops:
-                    yield _lindstrom_report(word, mu, lam, i, g)
-
-
 def realizable_parities(lam: Partition, i: int) -> list[tuple[int, ...]]:
     """Distinct i-parity strings of the standard tableaux of shape lam."""
     return sorted({parity_string(T, i) for T in enumerate_standard(lam)})
 
 
-def sweep_conjecture1(max_size: int, qs=DEFAULT_QS) -> Iterator[VerificationReport]:
-    for lam in partitions_up_to(max_size):
-        for i in (0, 1):
-            for d in realizable_parities(lam, i):
-                for q in qs:
-                    yield verify_conjecture1(lam, i, d, q)
+# Each target's cases, one item per case in output order.
+def sweep_theorem2(max_size: int, max_word: int) -> Iterator[tuple]:
+    words = all_words_up_to(max_word)
+    return ((word, lam, i) for lam in partitions_up_to(max_size) for i in (0, 1) for word in words)
+
+
+def sweep_prop1(max_size: int, max_word: int) -> Iterator[tuple]:
+    words, lengths = all_words_up_to(max_word), range(1, max_word + 1)
+    # each list of contents once per sweep, not once per (lambda, i, word)
+    contents = {(n, k): list(compositions(n, k)) for n in range(max_size + 1) for k in lengths}
+    return ((word, lam, i, j) for lam in partitions_up_to(max_size) for i in (0, 1) for word in words
+            for j in contents[size(lam), len(word)])
+
+
+def sweep_conjecture1(max_size: int, qs) -> Iterator[tuple]:
+    return ((lam, i, d, q) for lam in partitions_up_to(max_size) for i in (0, 1)
+            for d in realizable_parities(lam, i) for q in qs)
+
+
+def sweep_pieri(max_size: int, max_word: int) -> Iterator[tuple]:
+    return sweep_theorem2(max_size, max_word)
+
+
+def sweep_lindstrom(max_size: int, max_word: int) -> Iterator[tuple]:
+    words = all_words_up_to(max_word)
+    return ((word, mu, lam, i) for lam in partitions_up_to(max_size) for mu in subpartitions(lam)
+            for i in (0, 1) for word in words)
 
 
 def sweep(target: str, max_size: int, max_word: int, qs=None) -> Iterator[VerificationReport]:
-    """The reports of ``sweep_<target>``, given the bounds that sweep takes.
+    """The reports of the cases of ``sweep_<target>``, given the bounds it takes.
 
-    The sweep is looked up when called, so a rebound ``sweep_<target>`` is
-    the one that runs; ``qs`` defaults to ``DEFAULT_QS``, and a sweep that
-    does not take it rejects it.
+    The grid is looked up when called, so a rebound ``sweep_<target>`` is the
+    one that runs.  ``qs`` defaults to ``DEFAULT_QS``; a target without a field
+    size q rejects it.
     """
-    if target not in TARGETS:
-        raise DomainError(f"unknown verify target {target!r}")
-    if qs is not None and target not in _Q_SWEEPS:
+    sweeps_q = "q" in _row(target).fields
+    check_int(max_size, "max_size")
+    check_int(max_word, "max_word")
+    if qs is not None and not sweeps_q:
         raise DomainError(f"{target} sweeps words, not field sizes; drop --q")
-    if qs is not None and not qs:
-        raise DomainError(f"{target} needs at least one field size q")
-    run = globals()[f"sweep_{target}"]
-    return run(max_size, tuple(qs or DEFAULT_QS) if target in _Q_SWEEPS else max_word)
+    if qs is not None and (not qs or len(set(qs)) < len(qs)):
+        raise DomainError(f"{target} needs at least one field size q, each once; got {list(qs)}")
+    grid = globals()[f"sweep_{target}"](max_size, tuple(qs or DEFAULT_QS) if sweeps_q else max_word)
+    return _reports(target, grid)
+
+
+def _reports(target: str, grid) -> Iterator[VerificationReport]:
+    """``_check`` of each case, each shared value computed once per sweep."""
+    _, shares, share, _ = _ROWS[target]
+    memo = {}
+    for case in grid:
+        shared = memo.get(case[:shares])
+        if shared is None:
+            shared = memo[case[:shares]] = share(*case[:shares])
+        yield _check(target, case, shared)
 
 
 def summarize(reports) -> dict:
-    """Case and failure counts of a sweep; DomainError if it checked no case."""
-    cases = 0
-    failures = 0
-    for report in reports:
-        cases += 1
-        if not report.ok:
-            failures += 1
+    """Case and failure counts of a sweep, the counts so far marked
+    ``"interrupted"`` if an interrupt ends it; DomainError if it checked none."""
+    cases = failures = 0
+    try:
+        for report in reports:
+            cases += 1
+            failures += not report.ok
+    except KeyboardInterrupt:
+        return {"cases": cases, "failures": failures, "interrupted": True}
     if not cases:
         raise DomainError("the sweep checked no cases; raise --max-size or --max-word")
     return {"cases": cases, "failures": failures}

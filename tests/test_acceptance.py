@@ -14,15 +14,7 @@ from loopminors.partitions import partitions_up_to, subpartitions
 from loopminors.phi import phi_polynomial
 from loopminors.shapemod import build_module, delta_partition_type
 from loopminors.toeplitz import minor, toeplitz_entry
-from loopminors.verify import (
-    all_words_up_to,
-    summarize,
-    sweep_conjecture1,
-    sweep_lindstrom,
-    sweep_pieri,
-    sweep_prop1,
-    sweep_theorem2,
-)
+from loopminors.verify import all_words_up_to, summarize, sweep
 
 GOLDEN = "a1*a2^2 + 2*a1*a2*a4 + a1*a4^2 + a3*a4^2"
 
@@ -56,7 +48,7 @@ def test_criterion_1_golden_example(capsys):
 
 
 def test_criterion_2_theorem2_sweep(capsys):
-    summary = summarize(sweep_theorem2(6, 6))
+    summary = summarize(sweep("theorem2", 6, 6))
     with capsys.disabled():
         report(
             2,
@@ -66,7 +58,7 @@ def test_criterion_2_theorem2_sweep(capsys):
 
 
 def test_criterion_3_prop1_sweep(capsys):
-    summary = summarize(sweep_prop1(6, 6))
+    summary = summarize(sweep("prop1", 6, 6))
     with capsys.disabled():
         report(
             3,
@@ -76,7 +68,7 @@ def test_criterion_3_prop1_sweep(capsys):
 
 
 def test_criterion_4_pieri_sweep(capsys):
-    summary = summarize(sweep_pieri(6, 6))
+    summary = summarize(sweep("pieri", 6, 6))
     with capsys.disabled():
         report(
             4,
@@ -86,7 +78,7 @@ def test_criterion_4_pieri_sweep(capsys):
 
 
 def test_criterion_5_lindstrom_sweep(capsys):
-    summary = summarize(sweep_lindstrom(5, 5))
+    summary = summarize(sweep("lindstrom", 5, 5))
     with capsys.disabled():
         report(
             5,
@@ -130,7 +122,7 @@ def test_criterion_6_structural_invariants(capsys):
 
 
 def test_criterion_7_conjecture1_report(capsys):
-    reports = list(sweep_conjecture1(5, qs=(2, 3)))
+    reports = list(sweep("conjecture1", 5, 0, (2, 3)))
     mismatches = [r for r in reports if not r.ok]
     completed = len(reports) > 0
     with capsys.disabled():

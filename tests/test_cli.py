@@ -180,21 +180,43 @@ def test_verify_verbose_streams_cases(capsys):
 
 
 def test_verify_writes_each_report_before_an_interrupt(tmp_path, capsys, monkeypatch):
-    failing = verify.VerificationReport("theorem2", {"lambda": "1"}, {"phi": "0"})
-    line = json.dumps(failing.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+    case = ((1,), (1,), 0)
+    report = verify.check("theorem2", *case)
+    lines = (
+        json.dumps(report.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+        + '{"cases":1,"failures":0,"interrupted":true}\n'
+    )
 
-    def interrupted_sweep(max_size, max_word):
-        yield failing
+    def interrupted_grid(max_size, max_word):
+        yield case
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(verify, "sweep_theorem2", interrupted_sweep)
-    with pytest.raises(KeyboardInterrupt):
-        main(["verify", "theorem2"])
-    assert capsys.readouterr().out == line
+    monkeypatch.setattr(verify, "sweep_theorem2", interrupted_grid)
+    assert main(["verify", "theorem2", "--verbose"]) == 130
+    assert capsys.readouterr().out == lines
     target = tmp_path / "partial.json"
-    with pytest.raises(KeyboardInterrupt):
-        main(["--out", str(target), "verify", "theorem2"])
-    assert target.read_text() == line
+    assert main(["--out", str(target), "verify", "theorem2", "--verbose"]) == 130
+    assert target.read_text() == lines
+    assert main(["--format", "text", "verify", "theorem2"]) == 130
+    assert capsys.readouterr().out == "cases 1, failures 0, interrupted\n"
+
+
+@pytest.mark.parametrize("target", verify.TARGETS)
+def test_verify_runs_the_module_level_grid_of_its_target(capsys, monkeypatch, target):
+    # a rebound sweep_<target> is the one that runs, one item per case
+    grid = getattr(verify, f"sweep_{target}")
+    seen = []
+
+    def recorded(*bounds):
+        for case in grid(*bounds):
+            seen.append(case)
+            yield case
+
+    monkeypatch.setattr(verify, f"sweep_{target}", recorded)
+    code, out, _ = run_cli(capsys, "verify", target, "--max-size", "2", "--max-word", "2")
+    assert code == 0
+    assert json.loads(out) == {"cases": len(seen), "failures": 0}
+    assert len(seen) > 0
 
 
 def test_unopenable_out_path_is_a_domain_error(tmp_path, capsys):
@@ -380,6 +402,32 @@ TEXT_OUTPUTS = {
         'ok {"lambda":"1","parity":1,"word":"1"}\n'
         "cases 8, failures 0\n",
     ),
+    "verify-conjecture1": (
+        ["verify", "conjecture1", "--max-size", "6", "--q", "2", "--q", "3"],
+        0,
+        'mismatch {"d":"0,1,0,1,0,0","lambda":"3,2,1","parity":0,"q":2}\n'
+        'mismatch {"d":"0,1,0,1,0,0","lambda":"3,2,1","parity":0,"q":3}\n'
+        'mismatch {"d":"1,0,1,0,1,1","lambda":"3,2,1","parity":1,"q":2}\n'
+        'mismatch {"d":"1,0,1,0,1,1","lambda":"3,2,1","parity":1,"q":3}\n'
+        "cases 224, failures 4\n",
+    ),
+    "verify-lindstrom": (
+        ["verify", "lindstrom", "--max-size", "1", "--max-word", "1", "--verbose"],
+        0,
+        'ok {"lambda":"","mu":"","parity":0,"word":"0"}\n'
+        'ok {"lambda":"","mu":"","parity":0,"word":"1"}\n'
+        'ok {"lambda":"","mu":"","parity":1,"word":"0"}\n'
+        'ok {"lambda":"","mu":"","parity":1,"word":"1"}\n'
+        'ok {"lambda":"1","mu":"1","parity":0,"word":"0"}\n'
+        'ok {"lambda":"1","mu":"1","parity":0,"word":"1"}\n'
+        'ok {"lambda":"1","mu":"1","parity":1,"word":"0"}\n'
+        'ok {"lambda":"1","mu":"1","parity":1,"word":"1"}\n'
+        'ok {"lambda":"1","mu":"","parity":0,"word":"0"}\n'
+        'ok {"lambda":"1","mu":"","parity":0,"word":"1"}\n'
+        'ok {"lambda":"1","mu":"","parity":1,"word":"0"}\n'
+        'ok {"lambda":"1","mu":"","parity":1,"word":"1"}\n'
+        "cases 12, failures 0\n",
+    ),
     "error": (
         ["module", "--lambda", "3", "--mu", "5", "--parity", "0"],
         1,
@@ -388,9 +436,17 @@ TEXT_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("argv, code, expected", TEXT_OUTPUTS.values(), ids=TEXT_OUTPUTS.keys())
-def test_text_output_bytes(capsys, argv, code, expected):
-    assert run_cli(capsys, "--format", "text", *argv) == (code, expected, "")
+# The rows that write to stderr; every other row writes nothing there.
+TEXT_STDERR = {"verify-conjecture1": "warning: 4 conjecture mismatch(es) reported\n"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected, err",
+    [(*row, TEXT_STDERR.get(name, "")) for name, row in TEXT_OUTPUTS.items()],
+    ids=TEXT_OUTPUTS.keys(),
+)
+def test_text_output_bytes(capsys, argv, code, expected, err):
+    assert run_cli(capsys, "--format", "text", *argv) == (code, expected, err)
 
 
 def test_text_output_to_a_file(tmp_path, capsys):

@@ -29,7 +29,7 @@ from loopminors.tableaux import (
     sigma,
 )
 from loopminors.toeplitz import minor, pieri_determinant
-from loopminors.verify import verify_conjecture1, verify_prop1
+from loopminors.verify import check, sweep
 
 WORD = (1, 0, 1)
 
@@ -79,16 +79,16 @@ def test_non_bit_parities_are_rejected(call):
         lambda: expand_word((1, 0), (1.5, 0)),
         lambda: expand_word((1, 0), ("x", 0)),
         lambda: sigma((1, 1.5), 1),
-        lambda: verify_prop1((2, 1), 1, (1, 0), (1.5, 2)),
+        lambda: check("prop1", (1, 0), (2, 1), 1, (1.5, 2)),
         lambda: StandardTableau(((1.5, 2), (3,))),
         lambda: ChessTableau(rows=((1.5,),), parity=1, content=(1,)),
         lambda: ChessTableau(rows=((1,),), parity=1, content=(1.0,)),
         lambda: enumerate_chess((1,), 1, 2.5),
         lambda: enumerate_chess((1,), 1, "3"),
-        lambda: verify_conjecture1((1,), 0, (1.0,), 2),
+        lambda: check("conjecture1", (1,), 0, (1.0,), 2),
         lambda: count_flags_fq(build_module((2, 1), (), 1), (1, 0, 0), 2.0),
         lambda: count_flags_fq(build_module((2, 1), (), 1), (1, 0, 0), "3"),
-        lambda: verify_conjecture1((2, 1), 1, (1, 0, 0), 2.0),
+        lambda: check("conjecture1", (2, 1), 1, (1, 0, 0), 2.0),
         lambda: conjecture1_prediction((2, 1), 1, (1, 0, 0), 2.5),
         lambda: MultiPoly(2, {(1.5, 0): 2.7}),
         lambda: MultiPoly.const(2, 2.5),
@@ -101,6 +101,8 @@ def test_non_bit_parities_are_rejected(call):
         lambda: phi_polynomial((2, 1), 1, WORD).coefficient(("1", "2", "0")),
         lambda: generator(0.0, 1),
         lambda: generator("x", 1),
+        lambda: sweep("theorem2", 3.5, 2),
+        lambda: sweep("prop1", 2, 2.0),
     ],
     ids=["build_module", "check_partition", "phi_polynomial", "check_bits", "euler_char",
          "check_bit", "expand_word", "expand_word_str", "sigma", "verify_prop1",
@@ -109,7 +111,7 @@ def test_non_bit_parities_are_rejected(call):
          "count_flags_fq_q_str", "verify_conjecture1_q", "conjecture1_prediction_q", "MultiPoly",
          "MultiPoly.const", "LaurentPoly", "PathFamily", "PathFamily_str", "box_parity",
          "box_parity_coordinates", "coefficient", "coefficient_str", "generator_float",
-         "generator_str"],
+         "generator_str", "sweep_max_size", "sweep_max_word"],
 )
 def test_non_integer_entries_are_rejected(call):
     with pytest.raises(DomainError, match="entries must be integers"):

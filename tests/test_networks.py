@@ -135,9 +135,9 @@ def test_lindstrom_equals_toeplitz_on_random_words(word):
 
 def test_lindstrom_equals_toeplitz_full_grid():
     # all mu inside lam, |lambda| <= 5, words up to length 6
-    from loopminors.verify import summarize, sweep_lindstrom
+    from loopminors.verify import summarize, sweep
 
-    assert summarize(sweep_lindstrom(5, 6)) == {"cases": 2640, "failures": 0}
+    assert summarize(sweep("lindstrom", 5, 6)) == {"cases": 2640, "failures": 0}
 
 
 def test_render_family_is_deterministic_ascii():

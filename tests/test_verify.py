@@ -1,3 +1,5 @@
+from math import factorial, prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,26 +7,27 @@ from hypothesis import strategies as st
 from loopminors.errors import DomainError
 from loopminors.loop import word_to_loop
 from loopminors.networks import lindstrom_minor
-from loopminors.partitions import partitions_of, partitions_up_to, size, subpartitions
+from loopminors.partitions import (
+    format_partition,
+    partitions_of,
+    partitions_up_to,
+    size,
+    subpartitions,
+)
 from loopminors.phi import phi_polynomial
+from loopminors.tableaux import enumerate_by_parity, enumerate_chess, expand_word
 from loopminors.toeplitz import minor, pieri_determinant
 from loopminors.verify import (
     TARGETS,
+    VerificationReport,
     all_words_up_to,
     alternating_words,
+    check,
     compositions,
     summarize,
     sweep,
     sweep_conjecture1,
     sweep_lindstrom,
-    sweep_pieri,
-    sweep_prop1,
-    sweep_theorem2,
-    verify_conjecture1,
-    verify_lindstrom,
-    verify_pieri,
-    verify_prop1,
-    verify_theorem2,
 )
 
 GOLDEN = "a1*a2^2 + 2*a1*a2*a4 + a1*a4^2 + a3*a4^2"
@@ -45,7 +48,7 @@ def test_compositions():
 
 
 def test_verify_theorem2_golden():
-    report = verify_theorem2((2, 1), 1, (1, 0, 1, 0))
+    report = check("theorem2", (1, 0, 1, 0), (2, 1), 1)
     assert report.ok
     values = report.to_json()["values"]
     assert values["phi"] == GOLDEN
@@ -54,107 +57,129 @@ def test_verify_theorem2_golden():
 
 
 def test_verify_theorem2_trivial_and_vanishing():
-    empty = verify_theorem2((), 0, (0, 1))
+    empty = check("theorem2", (0, 1), (), 0)
     assert empty.ok and empty.to_json()["values"]["phi"] == "1"
-    vanishing = verify_theorem2((1,), 0, (1,))
+    vanishing = check("theorem2", (1,), (1,), 0)
     assert vanishing.ok and vanishing.to_json()["values"]["phi"] == "0"
 
 
 def test_verify_prop1_examples():
-    assert verify_prop1((2, 1), 1, (1, 0, 1, 0), (1, 1, 0, 1)).ok
-    report = verify_prop1((2, 1), 1, (1, 0, 1, 0), (0, 0, 1, 2))
+    assert check("prop1", (1, 0, 1, 0), (2, 1), 1, (1, 1, 0, 1)).ok
+    report = check("prop1", (1, 0, 1, 0), (2, 1), 1, (0, 0, 1, 2))
     assert report.ok
     assert report.values["tab_count"] == 2
-    assert verify_prop1((), 0, (1, 0), (0, 0)).ok
+    assert check("prop1", (1, 0), (), 0, (0, 0)).ok
     with pytest.raises(DomainError):
-        verify_prop1((2, 1), 1, (1, 0), (1, 0))
+        check("prop1", (1, 0), (2, 1), 1, (1, 0))
 
 
 def test_verify_conjecture1_examples():
-    report = verify_conjecture1((2, 1), 1, (1, 0, 0), 2)
+    report = check("conjecture1", (2, 1), 1, (1, 0, 0), 2)
     assert report.values == {"prediction": 3, "brute_force": 3}
     assert report.ok
-    assert verify_conjecture1((1, 1), 0, (0, 1), 3).values["prediction"] == 1
-    zero = verify_conjecture1((1, 1), 0, (1, 1), 2)
+    assert check("conjecture1", (1, 1), 0, (0, 1), 3).values["prediction"] == 1
+    zero = check("conjecture1", (1, 1), 0, (1, 1), 2)
     assert zero.values == {"prediction": 0, "brute_force": 0}
 
 
 def test_verify_pieri_and_lindstrom_cases():
-    assert verify_pieri((2, 1), 1, (1, 0, 1, 0)).ok
-    assert verify_lindstrom((1, 0, 1), (1,), (2, 1), 0).ok
+    assert check("pieri", (1, 0, 1, 0), (2, 1), 1).ok
+    assert check("lindstrom", (1, 0, 1), (1,), (2, 1), 0).ok
+    # a list is read as the tuple it lists
+    assert check("lindstrom", [1, 0, 1], [1], [2, 1], 0) == check("lindstrom", (1, 0, 1), (1,), (2, 1), 0)
 
 
 def test_small_sweeps_have_no_failures():
-    assert summarize(sweep_theorem2(3, 3)) == {"cases": 84, "failures": 0}
-    assert summarize(sweep_prop1(3, 3))["failures"] == 0
-    assert summarize(sweep_pieri(3, 3))["failures"] == 0
-    assert summarize(sweep_lindstrom(3, 3))["failures"] == 0
-    assert summarize(sweep_conjecture1(3))["failures"] == 0
+    assert summarize(sweep("theorem2", 3, 3)) == {"cases": 84, "failures": 0}
+    assert summarize(sweep("prop1", 3, 3))["failures"] == 0
+    assert summarize(sweep("pieri", 3, 3))["failures"] == 0
+    assert summarize(sweep("lindstrom", 3, 3))["failures"] == 0
+    assert summarize(sweep("conjecture1", 3, 0))["failures"] == 0
+
+
+def _listed_prop1_report(word, lam, i, j) -> VerificationReport:
+    """The prop1 report from the enumerators, which list the tableaux."""
+    tab_count = len(enumerate_by_parity(lam, i, expand_word(word, j)))
+    istar = (i + word[0] + 1) % 2
+    chess_count = len(enumerate_chess(lam, istar, len(word)).get(j, []))
+    fact = prod(factorial(v) for v in j)
+    return VerificationReport(
+        check="prop1",
+        case={"word": format_partition(word), "lambda": format_partition(lam), "parity": i,
+              "content": format_partition(j)},
+        values={"tab_count": tab_count, "factorial_times_chess": fact * chess_count},
+        ok=tab_count == fact * chess_count,
+    )
 
 
 def test_sweep_prop1_gives_the_reports_of_verify_prop1():
-    # the sweep counts by walks, verify_prop1 by listing tableaux
+    # the sweep counts by walks, the oracle by listing tableaux
     expected = [
-        verify_prop1(lam, i, word, j)
+        _listed_prop1_report(word, lam, i, j)
         for lam in partitions_up_to(4)
         for i in (0, 1)
         for word in all_words_up_to(5)
         for j in compositions(size(lam), len(word))
     ]
-    assert list(sweep_prop1(4, 5)) == expected
+    assert list(sweep("prop1", 4, 5)) == expected
     assert len(expected) == 3720
 
 
 def test_word_sweeps_give_the_reports_of_verify():
-    # the sweeps build each word's loop element once, verify_* once per case
-    cases = [(lam, i, word) for lam in partitions_up_to(4) for i in (0, 1)
+    # the sweeps build each word's loop element once, check once per case
+    cases = [(word, lam, i) for lam in partitions_up_to(4) for i in (0, 1)
              for word in all_words_up_to(5)]
-    assert list(sweep_theorem2(4, 5)) == [verify_theorem2(*case) for case in cases]
-    assert list(sweep_pieri(4, 5)) == [verify_pieri(*case) for case in cases]
+    assert list(sweep("theorem2", 4, 5)) == [check("theorem2", *case) for case in cases]
+    assert list(sweep("pieri", 4, 5)) == [check("pieri", *case) for case in cases]
     expected = [
-        verify_lindstrom(word, mu, lam, i)
+        check("lindstrom", word, mu, lam, i)
         for lam in partitions_up_to(4)
         for mu in subpartitions(lam)
         for i in (0, 1)
         for word in all_words_up_to(5)
     ]
-    assert list(sweep_lindstrom(4, 5)) == expected
+    assert list(sweep("lindstrom", 4, 5)) == expected
     assert (len(cases), len(expected)) == (240, 1040)
 
 
 def test_report_json_statuses():
-    ok = verify_theorem2((1,), 0, (0,)).to_json()
+    ok = check("theorem2", (0,), (1,), 0).to_json()
     assert ok["status"] == "ok"
     assert ok["case"] == {"lambda": "1", "parity": 0, "word": "0"}
-    conj = verify_conjecture1((1,), 0, (0,), 2)
+    conj = check("conjecture1", (1,), 0, (0,), 2)
     conj.ok = False
     assert conj.to_json()["status"] == "mismatch"
-    thm = verify_theorem2((1,), 0, (0,))
+    thm = check("theorem2", (0,), (1,), 0)
     thm.ok = False
     assert thm.to_json()["status"] == "fail"
 
 
-@pytest.mark.parametrize("empty_sweep", [sweep_theorem2, sweep_lindstrom])
-def test_summarize_rejects_a_sweep_that_checked_no_case(empty_sweep):
+@pytest.mark.parametrize("target", ["theorem2", "lindstrom"], ids=lambda t: f"sweep_{t}")
+def test_summarize_rejects_a_sweep_that_checked_no_case(target):
     with pytest.raises(DomainError, match="checked no cases"):
-        summarize(empty_sweep(3, 0))
+        summarize(sweep(target, 3, 0))
 
 
 def test_sweep_passes_each_target_its_bounds():
     assert TARGETS == ("theorem2", "prop1", "conjecture1", "pieri", "lindstrom")
     assert summarize(sweep("theorem2", 3, 3)) == {"cases": 84, "failures": 0}
-    assert summarize(sweep("lindstrom", 2, 2)) == summarize(sweep_lindstrom(2, 2))
+    assert summarize(sweep("lindstrom", 2, 2)) == {
+        "cases": len(list(sweep_lindstrom(2, 2))), "failures": 0}
     # the point-count sweep takes q values, not a word bound
-    assert summarize(sweep("conjecture1", 3, 0)) == summarize(sweep_conjecture1(3))
-    assert summarize(sweep("conjecture1", 3, 0, [2])) == summarize(sweep_conjecture1(3, (2,)))
+    assert list(sweep("conjecture1", 3, 0)) == [
+        check("conjecture1", *case) for case in sweep_conjecture1(3, (2, 3))]
+    assert list(sweep("conjecture1", 3, 0, [2])) == [
+        check("conjecture1", *case) for case in sweep_conjecture1(3, (2,))]
     with pytest.raises(DomainError, match="unknown verify target"):
         sweep("summarize", 3, 3)
+    with pytest.raises(DomainError, match="unknown verify target"):
+        check("summarize", (1,), (1,), 0)
 
 
 @pytest.mark.parametrize(
     "target, qs, message",
     [("theorem2", [9], "not field sizes"), ("lindstrom", (), "not field sizes"),
-     ("conjecture1", [], "at least one field size")],
+     ("conjecture1", [], "at least one field size"), ("conjecture1", [2, 3, 2], "each once")],
 )
 def test_sweep_rejects_field_sizes_it_would_ignore(target, qs, message):
     with pytest.raises(DomainError, match=message):
