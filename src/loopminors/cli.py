@@ -33,6 +33,20 @@ def _parse_bits(text: str) -> tuple[int, ...]:
     return check_bits(parse_ints(text, "bit list"))
 
 
+# Each option that several subcommands share, declared once: its argparse
+# settings and the input-layer reader that ``main`` applies to its text before
+# any handler runs, so a handler receives values.
+_SHARED = {
+    "--shape": ({"required": True}, parse_partition),
+    "--lambda": ({"dest": "lam", "required": True}, parse_partition),
+    "--mu": ({"default": ""}, parse_partition),
+    "--word": ({"required": True}, _parse_bits),
+    "--d": ({"required": True}, _parse_bits),
+    "--parity": ({"type": int, "choices": (0, 1), "required": True}, None),
+}
+_READERS = {s.get("dest", flag[2:]): read for flag, (s, read) in _SHARED.items() if read}
+
+
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -60,38 +74,31 @@ class Output:
             self.handle.close()
 
 
-def cmd_tableaux(args, out: Output) -> int:
-    lam = parse_partition(args.shape)
+def cmd_tableaux(args, out: Output) -> None:
     if args.d is not None:
         if args.parity is None:
             raise DomainError("--d requires --parity")
-        tabs = enumerate_by_parity(lam, args.parity, _parse_bits(args.d))
+        tabs = enumerate_by_parity(args.shape, args.parity, args.d)
     elif args.parity is not None:
         raise DomainError("--parity requires --d")
     else:
-        tabs = enumerate_standard(lam)
+        tabs = enumerate_standard(args.shape)
     obj = {"count": len(tabs), "tableaux": [t.to_lists() for t in tabs]}
     out.emit(obj, text="\n".join(str(t.to_lists()) for t in tabs) or "(none)")
-    return 0
 
 
-def cmd_chess(args, out: Output) -> int:
-    lam = parse_partition(args.shape)
-    grouped = enumerate_chess(lam, args.parity, args.max_label)
+def cmd_chess(args, out: Output) -> None:
+    grouped = enumerate_chess(args.shape, args.parity, args.max_label)
     contents = {format_partition(j): [t.to_lists() for t in tabs] for j, tabs in grouped.items()}
     total = sum(len(tabs) for tabs in grouped.values())
     text = "\n".join(f"{key}: {tabs}" for key, tabs in contents.items()) or "(none)"
     out.emit({"count": total, "contents": contents}, text=text)
-    return 0
 
 
-def cmd_phi(args, out: Output) -> int:
-    lam = parse_partition(args.shape)
-    word = _parse_bits(args.word)
-    poly = phi_polynomial(lam, args.parity, word)
+def cmd_phi(args, out: Output) -> None:
+    poly = phi_polynomial(args.shape, args.parity, args.word)
     obj = {"polynomial": poly.text(), "terms": poly.json_terms()}
     out.emit(obj, text=poly.text())
-    return 0
 
 
 def _load_matrix(path: str) -> LoopElement:
@@ -104,52 +111,39 @@ def _load_matrix(path: str) -> LoopElement:
         raise DomainError(f"matrix file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError(f"matrix file {path!r} must hold one JSON object")
-    entries = []
-    for i in (1, 2):
-        row = []
-        for j in (1, 2):
-            raw = data.get(f"g{i}{j}", {})
-            if not isinstance(raw, dict):
-                raise DomainError(f"g{i}{j} must map t-exponents to coefficients")
-            try:
-                terms = {int(exp): Fraction(str(coeff)) for exp, coeff in raw.items()}
-            except (ValueError, ZeroDivisionError) as exc:
-                raise DomainError(f"bad term in g{i}{j}: {exc}") from exc
-            row.append(LaurentPoly(terms))
-        entries.append(tuple(row))
-    return LoopElement(tuple(entries), nvars=None)
+
+    def entry(key: str) -> LaurentPoly:
+        raw = data.get(key, {})
+        if not isinstance(raw, dict):
+            raise DomainError(f"{key} must map t-exponents to coefficients")
+        try:
+            terms = {int(exp): Fraction(str(coeff)) for exp, coeff in raw.items()}
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"bad term in {key}: {exc}") from exc
+        return LaurentPoly(terms)
+
+    return LoopElement(tuple(tuple(entry(f"g{i}{j}") for j in (1, 2)) for i in (1, 2)), nvars=None)
 
 
-def cmd_minor(args, out: Output) -> int:
-    mu = parse_partition(args.mu)
-    lam = parse_partition(args.lam)
+def cmd_minor(args, out: Output) -> None:
     if (args.word is None) == (args.matrix is None):
         raise DomainError("provide exactly one of --word or --matrix")
     if args.word is not None:
-        g = word_to_loop(_parse_bits(args.word))
-        value = minor(g, mu, lam, args.parity)
+        value = minor(word_to_loop(args.word), args.mu, args.lam, args.parity)
         out.emit({"polynomial": value.text()}, text=value.text())
     else:
-        g = _load_matrix(args.matrix)
-        value = minor(g, mu, lam, args.parity)
+        value = minor(_load_matrix(args.matrix), args.mu, args.lam, args.parity)
         out.emit({"value": str(value)}, text=str(value))
-    return 0
 
 
-def cmd_pieri(args, out: Output) -> int:
-    lam = parse_partition(args.lam)
-    g = word_to_loop(_parse_bits(args.word))
-    value = pieri_determinant(g, lam, args.parity)
+def cmd_pieri(args, out: Output) -> None:
+    value = pieri_determinant(word_to_loop(args.word), args.lam, args.parity)
     out.emit({"polynomial": value.text()}, text=value.text())
-    return 0
 
 
-def cmd_paths(args, out: Output) -> int:
-    mu = parse_partition(args.mu)
-    lam = parse_partition(args.lam)
-    word = _parse_bits(args.word)
-    families = enumerate_families(word, mu, lam, args.parity)
-    total = lindstrom_minor(word, mu, lam, args.parity)
+def cmd_paths(args, out: Output) -> None:
+    families = enumerate_families(args.word, args.mu, args.lam, args.parity)
+    total = lindstrom_minor(args.word, args.mu, args.lam, args.parity)
     if args.render:
         rendered = [render_family(fam) for fam in families]
         text = None
@@ -160,45 +154,23 @@ def cmd_paths(args, out: Output) -> int:
             text = "\n".join(blocks + [f"sum {total.text()}"])
         obj = {"count": len(families), "polynomial": total.text(), "rendered": rendered}
         out.emit(obj, text=text)
-        return 0
-    obj = {
-        "count": len(families),
-        "families": [fam.to_json() for fam in families],
-        "polynomial": total.text(),
-    }
-    out.emit(obj, text="\n".join(str(fam.to_json()) for fam in families) or "(none)")
-    return 0
+    else:
+        families_json = [fam.to_json() for fam in families]
+        obj = {"count": len(families), "families": families_json, "polynomial": total.text()}
+        out.emit(obj, text="\n".join(str(fam) for fam in families_json) or "(none)")
 
 
-def cmd_module(args, out: Output) -> int:
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
-    module = build_module(lam, mu, args.parity)
-    obj = module.to_json()
-    text = "\n".join(
-        [f"dim {obj['dim']}"]
-        + [f"{src} --{name}--> {dst}" for src, name, dst in obj["arrows"]]
-    )
-    out.emit(obj, text=text)
-    return 0
+def cmd_module(args, out: Output) -> None:
+    obj = build_module(args.lam, args.mu, args.parity).to_json()
+    arrows = [f"{src} --{name}--> {dst}" for src, name, dst in obj["arrows"]]
+    out.emit(obj, text="\n".join([f"dim {obj['dim']}"] + arrows))
 
 
-def cmd_points(args, out: Output) -> int:
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
-    module = build_module(lam, mu, args.parity)
-    d = _parse_bits(args.d)
-    count = count_flags_fq(module, d, args.q)
-    obj = {
-        "lambda": args.lam,
-        "mu": args.mu,
-        "parity": args.parity,
-        "d": list(d),
-        "q": args.q,
-        "count": count,
-    }
+def cmd_points(args, out: Output) -> None:
+    count = count_flags_fq(build_module(args.lam, args.mu, args.parity), args.d, args.q)
+    obj = {"lambda": format_partition(args.lam), "mu": format_partition(args.mu),
+           "parity": args.parity, "d": list(args.d), "q": args.q, "count": count}
     out.emit(obj, text=str(count))
-    return 0
 
 
 def cmd_verify(args, out: Output) -> int:
@@ -218,11 +190,45 @@ def cmd_verify(args, out: Output) -> int:
         return 130
     if args.target in verify_mod.REPORT_ONLY:
         if failures:
-            print(
-                f"warning: {failures} conjecture mismatch(es) reported", file=sys.stderr
-            )
+            print(f"warning: {failures} conjecture mismatch(es) reported", file=sys.stderr)
         return 0
     return 1 if failures else 0
+
+
+# Each subcommand: its help, its handler and its options in ``--help`` order.
+# A shared option is its flag, or its flag with the settings that differ here;
+# an option of the subcommand's own comes with all its settings.
+_COMMANDS = {
+    "tableaux": ("standard tableaux of a shape", cmd_tableaux, [
+        "--shape", ("--parity", {"required": False}),
+        ("--d", {"required": False, "help": "filter by this i-parity string"}),
+    ]),
+    "chess": ("chess tableaux grouped by content", cmd_chess, [
+        "--shape", "--parity", ("--max-label", {"type": int, "required": True}),
+    ]),
+    "phi": ("flag-counting generating polynomial", cmd_phi, ["--shape", "--parity", "--word"]),
+    "minor": ("block-Toeplitz minor", cmd_minor, [
+        ("--word", {"required": False, "help": "alternating word, symbolic mode"}),
+        ("--matrix", {"help": "JSON Laurent matrix file, numeric mode"}),
+        "--mu", "--lambda", "--parity",
+    ]),
+    "pieri": ("determinant in single-row entries", cmd_pieri, ["--word", "--lambda", "--parity"]),
+    "paths": ("non-crossing path families", cmd_paths, [
+        "--word", "--mu", "--lambda", "--parity",
+        ("--render", {"action": "store_true", "help": "ASCII pictures"}),
+    ]),
+    "module": ("skew-shape module description", cmd_module, ["--lambda", "--mu", "--parity"]),
+    "points": ("finite-field composition-series count", cmd_points, [
+        "--lambda", "--mu", "--parity", "--d", ("--q", {"type": int, "required": True}),
+    ]),
+    "verify": ("cross-route verification sweeps", cmd_verify, [
+        ("target", {"choices": verify_mod.TARGETS}),
+        ("--max-size", {"type": int, "default": 5}),
+        ("--max-word", {"type": int, "default": 5}),
+        ("--q", {"type": int, "action": "append"}),
+        ("--verbose", {"action": "store_true", "help": "stream every case"}),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,69 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--out", default=None, help="write output to a file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tableaux", help="standard tableaux of a shape")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--parity", type=int, choices=(0, 1))
-    p.add_argument("--d", help="filter by this i-parity string")
-    p.set_defaults(func=cmd_tableaux)
-
-    p = sub.add_parser("chess", help="chess tableaux grouped by content")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--parity", type=int, choices=(0, 1), required=True)
-    p.add_argument("--max-label", type=int, required=True)
-    p.set_defaults(func=cmd_chess)
-
-    p = sub.add_parser("phi", help="flag-counting generating polynomial")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--parity", type=int, choices=(0, 1), required=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=cmd_phi)
-
-    p = sub.add_parser("minor", help="block-Toeplitz minor")
-    p.add_argument("--word", help="alternating word, symbolic mode")
-    p.add_argument("--matrix", help="JSON Laurent matrix file, numeric mode")
-    p.add_argument("--mu", default="")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--parity", type=int, choices=(0, 1), required=True)
-    p.set_defaults(func=cmd_minor)
-
-    p = sub.add_parser("pieri", help="determinant in single-row entries")
-    p.add_argument("--word", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--parity", type=int, choices=(0, 1), required=True)
-    p.set_defaults(func=cmd_pieri)
-
-    p = sub.add_parser("paths", help="non-crossing path families")
-    p.add_argument("--word", required=True)
-    p.add_argument("--mu", default="")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--parity", type=int, choices=(0, 1), required=True)
-    p.add_argument("--render", action="store_true", help="ASCII pictures")
-    p.set_defaults(func=cmd_paths)
-
-    p = sub.add_parser("module", help="skew-shape module description")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", default="")
-    p.add_argument("--parity", type=int, choices=(0, 1), required=True)
-    p.set_defaults(func=cmd_module)
-
-    p = sub.add_parser("points", help="finite-field composition-series count")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", default="")
-    p.add_argument("--parity", type=int, choices=(0, 1), required=True)
-    p.add_argument("--d", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.set_defaults(func=cmd_points)
-
-    p = sub.add_parser("verify", help="cross-route verification sweeps")
-    p.add_argument("target", choices=verify_mod.TARGETS)
-    p.add_argument("--max-size", type=int, default=5)
-    p.add_argument("--max-word", type=int, default=5)
-    p.add_argument("--q", type=int, action="append", default=None)
-    p.add_argument("--verbose", action="store_true", help="stream every case")
-    p.set_defaults(func=cmd_verify)
-
+    for name, (help_text, func, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            flag, settings = (option, {}) if isinstance(option, str) else option
+            shared = _SHARED[flag][0] if flag in _SHARED else {}
+            p.add_argument(flag, **{**shared, **settings})
+        p.set_defaults(func=func)
     return parser
 
 
@@ -305,7 +255,10 @@ def main(argv=None) -> int:
     out = Output(args.format, None)  # errors go to stdout until --out is open
     try:
         out = Output(args.format, args.out)
-        return args.func(args, out)
+        for dest, read in _READERS.items():
+            if getattr(args, dest, None) is not None:
+                setattr(args, dest, read(getattr(args, dest)))
+        return args.func(args, out) or 0  # a handler that only prints returns None
     except LoopMinorsError as exc:
         out.emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 1

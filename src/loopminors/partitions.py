@@ -209,13 +209,10 @@ def subpartitions(lam: Partition) -> list[Partition]:
     """All partitions contained in ``lam``, in descending lexicographic order."""
 
     def rec(row: int, cap: int) -> list[tuple[int, ...]]:
-        if row == len(lam):
-            return [()]
         out = []
-        for p in range(min(cap, lam[row]), -1, -1):
+        for p in range(min(cap, part(lam, row)), 0, -1):
             for rest in rec(row + 1, p):
                 out.append((p,) + rest)
-        return out
+        return out + [()]  # a zero part ends the partition
 
-    # the recursion can emit duplicates after zero-stripping
-    return sorted({check_partition(mu) for mu in rec(0, lam[0] if lam else 0)}, reverse=True)
+    return rec(0, part(lam, 0))

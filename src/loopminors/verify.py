@@ -185,12 +185,15 @@ def sweep(target: str, max_size: int, max_word: int, qs=None) -> Iterator[Verifi
 
 
 def _reports(target: str, grid) -> Iterator[VerificationReport]:
-    """``_check`` of each case, each shared value computed once per sweep."""
-    _, shares, share, _ = _ROWS[target]
+    """``_check`` of each case, each shared value computed once per sweep and kept while the
+    grid can ask for it again: grids cycle words innermost, other keys run consecutively."""
+    fields, shares, share, _ = _ROWS[target]
     memo = {}
     for case in grid:
         shared = memo.get(case[:shares])
         if shared is None:
+            if fields[:shares] != ("word",):
+                memo.clear()
             shared = memo[case[:shares]] = share(*case[:shares])
         yield _check(target, case, shared)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from loopminors import verify
-from loopminors.cli import main
+from loopminors.cli import build_parser, main
 from loopminors.multipoly import MultiPoly
 
 GOLDEN = "a1*a2^2 + 2*a1*a2*a4 + a1*a4^2 + a3*a4^2"
@@ -150,6 +151,16 @@ def test_points_output(capsys):
     )
     assert code == 0
     assert json.loads(out)["count"] == 3
+
+
+def test_points_prints_the_partitions_it_read(capsys):
+    # canonical, as module prints them, not the option text
+    code, out, _ = run_cli(
+        capsys,
+        "points", "--lambda", "2,1,0", "--mu", "0", "--parity", "1", "--d", "1,0,0", "--q", "2",
+    )
+    assert code == 0
+    assert out == '{"count":3,"d":[1,0,0],"lambda":"2,1","mu":"","parity":1,"q":2}\n'
 
 
 def test_verify_theorem2_summary(capsys):
@@ -322,6 +333,107 @@ def test_phi_rejects_an_empty_word(capsys):
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
+# Each subcommand's options as recorded from the parser before its shared
+# options were declared once: flag, dest, required, default, help, type,
+# choices and action.  No option may go, loosen or lose its help.
+OPTIONS = {
+    "tableaux": [
+        ("--shape", "shape", True, None, None, None, None, "_StoreAction"),
+        ("--parity", "parity", False, None, None, int, (0, 1), "_StoreAction"),
+        ("--d", "d", False, None, "filter by this i-parity string", None, None, "_StoreAction"),
+    ],
+    "chess": [
+        ("--shape", "shape", True, None, None, None, None, "_StoreAction"),
+        ("--parity", "parity", True, None, None, int, (0, 1), "_StoreAction"),
+        ("--max-label", "max_label", True, None, None, int, None, "_StoreAction"),
+    ],
+    "phi": [
+        ("--shape", "shape", True, None, None, None, None, "_StoreAction"),
+        ("--parity", "parity", True, None, None, int, (0, 1), "_StoreAction"),
+        ("--word", "word", True, None, None, None, None, "_StoreAction"),
+    ],
+    "minor": [
+        ("--word", "word", False, None, "alternating word, symbolic mode", None, None,
+         "_StoreAction"),
+        ("--matrix", "matrix", False, None, "JSON Laurent matrix file, numeric mode", None, None,
+         "_StoreAction"),
+        ("--mu", "mu", False, "", None, None, None, "_StoreAction"),
+        ("--lambda", "lam", True, None, None, None, None, "_StoreAction"),
+        ("--parity", "parity", True, None, None, int, (0, 1), "_StoreAction"),
+    ],
+    "pieri": [
+        ("--word", "word", True, None, None, None, None, "_StoreAction"),
+        ("--lambda", "lam", True, None, None, None, None, "_StoreAction"),
+        ("--parity", "parity", True, None, None, int, (0, 1), "_StoreAction"),
+    ],
+    "paths": [
+        ("--word", "word", True, None, None, None, None, "_StoreAction"),
+        ("--mu", "mu", False, "", None, None, None, "_StoreAction"),
+        ("--lambda", "lam", True, None, None, None, None, "_StoreAction"),
+        ("--parity", "parity", True, None, None, int, (0, 1), "_StoreAction"),
+        ("--render", "render", False, False, "ASCII pictures", None, None, "_StoreTrueAction"),
+    ],
+    "module": [
+        ("--lambda", "lam", True, None, None, None, None, "_StoreAction"),
+        ("--mu", "mu", False, "", None, None, None, "_StoreAction"),
+        ("--parity", "parity", True, None, None, int, (0, 1), "_StoreAction"),
+    ],
+    "points": [
+        ("--lambda", "lam", True, None, None, None, None, "_StoreAction"),
+        ("--mu", "mu", False, "", None, None, None, "_StoreAction"),
+        ("--parity", "parity", True, None, None, int, (0, 1), "_StoreAction"),
+        ("--d", "d", True, None, None, None, None, "_StoreAction"),
+        ("--q", "q", True, None, None, int, None, "_StoreAction"),
+    ],
+    "verify": [
+        ("target", "target", True, None, None, None, verify.TARGETS, "_StoreAction"),
+        ("--max-size", "max_size", False, 5, None, int, None, "_StoreAction"),
+        ("--max-word", "max_word", False, 5, None, int, None, "_StoreAction"),
+        ("--q", "q", False, None, None, int, None, "_AppendAction"),
+        ("--verbose", "verbose", False, False, "stream every case", None, None, "_StoreTrueAction"),
+    ],
+}
+
+
+def test_each_subcommand_keeps_its_options():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(OPTIONS)
+    for name, parser in sub.choices.items():
+        options = [
+            ((a.option_strings or [a.dest])[0], a.dest, a.required, a.default, a.help, a.type,
+             a.choices, type(a).__name__)
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)
+        ]
+        assert options == OPTIONS[name], name
+
+
+# A valid call of each subcommand that reads partitions or bit lists from text.
+READING_CALLS = {
+    "tableaux": ["tableaux", "--shape", "2,1", "--parity", "0", "--d", "0,1,1"],
+    "chess": ["chess", "--shape", "2,1", "--parity", "1", "--max-label", "4"],
+    "phi": ["phi", "--shape", "2,1", "--parity", "1", "--word", "1,0,1,0"],
+    "minor": ["minor", "--word", "1,0,1,0", "--mu", "", "--lambda", "2,1", "--parity", "1"],
+    "pieri": ["pieri", "--word", "1,0,1,0", "--lambda", "2,1", "--parity", "1"],
+    "paths": ["paths", "--word", "1,0,1,0", "--mu", "", "--lambda", "2,1", "--parity", "1"],
+    "module": ["module", "--lambda", "3,1", "--mu", "1", "--parity", "1"],
+    "points": ["points", "--lambda", "2,1", "--mu", "", "--parity", "1", "--d", "1,0,0", "--q", "2"],
+}
+READ_AS = {"--shape": "partition", "--lambda": "partition", "--mu": "partition",
+           "--word": "bit list", "--d": "bit list"}
+READ_OPTIONS = [(name, option[0]) for name, options in OPTIONS.items()
+                for option in options if option[0] in READ_AS]
+
+
+@pytest.mark.parametrize("name, flag", READ_OPTIONS, ids=[f"{n}{f}" for n, f in READ_OPTIONS])
+def test_a_malformed_partition_or_bit_list_is_one_domain_error_line(capsys, name, flag):
+    argv = list(READING_CALLS[name])
+    argv[argv.index(flag) + 1] = "2,x"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "")
+    message = f"cannot parse {READ_AS[flag]} '2,x'"
+    assert out == '{"error":{"message":"%s","type":"DomainError"}}\n' % message
+
+
 def test_verify_rejects_an_empty_sweep(capsys):
     code, out, _ = run_cli(capsys, "verify", "theorem2", "--max-word", "0")
     assert code == 1
@@ -389,6 +501,11 @@ TEXT_OUTPUTS = {
         "dim 3\n[0, 2] --beta--> [0, 1]\n",
     ),
     "points": (["points", "--lambda", "2,1", "--parity", "1", "--d", "1,0,0", "--q", "2"], 0, "3\n"),
+    "points-canonical": (
+        ["points", "--lambda", "2,1,0", "--mu", "0", "--parity", "1", "--d", "1,0,0", "--q", "2"],
+        0,
+        "3\n",
+    ),
     "verify": (
         ["verify", "pieri", "--max-size", "1", "--max-word", "1", "--verbose"],
         0,

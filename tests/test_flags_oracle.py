@@ -1,4 +1,4 @@
-"""The vertex-graded stable-functional search against the exhaustive one.
+"""The vertex-graded stable-functional search against an exhaustive submodule search.
 
 ``count_flags_fq`` keeps one block per vertex, the two arrows into it, and
 visits only the projective points of the left kernel of the block into the
@@ -6,11 +6,12 @@ top vertex, the stable functionals.  It restricts to ker f by dropping f's
 pivot row from that block and by a rank-one update, with the pivot column
 dropped, of the block out of it, with field arithmetic read from tables, and
 counts each distinct restricted module once, through a memo that lives for
-one call.  The reference below is the exhaustive counter it replaced: it
-keeps no memo, visits every projective point of ker E_{1-eps}, keeps those f
-with f X in span(f) for each arrow X, and restricts every dense matrix, built
-here from the module's arrows and vertices, by solving B Y = M B column by
-column.  Off the grid both are drawn at F2 and F3
+one call.  The reference below walks the other way, from the bottom, and
+never restricts: on dense matrices built here from the module's arrows and
+vertices, it grows each submodule V_k by every line at the next vertex
+outside V_k, keeps those lines that every arrow takes into V_k, and counts
+each submodule it reaches once, keyed by its reduced echelon rows in the
+module's own coordinates.  Off the grid both are drawn at F2 and F3
 and, separately, at F4 and F5.  A series that asks for more quotients at one
 vertex than the module has must count nothing.  Two tests pin counts across
 field sizes, which a memo shared between calls would break, and a
@@ -31,7 +32,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopminors import gf, shapemod
-from loopminors.errors import DomainError
 from loopminors.partitions import partitions_up_to, size, subpartitions
 from loopminors.phi import euler_char
 from loopminors.shapemod import ARROWS, build_module, count_flags_fq
@@ -55,81 +55,62 @@ def dense_matrices(module):
     return arrows, idempotents
 
 
-def mat_mul(field, a, b):
-    cols = len(b[0]) if b else 0
-    out = [[0] * cols for _ in a]
-    for i, row in enumerate(a):
-        for k, aik in enumerate(row):
-            if aik:
-                for j in range(cols):
-                    out[i][j] = field.add[out[i][j]][field.mul[aik][b[k][j]]]
+def mat_vec(field, mat, v):
+    out = []
+    for row in mat:
+        acc = 0
+        for a, b in zip(row, v):
+            if a and b:
+                acc = field.add[acc][field.mul[a][b]]
+        out.append(acc)
     return out
-
-
-def row_vec_mul(field, row, mat):
-    return mat_mul(field, [row], mat)[0]
-
-
-def solve_columns(field, basis, targets):
-    """Solve basis @ Y = targets for Y, column by column.
-
-    ``basis`` must have full column rank and every target column must lie in
-    its column span (guaranteed here by submodule stability); violations
-    raise.
-    """
-    rows = len(basis)
-    cols = len(basis[0]) if basis else 0
-    tcols = len(targets[0]) if targets and targets[0] is not None else 0
-    if not targets:
-        tcols = 0
-    augmented = [basis[i][:] + targets[i][:] for i in range(rows)]
-    reduced, pivots = gf.rref(field, augmented)
-    if any(p >= cols for p in pivots):
-        raise DomainError("target column outside the span of the basis")
-    if len(pivots) != cols:
-        raise DomainError("basis columns are dependent")
-    out = [[0] * tcols for _ in range(cols)]
-    for r, p in enumerate(pivots):
-        for j in range(tcols):
-            out[p][j] = reduced[r][cols + j]
-    return out
-
-
-def _in_span(field, f, v):
-    pivot = next(i for i, value in enumerate(f) if value)
-    scale = field.mul[v[pivot]][field.inv[f[pivot]]]
-    return all(value == field.mul[scale][base] for value, base in zip(v, f))
 
 
 def _count_series(field, arrows, idempotents, d):
-    dim = len(d)
-    if dim == 0:
-        return 1
-    eps = d[-1]
-    functional_basis = gf.left_kernel_basis(field, idempotents[1 - eps])
-    if not functional_basis:
-        return 0
-    total = 0
-    for coeffs in gf.projective_vectors(field, len(functional_basis)):
-        f = [0] * dim
-        for c, base in zip(coeffs, functional_basis):
-            if c:
-                f = [field.add[x][field.mul[c][b]] for x, b in zip(f, base)]
-        if not any(f):
-            continue
-        if not all(_in_span(field, f, row_vec_mul(field, f, X)) for X in arrows):
-            continue
-        kernel = gf.left_kernel_basis(field, [[v] for v in f])
-        basis = [[vec[i] for vec in kernel] for i in range(dim)]
-        sub_arrows = [
-            solve_columns(field, basis, mat_mul(field, X, basis)) for X in arrows
-        ]
-        sub_idem = [
-            solve_columns(field, basis, mat_mul(field, E, basis))
-            for E in idempotents
-        ]
-        total += _count_series(field, sub_arrows, sub_idem, d[:-1])
-    return total
+    """Flags 0 = V_0 < V_1 < ... < V_n = V of submodules, V_k / V_{k-1} = S_{d[k-1]}.
+
+    Each flag is built from the bottom.  V_k, kept as its reduced echelon
+    rows (pivot, row), gains a line at vertex d[k] outside V_k that every arrow
+    takes into V_k.  The idempotents are diagonal, so V_k is spanned by rows
+    at one vertex each, and those lines are the projective points spanned by
+    the unit vectors at d[k] that are no pivot of V_k.  A submodule reached
+    along two chains is counted once, by its rows.
+    """
+    add, mul, neg = field.add, field.mul, field.neg
+    dim = len(idempotents[0])
+    at = [[j for j in range(dim) if E[j][j]] for E in idempotents]
+    counts = {}
+
+    def reduce(rows, v):
+        for p, row in rows:
+            if v[p]:
+                factor = mul[neg[v[p]]]
+                v = [add[x][factor[y]] for x, y in zip(v, row)]
+        return v
+
+    def extensions(rows):
+        k = len(rows)
+        if k == len(d):
+            return 1
+        if rows not in counts:
+            pivots = {p for p, _ in rows}
+            free = [j for j in at[d[k]] if j not in pivots]
+            total = 0
+            for coeffs in gf.projective_vectors(field, len(free)):
+                v = [0] * dim
+                for j, c in zip(free, coeffs):
+                    v[j] = c
+                if any(any(reduce(rows, mat_vec(field, X, v))) for X in arrows):
+                    continue
+                # v is 1 at its first nonzero entry, its pivot, and 0 at every
+                # pivot of V_k: clearing that entry from the rows keeps them reduced
+                p = v.index(1)
+                grown = [(r, tuple(add[x][mul[neg[row[p]]][y]] for x, y in zip(row, v))) for r, row in rows]
+                total += extensions(tuple(sorted(grown + [(p, tuple(v))])))
+            counts[rows] = total
+        return counts[rows]
+
+    return extensions(())
 
 
 def reference_count(module, d, q):

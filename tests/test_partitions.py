@@ -101,10 +101,8 @@ def test_subpartitions_explicit():
     assert subpartitions((2, 1)) == [(2, 1), (2,), (1, 1), (1,), ()]
 
 
-@given(lam=partition_strategy(max_size=5))
-@settings(max_examples=50)
-def test_subpartitions_are_contained_and_complete(lam):
-    subs = subpartitions(lam)
-    assert len(set(subs)) == len(subs)
-    assert all(contains(mu, lam) for mu in subs)
-    assert () in subs and lam in subs
+def test_subpartitions_are_contained_and_complete():
+    # every partition inside lam, each once, in descending lexicographic order
+    for lam in partitions_up_to(8):
+        inside = [mu for mu in partitions_up_to(size(lam)) if contains(mu, lam)]
+        assert subpartitions(lam) == sorted(inside, reverse=True)

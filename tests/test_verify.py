@@ -1,9 +1,11 @@
+import weakref
 from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopminors import verify
 from loopminors.errors import DomainError
 from loopminors.loop import word_to_loop
 from loopminors.networks import lindstrom_minor
@@ -174,6 +176,41 @@ def test_sweep_passes_each_target_its_bounds():
         sweep("summarize", 3, 3)
     with pytest.raises(DomainError, match="unknown verify target"):
         check("summarize", (1,), (1,), 0)
+
+
+# (max_size, max_word, share calls, most shared values alive) at the benchmark's sizes
+BENCHMARK_SWEEPS = {
+    "theorem2": (7, 8, 16, 16),
+    "prop1": (5, 6, 456, 1),
+    "conjecture1": (6, 0, 60, 1),
+    "pieri": (6, 8, 16, 16),
+    "lindstrom": (5, 6, 12, 12),
+}
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_a_sweep_builds_each_shared_value_once_and_keeps_only_what_it_reuses(monkeypatch, target):
+    # word rows reuse every word's loop element; prop1's and conjecture1's keys run consecutively
+    max_size, max_word, calls, alive = BENCHMARK_SWEEPS[target]
+    row = verify._ROWS[target]
+    keys, live, most = [], weakref.WeakSet(), []
+
+    class Shared:
+        pass
+
+    def share(*key):
+        keys.append(key)
+        value = Shared()
+        live.add(value)
+        most.append(len(live))
+        return value
+
+    monkeypatch.setitem(verify._ROWS, target, row._replace(share=share, values=lambda *_: {"v": 0}))
+    bound = (2, 3) if target == "conjecture1" else max_word
+    grid = list(getattr(verify, f"sweep_{target}")(max_size, bound))
+    assert summarize(sweep(target, max_size, max_word)) == {"cases": len(grid), "failures": 0}
+    assert len(keys) == len(set(keys)) == len({case[: row.shares] for case in grid}) == calls
+    assert max(most) == alive
 
 
 @pytest.mark.parametrize(
