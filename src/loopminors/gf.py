@@ -1,4 +1,4 @@
-"""Small fields and the dense elimination that ``shapemod`` runs over them.
+"""Small fields and the one elimination that ``shapemod`` runs over them.
 
 Supported fields: the prime fields F2, F3, F5 and F4 via an explicit
 four-element table (elements encoded 0..3 as bit pairs over F2, product
@@ -6,6 +6,8 @@ reduced modulo x^2 + x + 1).  No general Galois tower is provided.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from .errors import DomainError
 
@@ -43,63 +45,36 @@ Matrix = list[list[int]]
 Vector = list[int]
 
 
-def rref(field: GF, mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices (in-place on a copy)."""
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
-    a = [row[:] for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        scale = mul[inv[a[r][c]]]
-        a[r] = [scale[v] for v in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                factor = mul[neg[a[i][c]]]
-                a[i] = [add[v][factor[w]] for v, w in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
-
-
 def left_kernel_basis(field: GF, mat: Matrix) -> list[Vector]:
-    """Basis of {f : f @ mat = 0} (row vectors); the unit vectors if mat has no columns."""
-    rows = len(mat)
-    reduced, pivots = rref(field, [list(column) for column in zip(*mat)])
-    basis = []
-    for free in range(rows):
-        if free in pivots:
-            continue
-        vec = [0] * rows
-        vec[free] = 1
-        for r, p in enumerate(pivots):
-            vec[p] = field.neg[reduced[r][free]]
-        basis.append(vec)
+    """Basis of {f : f @ mat = 0} (row vectors); the unit vectors if mat has no columns.
+
+    One forward elimination: each row carries, in an appended identity block, the
+    combination of rows of mat that it now is.  Row operations are invertible, so
+    the combinations carried by the rows that reach zero are a basis.
+    """
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+    cols = len(mat[0]) if mat else 0
+    pivots, basis = [], []
+    for i, row in enumerate(mat):
+        v = list(row) + [int(i == j) for j in range(len(mat))]
+        # reduce by each earlier pivot row, which is 1 at its column c
+        for c, pivot_row in pivots:
+            if v[c]:
+                factor = mul[neg[v[c]]]
+                v = [add[x][factor[y]] for x, y in zip(v, pivot_row)]
+        c = next((c for c in range(cols) if v[c]), None)
+        if c is None:
+            basis.append(v[cols:])
+        else:
+            scale = mul[inv[v[c]]]
+            pivots.append((c, [scale[x] for x in v]))
     return basis
 
 
 def projective_vectors(field: GF, dim: int) -> list[Vector]:
-    """One representative per line in F_q^dim: first nonzero coordinate is 1."""
-    reps: list[Vector] = []
-
-    def build(prefix: Vector, started: bool) -> None:
-        if len(prefix) == dim:
-            if started:
-                reps.append(prefix[:])
-            return
-        if not started:
-            build(prefix + [0], False)
-            build(prefix + [1], True)
-        else:
-            for v in range(field.q):
-                build(prefix + [v], True)
-
-    build([], False)
-    return reps
+    """One vector per line in F_q^dim: k leading zeros, a 1, any tail; k = dim - 1, ..., 0."""
+    return [
+        [0] * k + [1, *tail]
+        for k in reversed(range(dim))
+        for tail in product(range(field.q), repeat=dim - 1 - k)
+    ]

@@ -104,7 +104,8 @@ def enumerate_families(word, mu: Partition, lam: Partition, i: int) -> list[Path
     """All non-crossing families joining the mu-sources to the lam-sinks.
 
     Path n runs from mu[n] + i - n to lam[n] + i - n for n in 0..maxIndex(lam);
-    the list is empty when no family exists.
+    the list is empty when no family exists.  Each path's candidates are in
+    lexicographic order and path 0 is chosen first, so the list is sorted by levels.
     """
     word = check_word(word)
     sources, sinks = index_windows(mu, lam, i)
@@ -121,7 +122,6 @@ def enumerate_families(word, mu: Partition, lam: Partition, i: int) -> list[Path
             extend(n + 1, chosen + [path])
 
     extend(0, [])
-    families.sort(key=lambda fam: fam.levels)
     return families
 
 
@@ -195,10 +195,6 @@ def path_to_tableau(family: PathFamily) -> ChessTableau:
             counts[chip - 1] += 1
         if ascents:
             rows.append(ascents)
-        elif any(
-            family.ascent_chips(m) for m in range(n + 1, len(family.levels))
-        ):
-            raise DomainError("ascent counts do not form a partition shape")
     return ChessTableau(rows=tuple(rows), parity=istar, content=tuple(counts))
 
 

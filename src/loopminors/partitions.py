@@ -98,8 +98,6 @@ def check_partition(parts) -> Partition:
         out.append(p)
     while out and out[-1] == 0:
         out.pop()
-    if 0 in out:
-        raise DomainError("zero part before a positive part")
     return tuple(out)
 
 

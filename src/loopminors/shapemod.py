@@ -182,7 +182,8 @@ def count_flags_fq(module: ShapeModule, d, q: int) -> int:
     kernel of the arrows into that vertex, restricts to it by dropping one
     row there and a rank-one update of the arrows out of it, with add and mul
     read from the field's tables, and counts each distinct restricted module
-    once through a memo that lives for this call.  Guarded to dim <= 7, q <= 5.
+    once through a memo that lives for this call.  Guarded to dim <= 7, q <= 5,
+    and a larger q that is no prime power is a DomainError.
     """
     d = check_bits(d, "parity string")
     q = check_int(q, "field size")
@@ -193,6 +194,8 @@ def count_flags_fq(module: ShapeModule, d, q: int) -> int:
             f"brute-force counting is guarded to dimension <= 7 (got {module.dim})"
         )
     if q > 5:
+        if not _is_prime_power(q):
+            raise DomainError(f"field size {q} is not a prime power")
         raise ResourceLimitError(f"brute-force counting is guarded to q <= 5 (got {q})")
     # the arrows into v are the two moves applied to the boxes at 1 - v
     at = [[box for box in module.boxes if module.vertex(box) == v] for v in (0, 1)]

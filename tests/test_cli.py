@@ -303,11 +303,19 @@ def test_out_file_and_determinism(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "content",
-    [None, '{"g11": ', '{"g11": {"0": "one"}}', '{"g11": {"0": "1/0"}}', "[1, 2]"],
-    ids=["missing-file", "malformed-json", "bad-rational", "zero-denominator", "not-an-object"],
+    "content, fragment",
+    [
+        (None, "cannot read matrix file"),
+        ('{"g11": ', "is not valid JSON"),
+        ('{"g11": {"0": "one"}}', "bad term in g11"),
+        ('{"g11": {"0": "1/0"}}', "bad term in g11"),
+        ("[1, 2]", "must hold one JSON object"),
+        ('{"g11": [1]}', "g11 must map t-exponents to coefficients"),
+    ],
+    ids=["missing-file", "malformed-json", "bad-rational", "zero-denominator", "not-an-object",
+         "entry-not-an-object"],
 )
-def test_matrix_file_errors_are_structured(tmp_path, capsys, content):
+def test_matrix_file_errors_are_structured(tmp_path, capsys, content, fragment):
     path = tmp_path / "loop.json"
     if content is not None:
         path.write_text(content)
@@ -316,7 +324,9 @@ def test_matrix_file_errors_are_structured(tmp_path, capsys, content):
         "minor", "--matrix", str(path), "--mu", "", "--lambda", "1", "--parity", "0",
     )
     assert code == 1
-    assert json.loads(out)["error"]["type"] == "DomainError"
+    error = json.loads(out)["error"]
+    assert error["type"] == "DomainError"
+    assert fragment in error["message"]
 
 
 def test_points_rejects_non_bit_parity_string(capsys):
@@ -549,6 +559,23 @@ TEXT_OUTPUTS = {
         ["module", "--lambda", "3", "--mu", "5", "--parity", "0"],
         1,
         '{"error":{"message":"(5,) is not contained in (3,)","type":"DomainError"}}\n',
+    ),
+    "error-d-without-parity": (
+        ["tableaux", "--shape", "2,1", "--d", "0,1,1"],
+        1,
+        '{"error":{"message":"--d requires --parity","type":"DomainError"}}\n',
+    ),
+    # 6 is no field size, so no larger guard could count it; 7 is over the guard
+    "error-q-not-a-field": (
+        ["points", "--lambda", "2,1", "--mu", "", "--parity", "0", "--d", "0,1,0", "--q", "6"],
+        1,
+        '{"error":{"message":"field size 6 is not a prime power","type":"DomainError"}}\n',
+    ),
+    "error-q-over-budget": (
+        ["points", "--lambda", "2,1", "--mu", "", "--parity", "0", "--d", "0,1,0", "--q", "7"],
+        1,
+        '{"error":{"message":"brute-force counting is guarded to q <= 5 (got 7)",'
+        '"type":"ResourceLimitError"}}\n',
     ),
 }
 

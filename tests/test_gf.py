@@ -1,7 +1,10 @@
+import random
+from itertools import product
+
 import pytest
 
 from loopminors.errors import DomainError
-from loopminors.gf import GF, left_kernel_basis, projective_vectors, rref
+from loopminors.gf import GF, left_kernel_basis, projective_vectors
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -48,19 +51,47 @@ def _dot(field, u, v):
     return total
 
 
-def test_rref_and_kernel():
+def test_right_kernel_is_the_left_kernel_of_the_transpose():
     field = GF(3)
     mat = [[1, 2, 0], [0, 1, 1]]
-    reduced, pivots = rref(field, mat)
-    assert pivots == [0, 1]
-    assert reduced == [[1, 0, 1], [0, 1, 1]]
     # the right kernel of mat is the left kernel of its transpose
     basis = left_kernel_basis(field, [list(column) for column in zip(*mat)])
     assert len(basis) == 1
     for vec in basis:
         for row in mat:
             assert _dot(field, row, vec) == 0
-    assert rref(GF(2), [[1, 1], [1, 1]])[1] == [0]
+    assert len(left_kernel_basis(GF(2), [[1, 1], [1, 1]])) == 1
+
+
+def _kernel_cases():
+    """Seeded matrices with n, m <= 4: every shape, including no rows or no
+    columns, at random density, plus the zero and a full-rank matrix."""
+    rng = random.Random(0)
+    for q in (2, 3, 4, 5):
+        for n, m in product(range(5), repeat=2):
+            yield q, [[0] * m for _ in range(n)]
+            yield q, [[int(i == j) for j in range(m)] for i in range(n)]
+            for density in (0.3, 0.7, 1.0):
+                yield q, [[rng.randrange(1, q) if rng.random() < density else 0
+                           for _ in range(m)] for _ in range(n)]
+
+
+def test_left_kernel_basis_spans_the_brute_force_kernel():
+    for q, mat in _kernel_cases():
+        field = GF(q)
+        n = len(mat)
+        columns = list(zip(*mat))
+        kernel = {f for f in product(range(q), repeat=n)
+                  if all(_dot(field, f, column) == 0 for column in columns)}
+        basis = left_kernel_basis(field, mat)
+        span = set()
+        for coeffs in product(range(q), repeat=len(basis)):
+            vec = [0] * n
+            for coeff, base in zip(coeffs, basis):
+                vec = [field.add[x][field.mul[coeff][b]] for x, b in zip(vec, base)]
+            span.add(tuple(vec))
+        assert span == kernel, (q, mat)
+        assert len(kernel) == q ** len(basis), (q, mat)
 
 
 def test_left_kernel():
@@ -76,8 +107,14 @@ def test_left_kernel():
 
 
 def test_projective_vectors_counts():
-    field = GF(3)
-    lines = projective_vectors(field, 2)
-    assert len(lines) == 4  # (q^2 - 1) / (q - 1)
-    assert all(vec[next(i for i, v in enumerate(vec) if v)] == 1 for vec in lines)
-    assert projective_vectors(field, 0) == []
+    for q in (2, 3, 4, 5):
+        field = GF(q)
+        for dim in range(6):
+            lines = projective_vectors(field, dim)
+            assert len(lines) == (q ** dim - 1) // (q - 1)
+            assert all(len(vec) == dim for vec in lines)
+            assert all(vec[next(i for i, v in enumerate(vec) if v)] == 1 for vec in lines)
+            # no two proportional: the nonzero multiples of the lines are all distinct
+            multiples = [tuple(field.mul[c][v] for v in vec) for vec in lines for c in range(1, q)]
+            assert len(set(multiples)) == len(multiples)
+    assert projective_vectors(GF(3), 0) == []

@@ -1,6 +1,7 @@
 """Input guards at the library boundary, and that they survive ``python -O``."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,10 +11,10 @@ import pytest
 
 import loopminors
 from loopminors.errors import DomainError
-from loopminors.loop import LaurentPoly, LoopElement, generator, word_to_loop
+from loopminors.loop import LaurentPoly, LoopElement, generator, identity_loop, word_to_loop
 from loopminors.multipoly import MultiPoly
-from loopminors.networks import PathFamily, enumerate_families, lindstrom_minor
-from loopminors.partitions import check_bits, check_partition
+from loopminors.networks import PathFamily, enumerate_families, lindstrom_minor, path_to_tableau
+from loopminors.partitions import check_bits, check_partition, partitions_of
 from loopminors.phi import euler_char, phi_polynomial
 from loopminors.shapemod import build_module, conjecture1_prediction, count_flags_fq
 from loopminors.tableaux import (
@@ -131,6 +132,52 @@ def test_non_integer_entries_are_rejected(call):
 )
 def test_inexact_values_are_rejected(call):
     with pytest.raises(DomainError, match="must be an int or Fraction"):
+        call()
+
+
+# Malformed shapes, sizes, labels and indices, each with a fragment of the
+# message that names its fault.
+MALFORMED = {
+    "LoopElement_shape": (lambda: LoopElement(((LaurentPoly({0: 1}),),)), "2x2 matrix"),
+    "LoopElement_entry": (lambda: identity_loop().entry(3, 1), "must be 1 or 2"),
+    "LoopElement_modes": (lambda: identity_loop() * identity_loop(1), "different modes"),
+    "MultiPoly_arity": (lambda: MultiPoly(2, {(1,): 1}), "has length 1, expected 2"),
+    "MultiPoly_negative": (lambda: MultiPoly(1, {(-1,): 1}), "negative exponent"),
+    "MultiPoly.variable": (lambda: MultiPoly.variable(2, 2), "out of range"),
+    "MultiPoly.evaluate": (lambda: MultiPoly.one(2).evaluate([1]), "expected 2 values, got 1"),
+    "PathFamily_length": (
+        lambda: PathFamily(word=(1, 0), levels=((0, 0),)), "does not traverse 2 chips"
+    ),
+    "path_to_tableau_empty": (
+        lambda: path_to_tableau(PathFamily(word=(1,), levels=())), "empty family"
+    ),
+    "partitions_of": (lambda: partitions_of(-1), "negative integer"),
+    "apply_arrow": (lambda: build_module((2, 1), (), 0).apply("gamma", (0, 0)), "unknown arrow"),
+    "box_parity": (lambda: box_parity(-1, 0, 0), "must be nonnegative"),
+    "ChessTableau_empty_row": (
+        lambda: ChessTableau(rows=((1,), ()), parity=1, content=(1,)), "empty rows"
+    ),
+    "ChessTableau_label": (
+        lambda: ChessTableau(rows=((3,),), parity=1, content=(1, 0)), "outside 1..2"
+    ),
+    "ChessTableau_parity": (
+        lambda: ChessTableau(rows=((2,),), parity=1, content=(0, 1)), "violates the parity"
+    ),
+    "ChessTableau_content": (
+        lambda: ChessTableau(rows=((1,),), parity=1, content=(2,)), "content mismatch"
+    ),
+    "parity_string": (
+        lambda: parity_string(StandardTableau(((1, 3),)), 0), "requires content (1,...,1)"
+    ),
+    "enumerate_chess": (lambda: enumerate_chess((1,), 0, -1), "label bound must be nonnegative"),
+    "expand_word_length": (lambda: expand_word((1, 0), (1,)), "content length 1 != word length 2"),
+    "expand_word_negative": (lambda: expand_word((1, 0), (1, -1)), "must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("call, fragment", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_rejected_with_its_fault(call, fragment):
+    with pytest.raises(DomainError, match=re.escape(fragment)):
         call()
 
 

@@ -107,6 +107,8 @@ def test_bijection_with_chess_tableaux():
         for i in (0, 1):
             for word in all_words_up_to(6):
                 families = enumerate_families(word, (), lam, i)
+                # the families come in lexicographic order of their levels
+                assert [f.levels for f in families] == sorted(f.levels for f in families)
                 istar = (i + word[0] + 1) % 2
                 expected = [
                     tab

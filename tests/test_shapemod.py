@@ -182,6 +182,9 @@ def test_count_flags_guards():
     small = build_module((1,), (), 1)
     with pytest.raises(ResourceLimitError):
         count_flags_fq(small, (1,), 7)
+    # 6 is no field size, so no larger guard could count it
+    with pytest.raises(DomainError, match="field size 6 is not a prime power"):
+        count_flags_fq(small, (1,), 6)
     with pytest.raises(DomainError):
         count_flags_fq(small, (1, 1), 2)
 
