@@ -3,10 +3,13 @@
 Two routes: memoized cofactor expansion for symbolic entries (any ring
 element supporting +, -, *), and fraction-free Bareiss elimination for
 rational entries.  Cofactor expansion needs no division, which the integer
-polynomial ring lacks, but its cost grows as 2^side.  Bareiss is cubic in the
-side; a numeric window can be wide (``minor --matrix`` accepts any lam), and
-on a side-15 window (lam = (15,) * 15, a word of 30 rational generators) it
-takes 0.019 s against 2.6 s for cofactor expansion (Python 3.11, 2-vCPU Xeon).
+polynomial ring lacks, but its cost grows as 2^side.  With polynomial entries
+it reduces each memo entry's cofactors in one pass (``signed_sum``): every
+term product of every (entry, sub-minor) pair is added into one map, so no
+cofactor product or partial sum is built.  Bareiss is cubic in the side; a
+numeric window can be wide (``minor --matrix`` accepts any lam), and on a
+side-15 window (lam = (15,) * 15, a word of 30 rational generators) it takes
+0.02 s against 2.5-2.9 s for cofactor expansion (Python 3.11, 2-vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -14,6 +17,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
+from .multipoly import MultiPoly
+
+
+def signed_sum(triples, zero):
+    """Sum of sign * a * b over (sign, a, b) triples, from the ring zero ``zero``.
+
+    Polynomials go to one ``MultiPoly.sum_of_products`` pass; any other exact
+    ring (Fractions, ints) adds operator products.
+    """
+    if isinstance(zero, MultiPoly):
+        return MultiPoly.sum_of_products(zero.nvars, triples)
+    total = zero
+    for sign, a, b in triples:
+        total = total + a * b if sign > 0 else total - a * b
+    return total
 
 
 def det_cofactor(matrix):
@@ -23,6 +41,7 @@ def det_cofactor(matrix):
         raise DomainError("determinant requires a square matrix")
     if n == 0:
         return 1
+    zero = matrix[0][0] - matrix[0][0]  # ring zero of the right type
     cache: dict[int, object] = {}
 
     def expand(row: int, colmask: int):
@@ -31,7 +50,7 @@ def det_cofactor(matrix):
         cached = cache.get(colmask)
         if cached is not None:
             return cached
-        total = None
+        triples = []
         sign = 1
         for col in range(n):
             bit = 1 << col
@@ -39,14 +58,11 @@ def det_cofactor(matrix):
                 continue
             entry = matrix[row][col]
             if entry:
-                term = entry * expand(row + 1, colmask & ~bit)
-                if sign < 0:
-                    term = -term
-                total = term if total is None else total + term
+                sub = expand(row + 1, colmask & ~bit)
+                if sub:
+                    triples.append((sign, entry, sub))
             sign = -sign
-        if total is None:
-            total = matrix[0][0] - matrix[0][0]  # ring zero of the right type
-        cache[colmask] = total
+        total = cache[colmask] = signed_sum(triples, zero)
         return total
 
     return expand(0, (1 << n) - 1)

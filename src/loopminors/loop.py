@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .determinants import signed_sum
 from .errors import DomainError
 from .multipoly import MultiPoly
 from .partitions import EXACT, check_bit, check_exact, check_factorization_word, check_int
@@ -93,7 +94,9 @@ class LoopElement:
     ``nvars`` is None in numeric (rational) mode, or the shared variable
     count of the symbolic coefficients.  The constructor checks that every
     coefficient is exact (an int or Fraction in numeric mode, a MultiPoly in
-    ``nvars`` variables in symbolic mode) and that the determinant is 1.
+    ``nvars`` variables in symbolic mode) and that the determinant is 1.  The
+    determinant is reduced per t-degree: the coefficient products landing on
+    one power of t are summed in one pass.
     """
 
     __slots__ = ("entries", "nvars")
@@ -129,7 +132,13 @@ class LoopElement:
 
     def determinant(self) -> LaurentPoly:
         (g11, g12), (g21, g22) = self.entries
-        return g11 * g22 - g12 * g21
+        groups: dict[int, list] = {}
+        for sign, left, right in ((1, g11, g22), (-1, g12, g21)):
+            for e1, c1 in left.terms.items():
+                for e2, c2 in right.terms.items():
+                    groups.setdefault(e1 + e2, []).append((sign, c1, c2))
+        zero = self.zero_coeff()
+        return LaurentPoly({exp: signed_sum(triples, zero) for exp, triples in groups.items()})
 
     def __mul__(self, other: "LoopElement") -> "LoopElement":
         if self.nvars != other.nvars:

@@ -149,15 +149,51 @@ class MultiPoly:
             layer = nxt
         return cls._from_packed(nvars, layer.get(end) or {}, bound)
 
+    @classmethod
+    def sum_of_products(cls, nvars: int, triples) -> "MultiPoly":
+        """Sum of sign * a * b over (sign, a, b) triples, in one dict pass.
+
+        a and b are polynomials in ``nvars`` variables or ints (such as 1), and
+        sign is 1 or -1.  Every term product is added into one map, so no
+        product or partial sum is built.  A sum that cancels stays a zero
+        until one final pass drops the zeros: in a determinant most products
+        land on a key already there, and testing each sum costs more.
+        """
+        terms: dict[int, int] = {}
+        get = terms.get
+        bound = 0
+        for sign, a, b in triples:
+            a, b = cls._lift(nvars, a), cls._lift(nvars, b)
+            top = a._bound + b._bound
+            if top > MAX_EXPONENT:
+                # Degrees in each variable add up exactly in a product over Z,
+                # so this is the product's true highest exponent.
+                top = max((x + y for x, y in zip(a._degrees(), b._degrees())), default=0)
+                if top > MAX_EXPONENT:
+                    raise DomainError(f"product exponent {top} exceeds the limit {MAX_EXPONENT}")
+            bound = max(bound, top)
+            right = b.terms.items()
+            for e1, c1 in a.terms.items():
+                c1 *= sign
+                for key, c2 in right:
+                    key += e1
+                    terms[key] = get(key, 0) + c1 * c2
+        return cls._from_packed(nvars, {key: c for key, c in terms.items() if c}, bound)
+
     # -- ring operations ---------------------------------------------------
 
+    @classmethod
+    def _lift(cls, nvars: int, value) -> "MultiPoly":
+        """``value`` as a polynomial in ``nvars`` variables; ints become constants."""
+        if isinstance(value, MultiPoly):
+            if value.nvars != nvars:
+                raise DomainError(f"variable count mismatch: {nvars} vs {value.nvars}")
+            return value
+        return cls.const(nvars, value)
+
     def _coerce(self, other) -> "MultiPoly":
-        if isinstance(other, MultiPoly):
-            if other.nvars != self.nvars:
-                raise DomainError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
-            return other
-        if isinstance(other, int):
-            return MultiPoly._from_packed(self.nvars, {0: other} if other else {}, 0)
+        if isinstance(other, (MultiPoly, int)):
+            return self._lift(self.nvars, other)
         return NotImplemented
 
     def __add__(self, other):
@@ -192,27 +228,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        bound = self._bound + other._bound
-        if bound > MAX_EXPONENT:
-            # Degrees in each variable add up exactly in a product over Z, so
-            # this is the product's true highest exponent.
-            bound = max(
-                (a + b for a, b in zip(self._degrees(), other._degrees())), default=0
-            )
-            if bound > MAX_EXPONENT:
-                raise DomainError(f"product exponent {bound} exceeds the limit {MAX_EXPONENT}")
-        terms: dict[int, int] = {}
-        get = terms.get
-        right = list(other.terms.items())
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                key = e1 + e2
-                total = get(key, 0) + c1 * c2
-                if total:
-                    terms[key] = total
-                else:
-                    del terms[key]
-        return MultiPoly._from_packed(self.nvars, terms, bound)
+        return MultiPoly.sum_of_products(self.nvars, ((1, self, other),))
 
     __rmul__ = __mul__
 

@@ -161,3 +161,20 @@ def test_loop_element_rejects_bad_determinant():
         LoopElement(((one, one), (one, one)))
     with pytest.raises(DomainError):
         LoopElement(((1, 0), (0, 1)))
+
+
+def test_symbolic_loop_element_checks_every_t_degree_of_its_determinant():
+    g = word_to_loop((1, 0, 1))
+    (g11, g12), (g21, g22) = g.entries
+    exp, coeff = next(iter(g12.terms.items()))
+    bad = LaurentPoly({**g12.terms, exp: coeff + sym(3, 0)})
+    with pytest.raises(DomainError):
+        LoopElement(((g11, bad), (g21, g22)), nvars=3)
+    one, zero, a1 = LaurentPoly.const(MultiPoly.one(1)), LaurentPoly(), sym(1, 0)
+    # determinant 1 + a1 t: wrong only at t^1
+    with pytest.raises(DomainError):
+        LoopElement(((one, zero), (zero, LaurentPoly({0: MultiPoly.one(1), 1: a1}))), nvars=1)
+    # (1 + a1 t) * 1 - a1 * t: the two t^1 products cancel
+    top = (LaurentPoly({0: MultiPoly.one(1), 1: a1}), LaurentPoly({0: a1}))
+    cancelling = LoopElement((top, (LaurentPoly({1: MultiPoly.one(1)}), one)), nvars=1)
+    assert cancelling.determinant() == one

@@ -286,3 +286,60 @@ def test_product_beyond_a_field_raises_instead_of_carrying():
     assert mixed == MultiPoly.monomial(2, (MAX_EXPONENT, MAX_EXPONENT))
     with pytest.raises(DomainError):
         mixed * a(2, 1)
+
+
+# -- the fused kernel -------------------------------------------------------
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_sum_of_products_matches_the_operator_and_tuple_references(data):
+    k = data.draw(st.integers(1, 4), label="k")
+    maps = st.dictionaries(st.tuples(*[st.integers(0, 3)] * k), st.integers(-4, 4), max_size=5)
+    drawn = data.draw(
+        st.lists(st.tuples(st.sampled_from((1, -1)), maps, st.one_of(st.just(1), maps)), max_size=5),
+        label="triples",
+    )
+    triples = [(s, MultiPoly(k, a), b if b == 1 else MultiPoly(k, b)) for s, a, b in drawn]
+    fused = MultiPoly.sum_of_products(k, triples)
+    assert fused == sum((s * a * b for s, a, b in triples), MultiPoly.zero(k))
+    assert 0 not in fused.terms.values()
+    ref = TuplePoly(k, {})
+    for s, a, b in drawn:
+        right = TuplePoly(k, {(0,) * k: 1} if b == 1 else b)
+        ref = ref + TuplePoly(k, {e: s * c for e, c in a.items()}) * right
+    assert_same(fused, ref)
+
+
+def test_sum_of_products_edge_cases():
+    p, q = a(3, 0) + 2 * a(3, 2), a(3, 1) - 1
+    empty = MultiPoly.sum_of_products(3, [])
+    assert empty == MultiPoly.zero(3) and empty.nvars == 3 and empty.terms == {}
+    assert MultiPoly.sum_of_products(3, [(1, p, 1), (-1, q, 1)]) == p - q
+    assert MultiPoly.sum_of_products(3, [(1, p, q), (-1, p, q)]).terms == {}
+    with pytest.raises(DomainError):
+        MultiPoly.sum_of_products(3, [(1, p, a(2, 0))])
+
+
+def test_sum_of_products_bounds_exponents_as_the_product_does():
+    half = MultiPoly.monomial(1, (40000,))
+    with pytest.raises(DomainError) as by_operator:
+        half * half
+    with pytest.raises(DomainError) as by_kernel:
+        MultiPoly.sum_of_products(1, [(1, half, half)])
+    assert str(by_kernel.value) == str(by_operator.value) == (
+        f"product exponent 80000 exceeds the limit {MAX_EXPONENT}"
+    )
+    # the result's bound covers its degree: one more power of a1 past the
+    # limit still raises, by either route
+    factors = MultiPoly.monomial(1, (30000,)), MultiPoly.monomial(1, (35535,))
+    top = MultiPoly.sum_of_products(1, [(1, *factors)])
+    assert top == MultiPoly.monomial(1, (MAX_EXPONENT,))
+    with pytest.raises(DomainError):
+        top * a(1, 0)
+    with pytest.raises(DomainError):
+        MultiPoly.sum_of_products(1, [(-1, top, a(1, 0))])
+    # a high term that cancels leaves a loose bound, and the true degrees decide
+    low = MultiPoly.sum_of_products(1, [(1, half, 1), (-1, half, 1), (1, a(1, 0), 1)])
+    assert low == a(1, 0)
+    assert low * MultiPoly.monomial(1, (MAX_EXPONENT - 1,)) == top
