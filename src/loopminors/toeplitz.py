@@ -7,6 +7,15 @@ m = (l - 2)/2.  The (M, N) entry is then the coefficient of t^(n - m) in the
 (M + 2, N + 2) entries equal (the block-shift identity).  This is the unique
 decomposition under which the weight matrix of a single chip diagram equals
 the Toeplitz matrix of the matching generator.
+
+Windows multiply (T(g h) = T(g) T(h)), so T(g)^-1 = T(g^-1) = T(adj g), the
+adjugate being the inverse because det g = 1 is checked when the loop
+element is built.  For a unipotent-plus g, T(g) is upper unitriangular in
+index order, so each finite block on an index interval is unitriangular and
+its inverse is the same block of T(adj g).  Jacobi's complementary-minor
+theorem then reads any minor of T(g) inside an interval [lo, hi] from the
+complementary window of T(adj g); ``minor`` takes whichever of the two
+windows is smaller.
 """
 
 from __future__ import annotations
@@ -24,16 +33,26 @@ def decompose_index(l: int) -> tuple[int, int]:
     return (l - 2) // 2, 2
 
 
-def toeplitz_entry(g: LoopElement, row: int, col: int):
-    """Coefficient of t^(n - m) in the component picked by the index split."""
+def _coeff(entries, row: int, col: int, zero):
+    """Toeplitz entry of the 2x2 Laurent matrix ``entries``; a missing
+    coefficient reads as the caller's one ring zero ``zero``."""
     m, comp_row = decompose_index(row)
     n, comp_col = decompose_index(col)
-    return g.entry(comp_row, comp_col).coeff(n - m, g.zero_coeff())
+    return entries[comp_row - 1][comp_col - 1].coeff(n - m, zero)
+
+
+def _read(entries, rows, cols, zero) -> list[list]:
+    return [[_coeff(entries, row, col, zero) for col in cols] for row in rows]
+
+
+def toeplitz_entry(g: LoopElement, row: int, col: int):
+    """Coefficient of t^(n - m) in the component picked by the index split."""
+    return _coeff(g.entries, row, col, g.zero_coeff())
 
 
 def window(g: LoopElement, rows, cols) -> list[list]:
     """Dense submatrix of the Toeplitz matrix on explicit index lists."""
-    return [[toeplitz_entry(g, r, c) for c in cols] for r in rows]
+    return _read(g.entries, rows, cols, g.zero_coeff())
 
 
 def _determinant(g: LoopElement, matrix):
@@ -45,12 +64,39 @@ def _determinant(g: LoopElement, matrix):
 def minor(g: LoopElement, mu: Partition, lam: Partition, i: int):
     """Minor on rows set(mu) and columns set(lam), both windowed at maxIndex(lam).
 
-    Rows and columns are kept in canonical order (the n = 0 element first),
-    making the determinant sign deterministic; the window is square of side
-    maxIndex(lam) + 1.
+    Rows R and columns C are kept in canonical (decreasing) order, making the
+    determinant sign deterministic; this direct window is square of side
+    maxIndex(lam) + 1.  Every index of R and C lies in [lo, hi], with
+    lo = R[-1] and hi = C[0].  For a unipotent-plus g, T(g) is upper
+    unitriangular, so its block on [lo, hi] has determinant 1 and its
+    inverse is the same block of T(adj g) (adj g = g^-1 as det g = 1).
+    Jacobi's complementary-minor theorem then gives, with the complements
+    C' = [lo, hi] \\ C as rows and R' = [lo, hi] \\ R as columns, also in
+    decreasing order:
+
+        det T(g)[R, C] = (-1)^(sum(r - lo) + sum(c - lo)) det T(adj g)[C', R']
+
+    T(adj g) is read off g's entries with the diagonal components swapped;
+    the minus signs of adj g's off-diagonal components are folded into the
+    sign, one flip per even (component-2) index of C' and of R'.  An empty
+    complement gives the ring's one.  The complementary window is read only
+    for a unipotent-plus g whose complementary side (hi - lo + 1) - |R| is
+    strictly smaller than |R|; every other minor reads the direct window.
     """
     rows, cols = index_windows(mu, lam, i)
-    return _determinant(g, window(g, rows, cols))
+    lo, hi = rows[-1], cols[0]
+    if hi - lo + 1 - len(rows) >= len(rows) or not is_unipotent_plus(g):
+        return _determinant(g, window(g, rows, cols))
+    span = range(hi, lo - 1, -1)
+    co_rows = [l for l in span if l not in cols]
+    co_cols = [l for l in span if l not in rows]
+    if not co_rows:
+        return g.one_coeff()
+    flips = sum(r - lo for r in rows) + sum(c - lo for c in cols)
+    flips += sum(1 for l in co_rows + co_cols if l % 2 == 0)
+    (g11, g12), (g21, g22) = g.entries
+    value = _determinant(g, _read(((g22, g12), (g21, g11)), co_rows, co_cols, g.zero_coeff()))
+    return -value if flips % 2 else value
 
 
 def entry_E(g: LoopElement, i: int, n: int):
@@ -72,19 +118,22 @@ def pieri_determinant(g: LoopElement, lam: Partition, i: int):
     Entry (s, t) is E^(parity of i + s), subscript lam[t] + s - t, for
     s, t in 0..maxIndex(lam).  Each entry equals the (s, t) entry of the
     canonical minor window by the block-shift identity, with negative
-    subscripts reading 0.  Stated for unipotent-plus elements only.
+    subscripts reading 0.  Stated for unipotent-plus elements only.  This is
+    always the side maxIndex(lam) + 1 determinant, whichever window ``minor``
+    reads.
     """
     if not is_unipotent_plus(g):
         raise DomainError("the Pieri determinant is only defined on unipotent-plus elements")
     lam = check_partition(lam)
     i = check_bit(i)
     n_max = max_index(lam)
+    zero = g.zero_coeff()
     matrix = []
     for s in range(n_max + 1):
         parity = (i + s) % 2
         row = []
         for t in range(n_max + 1):
             sub = (lam[t] if t < len(lam) else 0) + s - t
-            row.append(entry_E(g, parity, sub))
+            row.append(_coeff(g.entries, parity, sub + parity, zero) if sub >= 0 else zero)
         matrix.append(row)
     return _determinant(g, matrix)

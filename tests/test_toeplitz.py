@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from loopminors.errors import DomainError
 from loopminors.loop import LaurentPoly, LoopElement, generator, identity_loop, word_to_loop
 from loopminors.multipoly import MultiPoly
+from loopminors.networks import lindstrom_minor
+from loopminors.partitions import index_windows, partitions_up_to, subpartitions
 from loopminors.toeplitz import (
+    _determinant,
     decompose_index,
     entry_E,
     minor,
@@ -15,6 +18,7 @@ from loopminors.toeplitz import (
     toeplitz_entry,
     window,
 )
+from loopminors.verify import alternating_words
 
 from conftest import word_strategy
 
@@ -54,10 +58,17 @@ def test_minor_golden_example():
 
 
 def test_minor_on_equal_partitions_is_one():
-    g = identity_loop()
-    for mu in ((), (1,), (2, 1)):
-        assert minor(g, mu, mu, 0) == Fraction(1)
-        assert minor(g, mu, mu, 1) == Fraction(1)
+    # mu = lam is an empty complementary window: the ring's one, not the int 1
+    numeric = generator(0, Fraction(3)) * generator(1, Fraction(-2, 5))
+    for g, one in (
+        (identity_loop(), Fraction(1)),
+        (numeric, Fraction(1)),
+        (word_to_loop((1, 0, 1)), MultiPoly.one(3)),
+    ):
+        for mu in ((), (1,), (2, 1), (1, 1, 1), (3, 3)):
+            for i in (0, 1):
+                value = minor(g, mu, mu, i)
+                assert type(value) is type(one) and value == one
 
 
 def test_minor_single_box():
@@ -177,11 +188,54 @@ def test_symbolic_minor_evaluates_to_numeric_minor(word):
     numeric = identity_loop()
     for bit, value in zip(word, values):
         numeric = numeric * generator(bit, value)
-    for lam in ((1,), (2, 1), (2, 2)):
+    for lam in ((1,), (2, 1), (2, 2), (1, 1, 1), (2, 2, 2)):
         for mu in ((), (1,)):
             for i in (0, 1):
                 symbolic = minor(word_to_loop(word), mu, lam, i)
                 assert symbolic.evaluate(values) == minor(numeric, mu, lam, i)
+
+
+def _direct_cases(g, max_size):
+    """(mu, lam, i, direct-window determinant, whether the complementary
+    window is smaller) for every mu inside lam with |lam| <= max_size."""
+    for lam in partitions_up_to(max_size):
+        for mu in subpartitions(lam):
+            for i in (0, 1):
+                rows, cols = index_windows(mu, lam, i)
+                tall = cols[0] - rows[-1] + 1 - len(rows) < len(rows)
+                yield mu, lam, i, _determinant(g, window(g, rows, cols)), tall
+
+
+def test_minor_equals_direct_window_and_path_route():
+    # every mu inside lam with |lam| <= 7, both parities, both alternating
+    # words of each length <= 7: 12,572 cases, 6,328 of them on the
+    # complementary window
+    cases = complementary = 0
+    for length in range(1, 8):
+        for word in alternating_words(length):
+            g = word_to_loop(word)
+            for mu, lam, i, direct, tall in _direct_cases(g, 7):
+                value = minor(g, mu, lam, i)
+                assert value == direct and value == lindstrom_minor(word, mu, lam, i)
+                cases += 1
+                complementary += tall
+    assert (cases, complementary) == (12572, 6328)
+
+
+def test_minor_off_the_unipotent_plus_subgroup_reads_the_direct_window():
+    # T(g) of diag(t, 1/t) is not triangular, so Jacobi's identity on an
+    # index interval does not hold; many tall windows would read wrong
+    g = LoopElement(
+        (
+            (LaurentPoly({1: Fraction(1)}), LaurentPoly()),
+            (LaurentPoly(), LaurentPoly({-1: Fraction(1)})),
+        )
+    )
+    complementary = 0
+    for mu, lam, i, direct, tall in _direct_cases(g, 5):
+        assert minor(g, mu, lam, i) == direct
+        complementary += tall
+    assert complementary == 118
 
 
 def test_window_helper_shape():
