@@ -3,7 +3,9 @@
 Laurent polynomials carry either rational coefficients (numeric mode) or
 integer multivariate polynomials in a1..ak (symbolic mode); both are exact
 and share one arithmetic path.  A loop element is a 2x2 Laurent matrix with
-determinant exactly 1, checked at construction.
+determinant exactly 1.  The public constructor checks it.  ``generator``,
+``identity_loop``, ``word_to_loop`` and products hold it by construction, so
+they build through ``LoopElement._built``, which skips only that check.
 """
 
 from __future__ import annotations
@@ -102,6 +104,19 @@ class LoopElement:
     __slots__ = ("entries", "nvars")
 
     def __init__(self, entries, nvars: int | None = None):
+        self._set(entries, nvars)
+        det = self.determinant()
+        if det != LaurentPoly.const(self.one_coeff()):
+            raise DomainError(f"determinant is not 1: {det!r}")
+
+    @classmethod
+    def _built(cls, entries, nvars: int | None) -> "LoopElement":
+        """Checked as ``__init__`` checks, but for det = 1, which the caller's construction keeps."""
+        g = cls.__new__(cls)
+        g._set(entries, nvars)
+        return g
+
+    def _set(self, entries, nvars: int | None) -> None:
         entries = tuple(tuple(row) for row in entries)
         if len(entries) != 2 or any(len(row) != 2 for row in entries):
             raise DomainError("a loop element is a 2x2 matrix")
@@ -114,9 +129,6 @@ class LoopElement:
                     raise DomainError(f"inexact loop coefficient {coeff!r} for nvars={nvars}")
         self.entries = entries
         self.nvars = nvars
-        det = self.determinant()
-        if det != LaurentPoly.const(self.one_coeff()):
-            raise DomainError(f"determinant is not 1: {det!r}")
 
     def one_coeff(self):
         return MultiPoly.one(self.nvars) if self.nvars is not None else Fraction(1)
@@ -144,12 +156,8 @@ class LoopElement:
         if self.nvars != other.nvars:
             raise DomainError("cannot multiply loop elements of different modes")
         a, b = self.entries, other.entries
-        rows = []
-        for i in range(2):
-            rows.append(
-                tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2))
-            )
-        return LoopElement(rows, nvars=self.nvars)
+        rows = [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
+        return LoopElement._built(rows, self.nvars)
 
     def __eq__(self, other):
         return (
@@ -163,10 +171,8 @@ class LoopElement:
 
 
 def identity_loop(nvars: int | None = None) -> LoopElement:
-    one = MultiPoly.one(nvars) if nvars is not None else Fraction(1)
-    unit = LaurentPoly.const(one)
-    zero = LaurentPoly()
-    return LoopElement(((unit, zero), (zero, unit)), nvars=nvars)
+    unit = LaurentPoly.const(MultiPoly.one(nvars) if nvars is not None else Fraction(1))
+    return LoopElement._built(((unit, LaurentPoly()), (LaurentPoly(), unit)), nvars)
 
 
 def generator(i: int, a) -> LoopElement:
@@ -191,7 +197,7 @@ def generator(i: int, a) -> LoopElement:
     else:
         upper = LaurentPoly.const(a)
         entries = ((unit, upper), (zero, unit))
-    return LoopElement(entries, nvars=nvars)
+    return LoopElement._built(entries, nvars)
 
 
 def word_to_loop(word) -> LoopElement:
@@ -200,7 +206,7 @@ def word_to_loop(word) -> LoopElement:
     The t-th letter contributes the formal parameter a_{t+1} as a column
     operation on the running product: letter 0 adds column 2 times a_{t+1} t
     to column 1, letter 1 adds column 1 times a_{t+1} to column 2.  These
-    keep the determinant 1, which the one constructor call checks.
+    keep the determinant 1, so it is not checked again.
     """
     word = check_factorization_word(word)
     k = len(word)
@@ -210,7 +216,7 @@ def word_to_loop(word) -> LoopElement:
         step = LaurentPoly({1 - bit: MultiPoly.variable(k, t)})
         columns[bit] = tuple(own + other * step for own, other in zip(columns[bit], columns[1 - bit]))
     (g11, g21), (g12, g22) = columns
-    return LoopElement(((g11, g12), (g21, g22)), nvars=k)
+    return LoopElement._built(((g11, g12), (g21, g22)), k)
 
 
 def is_unipotent_plus(g: LoopElement) -> bool:

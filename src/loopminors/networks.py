@@ -18,18 +18,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .multipoly import MultiPoly
-from .partitions import BitString, Partition, check_bit, check_int, check_word, index_windows
+from .partitions import BitString, Partition, check_int, check_word, index_windows
 from .tableaux import ChessTableau
-
-
-def chip_weight_entry(bit: int, source: int, sink: int) -> MultiPoly:
-    """Weight-matrix entry of a single chip, as a polynomial in its parameter."""
-    check_bit(bit, "chip parity")
-    if sink == source:
-        return MultiPoly.one(1)
-    if sink == source + 1 and source % 2 == bit:
-        return MultiPoly.variable(1, 0)
-    return MultiPoly.zero(1)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ decomposition under which the weight matrix of a single chip diagram equals
 the Toeplitz matrix of the matching generator.
 
 Windows multiply (T(g h) = T(g) T(h)), so T(g)^-1 = T(g^-1) = T(adj g), the
-adjugate being the inverse because det g = 1 is checked when the loop
-element is built.  For a unipotent-plus g, T(g) is upper unitriangular in
+adjugate being the inverse because det g = 1: the public ``LoopElement``
+constructor checks it, and words, generators and their products hold it by
+construction.  For a unipotent-plus g, T(g) is upper unitriangular in
 index order, so each finite block on an index interval is unitriangular and
 its inverse is the same block of T(adj g).  Jacobi's complementary-minor
 theorem then reads any minor of T(g) inside an interval [lo, hi] from the
@@ -69,7 +70,8 @@ def minor(g: LoopElement, mu: Partition, lam: Partition, i: int):
     maxIndex(lam) + 1.  Every index of R and C lies in [lo, hi], with
     lo = R[-1] and hi = C[0].  For a unipotent-plus g, T(g) is upper
     unitriangular, so its block on [lo, hi] has determinant 1 and its
-    inverse is the same block of T(adj g) (adj g = g^-1 as det g = 1).
+    inverse is the same block of T(adj g) (adj g = g^-1 as det g = 1, which the
+    public constructor checks and ``loop``'s own builders keep by construction).
     Jacobi's complementary-minor theorem then gives, with the complements
     C' = [lo, hi] \\ C as rows and R' = [lo, hi] \\ R as columns, also in
     decreasing order:

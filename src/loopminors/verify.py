@@ -166,16 +166,17 @@ def sweep_lindstrom(max_size: int, max_word: int) -> Iterator[tuple]:
             for i in (0, 1) for word in words)
 
 
-def sweep(target: str, max_size: int, max_word: int, qs=None) -> Iterator[VerificationReport]:
+def sweep(target: str, max_size: int, max_word=None, qs=None) -> Iterator[VerificationReport]:
     """The reports of the cases of ``sweep_<target>``, given the bounds it takes.
 
     The grid is looked up when called, so a rebound ``sweep_<target>`` is the
     one that runs.  ``qs`` defaults to ``DEFAULT_QS``; a target without a field
-    size q rejects it.
+    size q rejects it, and only a target without one reads ``max_word``.
     """
     sweeps_q = "q" in _row(target).fields
     check_int(max_size, "max_size")
-    check_int(max_word, "max_word")
+    if not sweeps_q:
+        check_int(max_word, "max_word")
     if qs is not None and not sweeps_q:
         raise DomainError(f"{target} sweeps words, not field sizes; drop --q")
     if qs is not None and (not qs or len(set(qs)) < len(qs)):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,12 +14,19 @@ from loopminors.loop import (
     word_to_loop,
 )
 from loopminors.multipoly import MultiPoly
+from loopminors.verify import all_words_up_to
 
 from conftest import word_strategy
 
 
 def sym(k, idx):
     return MultiPoly.variable(k, idx)
+
+
+# diag(t, t^-1): determinant 1, not unipotent-plus
+DIAG_T = LoopElement(
+    ((LaurentPoly({1: Fraction(1)}), LaurentPoly()), (LaurentPoly(), LaurentPoly({-1: Fraction(1)})))
+)
 
 
 def test_generator_matrices():
@@ -62,26 +70,59 @@ def test_word_to_loop_four_letters_top_entry():
     assert g.entry(1, 1) == expected
 
 
-def test_word_to_loop_is_the_checked_product_of_its_generators(monkeypatch):
-    # the column operations against LoopElement.__mul__, which checks det = 1
-    # at every product; word_to_loop itself builds (and checks) one element
-    built = []
-    init = LoopElement.__init__
-    monkeypatch.setattr(
-        LoopElement, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw)
-    )
+def test_word_to_loop_is_the_checked_product_of_its_generators():
+    # the column operations against LoopElement.__mul__; neither checks det = 1
+    # (both keep it by construction), so the product is re-checked through the
+    # public constructor, and word_to_loop's result through its own determinant
     for length in range(1, 11):
         for start in (0, 1):
             word = tuple((start + t) % 2 for t in range(length))
             product = identity_loop(length)
             for t, bit in enumerate(word):
                 product = product * generator(bit, sym(length, t))
-            built.clear()
+            assert LoopElement(product.entries, nvars=length) == product
             g = word_to_loop(word)
-            assert len(built) == 1
             assert g == product
             assert is_unipotent_plus(g)
             assert g.determinant() == LaurentPoly({0: MultiPoly.one(length)})
+
+
+def test_every_word_up_to_16_letters_passes_the_public_determinant_check():
+    # word_to_loop builds without the det = 1 check, so the public constructor
+    # re-checks every alternating word of 1-16 letters (two per length, 32)
+    for word in all_words_up_to(16):
+        g = word_to_loop(word)
+        assert LoopElement(g.entries, nvars=g.nvars) == g
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_products_of_generators_pass_the_public_determinant_check(seed):
+    # products of unchecked elements, numeric and symbolic, multiplied on
+    # either side, the numeric ones through an element that is not
+    # unipotent-plus, re-checked
+    rng = random.Random(seed)
+    k = 3
+    symbols = [sym(k, idx) for idx in range(k)]
+    numeric, symbolic = DIAG_T, identity_loop(k)
+    for step in range(8):
+        bit = (seed + step) % 2
+        x = generator(bit, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        numeric = numeric * x if rng.randrange(2) else x * numeric
+        a = rng.choice(symbols) * rng.randint(-3, 3) + rng.choice(symbols) * rng.choice(symbols)
+        x = generator(bit, a)
+        symbolic = symbolic * x if rng.randrange(2) else x * symbolic
+    assert LoopElement(numeric.entries) == numeric
+    assert LoopElement(symbolic.entries, nvars=k) == symbolic
+
+
+def test_built_elements_keep_the_shape_and_exactness_checks():
+    one = LaurentPoly({0: Fraction(1)})
+    with pytest.raises(DomainError, match="2x2"):
+        LoopElement._built(((one, one),), None)
+    with pytest.raises(DomainError, match="inexact"):
+        LoopElement._built(((LaurentPoly({0: 1.0}), one), (one, one)), None)
+    with pytest.raises(DomainError, match="inexact"):
+        LoopElement._built(((one, one), (one, one)), 1)
 
 
 def test_word_to_loop_rejects_bad_words():

@@ -8,7 +8,6 @@ from loopminors.loop import generator, word_to_loop
 from loopminors.multipoly import MultiPoly
 from loopminors.networks import (
     PathFamily,
-    chip_weight_entry,
     enumerate_families,
     family_weight,
     lindstrom_minor,
@@ -23,6 +22,17 @@ from loopminors.verify import all_words_up_to
 from conftest import word_strategy
 
 GOLDEN = "a1*a2^2 + 2*a1*a2*a4 + a1*a4^2 + a3*a4^2"
+
+
+def chip_weight_entry(bit: int, source: int, sink: int) -> MultiPoly:
+    """Weight-matrix entry of a single chip, as a polynomial in its parameter:
+    level source reaches level sink straight across, or diagonally up from a
+    level of the chip's parity."""
+    if sink == source:
+        return MultiPoly.one(1)
+    if sink == source + 1 and source % 2 == bit:
+        return MultiPoly.variable(1, 0)
+    return MultiPoly.zero(1)
 
 
 def test_single_chip_weight_matrix_is_the_generator_matrix():

@@ -172,6 +172,12 @@ def test_sweep_passes_each_target_its_bounds():
         check("conjecture1", *case) for case in sweep_conjecture1(3, (2, 3))]
     assert list(sweep("conjecture1", 3, 0, [2])) == [
         check("conjecture1", *case) for case in sweep_conjecture1(3, (2,))]
+    # ...so it needs no word bound, while every word target still reads one
+    assert list(sweep("conjecture1", 3)) == list(sweep("conjecture1", 3, 0))
+    assert list(sweep("conjecture1", 3, None, [2])) == list(sweep("conjecture1", 3, 0, [2]))
+    for target in ("theorem2", "prop1", "pieri", "lindstrom"):
+        with pytest.raises(DomainError, match="max_word entries must be integers"):
+            sweep(target, 3)
     with pytest.raises(DomainError, match="unknown verify target"):
         sweep("summarize", 3, 3)
     with pytest.raises(DomainError, match="unknown verify target"):
