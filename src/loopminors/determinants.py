@@ -21,17 +21,19 @@ from .multipoly import MultiPoly
 
 
 def signed_sum(triples, zero):
-    """Sum of sign * a * b over (sign, a, b) triples, from the ring zero ``zero``.
+    """Sum of sign * a * b over (sign, a, b) triples; ``zero`` is the ring zero.
 
     Polynomials go to one ``MultiPoly.sum_of_products`` pass; any other exact
-    ring (Fractions, ints) adds operator products.
+    ring (Fractions, ints) adds operator products, starting from the first,
+    and an empty sum is ``zero``.
     """
     if isinstance(zero, MultiPoly):
         return MultiPoly.sum_of_products(zero.nvars, triples)
-    total = zero
+    total = None
     for sign, a, b in triples:
-        total = total + a * b if sign > 0 else total - a * b
-    return total
+        product = a * b if sign > 0 else -(a * b)
+        total = product if total is None else total + product
+    return zero if total is None else total
 
 
 def det_cofactor(matrix):

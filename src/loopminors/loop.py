@@ -1,11 +1,15 @@
 """Exact 2x2 Laurent-polynomial matrices: generators, words, membership.
 
 Laurent polynomials carry either rational coefficients (numeric mode) or
-integer multivariate polynomials in a1..ak (symbolic mode); both are exact
-and share one arithmetic path.  A loop element is a 2x2 Laurent matrix with
-determinant exactly 1.  The public constructor checks it.  ``generator``,
-``identity_loop``, ``word_to_loop`` and products hold it by construction, so
-they build through ``LoopElement._built``, which skips only that check.
+integer multivariate polynomials in a1..ak (symbolic mode); both are exact.
+A Laurent polynomial is a plain value with no arithmetic of its own: matrix
+products, the determinant and the column operations of ``word_to_loop`` all
+go through one kernel, ``_graded_sum``, which reduces the coefficient
+products landing on each power of t in one ``signed_sum``.  A loop element
+is a 2x2 Laurent matrix with determinant exactly 1.  The public constructor
+checks it.  ``generator``, ``identity_loop``, ``word_to_loop`` and products
+hold it by construction, so they build through ``LoopElement._built``, which
+skips only that check.
 """
 
 from __future__ import annotations
@@ -39,43 +43,6 @@ class LaurentPoly:
     def coeff(self, exp: int, zero):
         return self.terms.get(exp, zero)
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        terms = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            total = terms.get(exp)
-            total = coeff if total is None else total + coeff
-            if total:
-                terms[exp] = total
-            else:
-                terms.pop(exp, None)
-        out = LaurentPoly()
-        out.terms = terms
-        return out
-
-    def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly()
-        out.terms = {exp: -coeff for exp, coeff in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        terms: dict[int, object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = e1 + e2
-                product = c1 * c2
-                total = terms.get(exp)
-                total = product if total is None else total + product
-                if total:
-                    terms[exp] = total
-                else:
-                    terms.pop(exp, None)
-        out = LaurentPoly()
-        out.terms = terms
-        return out
-
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
@@ -86,8 +53,38 @@ class LaurentPoly:
         """No negative powers of t."""
         return all(exp >= 0 for exp in self.terms)
 
+    def __str__(self):
+        """The polynomial in t, highest power first, with exact coefficients."""
+        pieces = []
+        for exp in sorted(self.terms, reverse=True):
+            text = str(self.terms[exp])
+            if exp:
+                power = "t" if exp == 1 else f"t^{exp}"
+                if text in ("1", "-1"):
+                    text = text[:-1] + power
+                else:
+                    text = f"({text})*{power}" if " " in text else f"{text}*{power}"
+            pieces.append(text)
+        return " + ".join(pieces).replace(" + -", " - ") or "0"
+
     def __repr__(self):
         return f"LaurentPoly({self.terms!r})"
+
+
+def _graded_sum(triples, zero) -> LaurentPoly:
+    """Sum of sign * a * b over (sign, a, b) triples of Laurent polynomials.
+
+    The one product kernel of this module.  The coefficient products landing
+    on one power of t form one group, reduced by one ``signed_sum`` from the
+    ring zero ``zero``; a power whose group cancels is dropped.  A coefficient
+    of b may be the int 1.
+    """
+    groups: dict[int, list] = {}
+    for sign, a, b in triples:
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                groups.setdefault(e1 + e2, []).append((sign, c1, c2))
+    return LaurentPoly({exp: signed_sum(group, zero) for exp, group in groups.items()})
 
 
 class LoopElement:
@@ -96,9 +93,7 @@ class LoopElement:
     ``nvars`` is None in numeric (rational) mode, or the shared variable
     count of the symbolic coefficients.  The constructor checks that every
     coefficient is exact (an int or Fraction in numeric mode, a MultiPoly in
-    ``nvars`` variables in symbolic mode) and that the determinant is 1.  The
-    determinant is reduced per t-degree: the coefficient products landing on
-    one power of t are summed in one pass.
+    ``nvars`` variables in symbolic mode) and that the determinant is 1.
     """
 
     __slots__ = ("entries", "nvars")
@@ -107,7 +102,7 @@ class LoopElement:
         self._set(entries, nvars)
         det = self.determinant()
         if det != LaurentPoly.const(self.one_coeff()):
-            raise DomainError(f"determinant is not 1: {det!r}")
+            raise DomainError(f"determinant is not 1: {det}")
 
     @classmethod
     def _built(cls, entries, nvars: int | None) -> "LoopElement":
@@ -144,19 +139,16 @@ class LoopElement:
 
     def determinant(self) -> LaurentPoly:
         (g11, g12), (g21, g22) = self.entries
-        groups: dict[int, list] = {}
-        for sign, left, right in ((1, g11, g22), (-1, g12, g21)):
-            for e1, c1 in left.terms.items():
-                for e2, c2 in right.terms.items():
-                    groups.setdefault(e1 + e2, []).append((sign, c1, c2))
-        zero = self.zero_coeff()
-        return LaurentPoly({exp: signed_sum(triples, zero) for exp, triples in groups.items()})
+        return _graded_sum(((1, g11, g22), (-1, g12, g21)), self.zero_coeff())
 
     def __mul__(self, other: "LoopElement") -> "LoopElement":
         if self.nvars != other.nvars:
             raise DomainError("cannot multiply loop elements of different modes")
-        a, b = self.entries, other.entries
-        rows = [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
+        a, b, zero = self.entries, other.entries, self.zero_coeff()
+        rows = [
+            [_graded_sum(((1, a[i][0], b[0][j]), (1, a[i][1], b[1][j])), zero) for j in range(2)]
+            for i in range(2)
+        ]
         return LoopElement._built(rows, self.nvars)
 
     def __eq__(self, other):
@@ -212,9 +204,13 @@ def word_to_loop(word) -> LoopElement:
     k = len(word)
     unit, zero = LaurentPoly.const(MultiPoly.one(k)), LaurentPoly()
     columns = [(unit, zero), (zero, unit)]
+    keep, ring_zero = LaurentPoly.const(1), MultiPoly.zero(k)
     for t, bit in enumerate(word):
         step = LaurentPoly({1 - bit: MultiPoly.variable(k, t)})
-        columns[bit] = tuple(own + other * step for own, other in zip(columns[bit], columns[1 - bit]))
+        columns[bit] = tuple(
+            _graded_sum(((1, own, keep), (1, other, step)), ring_zero)
+            for own, other in zip(columns[bit], columns[1 - bit])
+        )
     (g11, g21), (g12, g22) = columns
     return LoopElement._built(((g11, g12), (g21, g22)), k)
 

@@ -128,14 +128,7 @@ def pieri_determinant(g: LoopElement, lam: Partition, i: int):
         raise DomainError("the Pieri determinant is only defined on unipotent-plus elements")
     lam = check_partition(lam)
     i = check_bit(i)
-    n_max = max_index(lam)
-    zero = g.zero_coeff()
-    matrix = []
-    for s in range(n_max + 1):
-        parity = (i + s) % 2
-        row = []
-        for t in range(n_max + 1):
-            sub = (lam[t] if t < len(lam) else 0) + s - t
-            row.append(_coeff(g.entries, parity, sub + parity, zero) if sub >= 0 else zero)
-        matrix.append(row)
+    side = range(max_index(lam) + 1)
+    parts = [lam[t] if t < len(lam) else 0 for t in side]
+    matrix = [[entry_E(g, (i + s) % 2, parts[t] + s - t) for t in side] for s in side]
     return _determinant(g, matrix)

@@ -303,6 +303,26 @@ def test_out_file_and_determinism(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "matrix, shown",
+    [
+        ({"g11": {"0": "1"}, "g12": {"0": "1"}, "g21": {"0": "1"}, "g22": {"0": "1"}}, "0"),
+        ({"g11": {"0": "2"}, "g22": {"0": "1"}}, "2"),
+        ({"g11": {"0": "1"}, "g12": {"-1": "1/2"}, "g21": {"1": "3"}, "g22": {"0": "1"}}, "-1/2"),
+    ],
+    ids=["all-ones", "g11-is-2", "constant-minus-half"],
+)
+def test_matrix_file_determinant_error_prints_the_polynomial(tmp_path, capsys, matrix, shown):
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(matrix))
+    code, out, _ = run_cli(
+        capsys,
+        "minor", "--matrix", str(path), "--mu", "", "--lambda", "1", "--parity", "0",
+    )
+    assert code == 1
+    assert out == '{"error":{"message":"determinant is not 1: %s","type":"DomainError"}}\n' % shown
+
+
+@pytest.mark.parametrize(
     "content, fragment",
     [
         (None, "cannot read matrix file"),

@@ -8,6 +8,7 @@ from loopminors.errors import DomainError
 from loopminors.loop import (
     LaurentPoly,
     LoopElement,
+    _graded_sum,
     generator,
     identity_loop,
     is_unipotent_plus,
@@ -219,3 +220,80 @@ def test_symbolic_loop_element_checks_every_t_degree_of_its_determinant():
     top = (LaurentPoly({0: MultiPoly.one(1), 1: a1}), LaurentPoly({0: a1}))
     cancelling = LoopElement((top, (LaurentPoly({1: MultiPoly.one(1)}), one)), nvars=1)
     assert cancelling.determinant() == one
+
+
+def reference_graded_sum(triples, zero):
+    """Sum of sign * a * b, one operator product per pair of terms; zeros dropped last."""
+    total = {}
+    for sign, a, b in triples:
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                total[e1 + e2] = total.get(e1 + e2, zero) + sign * c1 * c2
+    return {exp: coeff for exp, coeff in total.items() if coeff}
+
+
+def random_laurent(rng, coefficient):
+    return LaurentPoly({rng.randint(-3, 3): coefficient() for _ in range(rng.randint(0, 4))})
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_graded_sum_matches_the_term_by_term_reference(seed):
+    rng = random.Random(seed)
+    k = 3
+
+    def numeric():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    def symbolic():
+        exps = lambda: tuple(rng.randint(0, 2) for _ in range(k))
+        return MultiPoly(k, {exps(): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))})
+
+    for coefficient, zero in ((numeric, Fraction(0)), (symbolic, MultiPoly.zero(k))):
+        for _ in range(20):
+            triples = [
+                (rng.choice((1, -1)), random_laurent(rng, coefficient),
+                 random_laurent(rng, coefficient))
+                for _ in range(rng.randint(0, 4))
+            ]
+            assert _graded_sum(triples, zero).terms == reference_graded_sum(triples, zero)
+
+
+@pytest.mark.parametrize(
+    "one, zero, a",
+    [(Fraction(1), Fraction(0), Fraction(-2, 3)), (MultiPoly.one(2), MultiPoly.zero(2), sym(2, 1))],
+)
+def test_graded_sum_drops_a_cancelled_t_degree(one, zero, a):
+    # (1 + a t^-1)(1 - a t^-1) = 1 - a^2 t^-2: the two t^-1 products cancel
+    plus, minus = LaurentPoly({0: one, -1: a}), LaurentPoly({0: one, -1: -a})
+    product = _graded_sum(((1, plus, minus),), zero)
+    assert product.terms == {0: one, -2: -a * a}
+    # a t * 1 - 1 * a t and a t * t - t * a t: every degree cancels
+    t_a, t_one, unit = LaurentPoly({1: a}), LaurentPoly({1: one}), LaurentPoly.const(one)
+    assert _graded_sum(((1, t_a, unit), (-1, unit, t_a)), zero).terms == {}
+    assert _graded_sum(((1, t_a, t_one), (-1, t_one, t_a)), zero).terms == {}
+
+
+@pytest.mark.parametrize("zero", [Fraction(0), MultiPoly.zero(2)])
+def test_graded_sum_takes_the_int_one_as_a_coefficient_of_b(zero):
+    one = zero + 1
+    a = LaurentPoly({-2: one * 3, 1: one * -5})
+    step = LaurentPoly({1: one * 2})
+    keep = LaurentPoly.const(1)
+    assert _graded_sum(((1, a, keep),), zero) == a
+    assert _graded_sum(((-1, a, keep),), zero).terms == {-2: one * -3, 1: one * 5}
+    expected = {-2: one * 3, -1: one * 6, 1: one * -5, 2: one * -10}
+    assert _graded_sum(((1, a, keep), (1, a, step)), zero).terms == expected
+
+
+def test_determinant_error_prints_a_polynomial_in_t():
+    one, a1 = MultiPoly.one(1), sym(1, 0)
+    unit = LaurentPoly.const(one)
+    with pytest.raises(DomainError) as excinfo:
+        LoopElement(((unit, LaurentPoly({0: a1, -1: one})), (LaurentPoly.const(a1), unit)), nvars=1)
+    message = str(excinfo.value)
+    assert message == "determinant is not 1: -a1^2 + 1 - a1*t^-1"
+    assert not any(name in message for name in ("LaurentPoly(", "MultiPoly(", "Fraction("))
+    numeric = LaurentPoly({2: Fraction(-1), 0: Fraction(1), -2: Fraction(-3, 4), 1: Fraction(1)})
+    assert str(numeric) == "-t^2 + t + 1 - 3/4*t^-2"
+    assert str(LaurentPoly({1: (a1 + 1) * -1, 0: a1})) == "(-a1 - 1)*t + a1"
+    assert str(LaurentPoly()) == "0"
