@@ -1,15 +1,15 @@
 """Exact 2x2 Laurent-polynomial matrices: generators, words, membership.
 
 Laurent polynomials carry either rational coefficients (numeric mode) or
-integer multivariate polynomials in a1..ak (symbolic mode); both are exact.
-A Laurent polynomial is a plain value with no arithmetic of its own: matrix
-products, the determinant and the column operations of ``word_to_loop`` all
-go through one kernel, ``_graded_sum``, which reduces the coefficient
-products landing on each power of t in one ``signed_sum``.  A loop element
-is a 2x2 Laurent matrix with determinant exactly 1.  The public constructor
-checks it.  ``generator``, ``identity_loop``, ``word_to_loop`` and products
-hold it by construction, so they build through ``LoopElement._built``, which
-skips only that check.
+integer multivariate polynomials in a1..ak (symbolic mode); both are exact,
+and ``_ring`` holds each mode's zero and one.  A Laurent polynomial is a plain
+value with no arithmetic of its own: matrix products, the determinant and the
+column operations of ``_letters`` all go through one kernel, ``_graded_sum``,
+which reduces the coefficient products landing on each power of t in one
+``signed_sum``.  A loop element is a 2x2 Laurent matrix with determinant
+exactly 1, which the public constructor checks.  ``_letters``, the one builder
+of ``identity_loop``, ``generator`` and ``word_to_loop``, and products hold it
+by construction, so they build through ``LoopElement._built``.
 """
 
 from __future__ import annotations
@@ -87,6 +87,13 @@ def _graded_sum(triples, zero) -> LaurentPoly:
     return LaurentPoly({exp: signed_sum(group, zero) for exp, group in groups.items()})
 
 
+def _ring(nvars: int | None):
+    """The coefficient ring's (zero, one): rationals for None, else polynomials in nvars variables."""
+    if nvars is None:
+        return Fraction(0), Fraction(1)
+    return MultiPoly.zero(nvars), MultiPoly.one(nvars)
+
+
 class LoopElement:
     """A 2x2 Laurent matrix of determinant 1.
 
@@ -126,10 +133,10 @@ class LoopElement:
         self.nvars = nvars
 
     def one_coeff(self):
-        return MultiPoly.one(self.nvars) if self.nvars is not None else Fraction(1)
+        return _ring(self.nvars)[1]
 
     def zero_coeff(self):
-        return MultiPoly.zero(self.nvars) if self.nvars is not None else Fraction(0)
+        return _ring(self.nvars)[0]
 
     def entry(self, i: int, j: int) -> LaurentPoly:
         """1-origin matrix component, i, j in {1, 2}."""
@@ -162,9 +169,29 @@ class LoopElement:
         return f"LoopElement({self.entries!r}, nvars={self.nvars})"
 
 
+def _letters(word, params, nvars: int | None) -> LoopElement:
+    """The product of generators x_{word[t]}(params[t]) over t, in order.
+
+    Starting from the identity's columns, letter 0 adds column 2 times
+    params[t] t to column 1 and letter 1 adds column 1 times params[t] to
+    column 2.  These keep the determinant 1, so it is not checked again.
+    """
+    zero, one = _ring(nvars)
+    unit, empty = LaurentPoly.const(one), LaurentPoly()
+    columns = [(unit, empty), (empty, unit)]
+    keep = LaurentPoly.const(1)
+    for bit, a in zip(word, params):
+        step = LaurentPoly({1 - bit: a})
+        columns[bit] = tuple(
+            _graded_sum(((1, own, keep), (1, other, step)), zero)
+            for own, other in zip(columns[bit], columns[1 - bit])
+        )
+    (g11, g21), (g12, g22) = columns
+    return LoopElement._built(((g11, g12), (g21, g22)), nvars)
+
+
 def identity_loop(nvars: int | None = None) -> LoopElement:
-    unit = LaurentPoly.const(MultiPoly.one(nvars) if nvars is not None else Fraction(1))
-    return LoopElement._built(((unit, LaurentPoly()), (LaurentPoly(), unit)), nvars)
+    return _letters((), (), nvars)
 
 
 def generator(i: int, a) -> LoopElement:
@@ -174,45 +201,17 @@ def generator(i: int, a) -> LoopElement:
     (numeric); anything else, a float or a string included, is a DomainError.
     """
     i = check_bit(i, "generator parity")
-    if isinstance(a, MultiPoly):
-        nvars = a.nvars
-        one = MultiPoly.one(nvars)
-    else:
+    nvars = a.nvars if isinstance(a, MultiPoly) else None
+    if nvars is None:
         a = Fraction(check_exact(a, "generator parameter"))
-        nvars = None
-        one = Fraction(1)
-    unit = LaurentPoly.const(one)
-    zero = LaurentPoly()
-    if i == 0:
-        lower = LaurentPoly({1: a})
-        entries = ((unit, zero), (lower, unit))
-    else:
-        upper = LaurentPoly.const(a)
-        entries = ((unit, upper), (zero, unit))
-    return LoopElement._built(entries, nvars)
+    return _letters((i,), (a,), nvars)
 
 
 def word_to_loop(word) -> LoopElement:
-    """Symbolic product of generators along an alternating word.
-
-    The t-th letter contributes the formal parameter a_{t+1} as a column
-    operation on the running product: letter 0 adds column 2 times a_{t+1} t
-    to column 1, letter 1 adds column 1 times a_{t+1} to column 2.  These
-    keep the determinant 1, so it is not checked again.
-    """
+    """Symbolic product of generators along an alternating word, letter t with parameter a_{t+1}."""
     word = check_factorization_word(word)
     k = len(word)
-    unit, zero = LaurentPoly.const(MultiPoly.one(k)), LaurentPoly()
-    columns = [(unit, zero), (zero, unit)]
-    keep, ring_zero = LaurentPoly.const(1), MultiPoly.zero(k)
-    for t, bit in enumerate(word):
-        step = LaurentPoly({1 - bit: MultiPoly.variable(k, t)})
-        columns[bit] = tuple(
-            _graded_sum(((1, own, keep), (1, other, step)), ring_zero)
-            for own, other in zip(columns[bit], columns[1 - bit])
-        )
-    (g11, g21), (g12, g22) = columns
-    return LoopElement._built(((g11, g12), (g21, g22)), k)
+    return _letters(word, [MultiPoly.variable(k, t) for t in range(k)], k)
 
 
 def is_unipotent_plus(g: LoopElement) -> bool:
@@ -221,13 +220,11 @@ def is_unipotent_plus(g: LoopElement) -> bool:
     Diagonal entries lie in 1 + t C[t], the upper entry in C[t], the lower
     in t C[t]; the determinant condition is already guaranteed.
     """
-    one = g.one_coeff()
-    zero = g.zero_coeff()
-    g11, g12, g21, g22 = g.entry(1, 1), g.entry(1, 2), g.entry(2, 1), g.entry(2, 2)
-    if not (g11.is_polynomial() and g12.is_polynomial() and g21.is_polynomial() and g22.is_polynomial()):
-        return False
-    if g11.coeff(0, zero) != one or g22.coeff(0, zero) != one:
-        return False
-    if g21.coeff(0, zero) != zero:
-        return False
-    return True
+    zero, one = _ring(g.nvars)
+    (g11, g12), (g21, g22) = g.entries
+    return (
+        all(entry.is_polynomial() for entry in (g11, g12, g21, g22))
+        and g11.coeff(0, zero) == one
+        and g22.coeff(0, zero) == one
+        and g21.coeff(0, zero) == zero
+    )

@@ -99,7 +99,7 @@ class MultiPoly:
 
     @classmethod
     def one(cls, nvars: int) -> "MultiPoly":
-        return cls.const(nvars, 1)
+        return cls._from_packed(nvars, {0: 1}, 0)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":

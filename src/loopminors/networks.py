@@ -175,17 +175,9 @@ def path_to_tableau(family: PathFamily) -> ChessTableau:
     i = sources[0]
     if i not in (0, 1) or any(sources[n] != i - n for n in range(len(sources))):
         raise DomainError("tableau bijection requires empty-mu sources i, i-1, ...")
-    k = len(family.word)
     istar = (i + family.word[0] + 1) % 2
-    rows = []
-    counts = [0] * k
-    for n in range(len(family.levels)):
-        ascents = family.ascent_chips(n)
-        for chip in ascents:
-            counts[chip - 1] += 1
-        if ascents:
-            rows.append(ascents)
-    return ChessTableau(rows=tuple(rows), parity=istar, content=tuple(counts))
+    rows = tuple(filter(None, map(family.ascent_chips, range(len(family.levels)))))
+    return ChessTableau(rows=rows, parity=istar, content=_ascent_counts(family))
 
 
 def render_family(family: PathFamily) -> str:

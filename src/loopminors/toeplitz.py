@@ -34,21 +34,20 @@ def decompose_index(l: int) -> tuple[int, int]:
     return (l - 2) // 2, 2
 
 
-def _coeff(entries, row: int, col: int, zero):
-    """Toeplitz entry of the 2x2 Laurent matrix ``entries``; a missing
-    coefficient reads as the caller's one ring zero ``zero``."""
-    m, comp_row = decompose_index(row)
-    n, comp_col = decompose_index(col)
-    return entries[comp_row - 1][comp_col - 1].coeff(n - m, zero)
-
-
 def _read(entries, rows, cols, zero) -> list[list]:
-    return [[_coeff(entries, row, col, zero) for col in cols] for row in rows]
+    """Toeplitz block of the 2x2 Laurent matrix ``entries`` on index lists; a
+    missing coefficient reads as the caller's one ring zero ``zero``."""
+    cols = list(map(decompose_index, cols))
+    block = []
+    for m, c in map(decompose_index, rows):
+        line = entries[c - 1]
+        block.append([line[d - 1].coeff(n - m, zero) for n, d in cols])
+    return block
 
 
 def toeplitz_entry(g: LoopElement, row: int, col: int):
     """Coefficient of t^(n - m) in the component picked by the index split."""
-    return _coeff(g.entries, row, col, g.zero_coeff())
+    return _read(g.entries, (row,), (col,), g.zero_coeff())[0][0]
 
 
 def window(g: LoopElement, rows, cols) -> list[list]:

@@ -47,6 +47,22 @@ def test_generator_determinants_are_one():
         assert g.determinant() == LaurentPoly({0: Fraction(1)})
 
 
+@pytest.mark.parametrize("a, nvars", [(Fraction(3, 4), None), (sym(2, 1), 2)])
+def test_generators_and_identity_pin_every_entry(a, nvars):
+    # x0(a) = [[1, 0], [a t, 1]], x1(a) = [[1, a], [0, 1]] and the identity,
+    # all three built by the same column-operation loop
+    unit = LaurentPoly({0: Fraction(1) if nvars is None else MultiPoly.one(nvars)})
+    empty = LaurentPoly()
+    expected = [
+        (generator(0, a), ((unit, empty), (LaurentPoly({1: a}), unit))),
+        (generator(1, a), ((unit, LaurentPoly({0: a})), (empty, unit))),
+        (identity_loop(nvars), ((unit, empty), (empty, unit))),
+    ]
+    for g, entries in expected:
+        assert g.nvars == nvars
+        assert g.entries == entries
+
+
 def test_word_to_loop_two_letters():
     g = word_to_loop((1, 0))
     a1, a2 = sym(2, 0), sym(2, 1)

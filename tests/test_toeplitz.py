@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 
 from loopminors.errors import DomainError
-from loopminors.loop import LaurentPoly, LoopElement, generator, identity_loop, word_to_loop
+from loopminors.loop import (
+    LaurentPoly,
+    LoopElement,
+    generator,
+    identity_loop,
+    is_unipotent_plus,
+    word_to_loop,
+)
 from loopminors.multipoly import MultiPoly
 from loopminors.networks import lindstrom_minor
 from loopminors.partitions import index_windows, partitions_up_to, subpartitions
@@ -236,6 +243,31 @@ def test_minor_off_the_unipotent_plus_subgroup_reads_the_direct_window():
         assert minor(g, mu, lam, i) == direct
         complementary += tall
     assert complementary == 118
+
+
+def test_each_clause_of_unipotent_plus_guards_the_complementary_window():
+    # polynomial entries, but g1 has diagonal constants 2 and 1/2 and g2 a
+    # lower constant 2: T(g) is not unitriangular, so a membership test that
+    # missed either clause would send tall minors to the wrong window
+    def laurent(*coeffs):
+        return LaurentPoly(dict(enumerate(map(Fraction, coeffs))))
+
+    half, eleven_halves = Fraction(1, 2), Fraction(11, 2)
+    diag = LoopElement(((laurent(2), laurent()), (laurent(), laurent(half))))
+    g1 = diag * generator(0, 1) * generator(1, 1)
+    g2 = LoopElement(((laurent(1), laurent(0, 1)), (laurent(2), laurent(1, 2))))
+    g2 = g2 * generator(0, 3) * generator(0, Fraction(5, 2))
+    assert g1.entries == ((laurent(2), laurent(2)), (laurent(0, half), laurent(half, half)))
+    assert g2.entries == (
+        (laurent(1, 0, eleven_halves), laurent(0, 1)),
+        (laurent(2, eleven_halves, 11), laurent(1, 2)),
+    )
+    for g in (g1, g2):
+        assert not is_unipotent_plus(g)
+        for mu, lam, i, direct, _ in _direct_cases(g, 5):
+            assert minor(g, mu, lam, i) == direct
+    assert minor(g1, (), (1, 1), 0) == 1
+    assert (minor(g2, (), (1, 1), 1), minor(g2, (), (1, 1, 1), 0)) == (-2, 0)
 
 
 def test_window_helper_shape():
