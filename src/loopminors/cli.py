@@ -9,6 +9,9 @@ strings, and contents are comma lists of integers.
 Exit codes: 0 on success (including reported conjecture mismatches), 1 for
 domain errors, 2 for bad options (argparse usage errors), 130 for a ``verify``
 sweep ended by an interrupt, after its partial summary.
+
+Each handler imports its route when it runs, so a call loads only the modules
+of its subcommand.
 """
 
 from __future__ import annotations
@@ -16,17 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import verify as verify_mod
 from .errors import DomainError, LoopMinorsError
-from .loop import LaurentPoly, LoopElement, word_to_loop
-from .networks import enumerate_families, family_weight, lindstrom_minor, render_family
 from .partitions import check_bits, format_partition, parse_ints, parse_partition
-from .phi import phi_polynomial
-from .shapemod import build_module, count_flags_fq
-from .tableaux import enumerate_by_parity, enumerate_chess, enumerate_standard
-from .toeplitz import minor, pieri_determinant
 
 
 def _parse_bits(text: str) -> tuple[int, ...]:
@@ -75,6 +70,8 @@ class Output:
 
 
 def cmd_tableaux(args, out: Output) -> None:
+    from .tableaux import enumerate_by_parity, enumerate_standard
+
     if args.d is not None:
         if args.parity is None:
             raise DomainError("--d requires --parity")
@@ -88,6 +85,8 @@ def cmd_tableaux(args, out: Output) -> None:
 
 
 def cmd_chess(args, out: Output) -> None:
+    from .tableaux import enumerate_chess
+
     grouped = enumerate_chess(args.shape, args.parity, args.max_label)
     contents = {format_partition(j): [t.to_lists() for t in tabs] for j, tabs in grouped.items()}
     total = sum(len(tabs) for tabs in grouped.values())
@@ -96,12 +95,18 @@ def cmd_chess(args, out: Output) -> None:
 
 
 def cmd_phi(args, out: Output) -> None:
+    from .phi import phi_polynomial
+
     poly = phi_polynomial(args.shape, args.parity, args.word)
     obj = {"polynomial": poly.text(), "terms": poly.json_terms()}
     out.emit(obj, text=poly.text())
 
 
-def _load_matrix(path: str) -> LoopElement:
+def _load_matrix(path: str):
+    from fractions import Fraction
+
+    from .loop import LaurentPoly, LoopElement
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -126,6 +131,9 @@ def _load_matrix(path: str) -> LoopElement:
 
 
 def cmd_minor(args, out: Output) -> None:
+    from .loop import word_to_loop
+    from .toeplitz import minor
+
     if (args.word is None) == (args.matrix is None):
         raise DomainError("provide exactly one of --word or --matrix")
     if args.word is not None:
@@ -137,11 +145,16 @@ def cmd_minor(args, out: Output) -> None:
 
 
 def cmd_pieri(args, out: Output) -> None:
+    from .loop import word_to_loop
+    from .toeplitz import pieri_determinant
+
     value = pieri_determinant(word_to_loop(args.word), args.lam, args.parity)
     out.emit({"polynomial": value.text()}, text=value.text())
 
 
 def cmd_paths(args, out: Output) -> None:
+    from .networks import enumerate_families, family_weight, lindstrom_minor, render_family
+
     families = enumerate_families(args.word, args.mu, args.lam, args.parity)
     total = lindstrom_minor(args.word, args.mu, args.lam, args.parity)
     if args.render:
@@ -161,12 +174,16 @@ def cmd_paths(args, out: Output) -> None:
 
 
 def cmd_module(args, out: Output) -> None:
+    from .shapemod import build_module
+
     obj = build_module(args.lam, args.mu, args.parity).to_json()
     arrows = [f"{src} --{name}--> {dst}" for src, name, dst in obj["arrows"]]
     out.emit(obj, text="\n".join([f"dim {obj['dim']}"] + arrows))
 
 
 def cmd_points(args, out: Output) -> None:
+    from .shapemod import build_module, count_flags_fq
+
     count = count_flags_fq(build_module(args.lam, args.mu, args.parity), args.d, args.q)
     obj = {"lambda": format_partition(args.lam), "mu": format_partition(args.mu),
            "parity": args.parity, "d": list(args.d), "q": args.q, "count": count}
@@ -174,6 +191,8 @@ def cmd_points(args, out: Output) -> None:
 
 
 def cmd_verify(args, out: Output) -> int:
+    from . import verify as verify_mod
+
     def emitted(reports):
         for report in reports:
             if args.verbose or not report.ok:
@@ -222,7 +241,7 @@ _COMMANDS = {
         "--lambda", "--mu", "--parity", "--d", ("--q", {"type": int, "required": True}),
     ]),
     "verify": ("cross-route verification sweeps", cmd_verify, [
-        ("target", {"choices": verify_mod.TARGETS}),
+        ("target", {"choices": ("theorem2", "prop1", "conjecture1", "pieri", "lindstrom")}),
         ("--max-size", {"type": int, "default": 5}),
         ("--max-word", {"type": int, "default": 5}),
         ("--q", {"type": int, "action": "append"}),

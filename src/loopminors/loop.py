@@ -76,8 +76,7 @@ def _graded_sum(triples, zero) -> LaurentPoly:
 
     The one product kernel of this module.  The coefficient products landing
     on one power of t form one group, reduced by one ``signed_sum`` from the
-    ring zero ``zero``; a power whose group cancels is dropped.  A coefficient
-    of b may be the int 1.
+    ring zero ``zero``; a power whose group cancels is dropped.
     """
     groups: dict[int, list] = {}
     for sign, a, b in triples:
@@ -179,11 +178,10 @@ def _letters(word, params, nvars: int | None) -> LoopElement:
     zero, one = _ring(nvars)
     unit, empty = LaurentPoly.const(one), LaurentPoly()
     columns = [(unit, empty), (empty, unit)]
-    keep = LaurentPoly.const(1)
     for bit, a in zip(word, params):
         step = LaurentPoly({1 - bit: a})
         columns[bit] = tuple(
-            _graded_sum(((1, own, keep), (1, other, step)), zero)
+            _graded_sum(((1, own, unit), (1, other, step)), zero)
             for own, other in zip(columns[bit], columns[1 - bit])
         )
     (g11, g21), (g12, g22) = columns

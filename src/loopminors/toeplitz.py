@@ -47,7 +47,9 @@ def _read(entries, rows, cols, zero) -> list[list]:
 
 def toeplitz_entry(g: LoopElement, row: int, col: int):
     """Coefficient of t^(n - m) in the component picked by the index split."""
-    return _read(g.entries, (row,), (col,), g.zero_coeff())[0][0]
+    (m, c), (n, d) = decompose_index(row), decompose_index(col)
+    value = g.entries[c - 1][d - 1].terms.get(n - m)
+    return g.zero_coeff() if value is None else value
 
 
 def window(g: LoopElement, rows, cols) -> list[list]:
