@@ -196,8 +196,9 @@ def cmd_verify(args, out: Output) -> int:
     def emitted(reports):
         for report in reports:
             if args.verbose or not report.ok:
-                obj = report.to_json()
-                out.emit(obj, text=f"{obj['status']} {_dumps(obj['case'])}")
+                obj = report.to_json()  # the text line only where it is written
+                text = f"{obj['status']} {_dumps(obj['case'])}" if out.fmt == "text" else None
+                out.emit(obj, text=text)
             yield report
 
     reports = verify_mod.sweep(args.target, args.max_size, args.max_word, args.q)

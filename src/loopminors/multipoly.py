@@ -254,6 +254,10 @@ class MultiPoly:
         exps = tuple(check_int(e, "exponent") for e in exps)
         if len(exps) != self.nvars or not all(0 <= e <= MAX_EXPONENT for e in exps):
             return 0
+        return self._coefficient(exps)
+
+    def _coefficient(self, exps) -> int:
+        """``coefficient`` of ``nvars`` ints in 0..``MAX_EXPONENT``, without the checks."""
         return self.terms.get(_pack(exps), 0)
 
     def constant_value(self) -> int:

@@ -228,6 +228,11 @@ def expand_word(word, j) -> BitString:
         raise DomainError(f"content length {len(j)} != word length {len(word)}")
     if any(v < 0 for v in j):
         raise DomainError(f"content must be nonnegative, got {j}")
+    return _expand(word, j)
+
+
+def _expand(word, j) -> BitString:
+    """``expand_word`` of a checked word and content, without the checks."""
     return tuple(bit for bit, v in zip(word, j) for _ in range(v))
 
 

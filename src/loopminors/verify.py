@@ -14,10 +14,13 @@ from typing import Callable, Iterator, NamedTuple
 from .errors import DomainError
 from .loop import word_to_loop
 from .networks import lindstrom_minor
-from .partitions import Partition, check_int, format_partition, partitions_up_to, size, subpartitions
+from .partitions import (
+    Partition, check_bit, check_factorization_word, check_int, check_parity_string, check_partition,
+    format_partition, partitions_up_to, size, subpartitions,
+)
 from .phi import euler_char, phi_polynomial
 from .shapemod import build_module, conjecture1_prediction, count_flags_fq
-from .tableaux import enumerate_standard, expand_word, parity_string
+from .tableaux import _expand, enumerate_standard, expand_word, parity_string
 from .toeplitz import minor, pieri_determinant
 
 
@@ -26,6 +29,26 @@ class _Row(NamedTuple):
     shares: int  # how many leading fields the shared value reads
     share: Callable  # the shared value, from those fields
     values: Callable  # the route values, from the shared value and the case
+    read: Callable | None = None  # check's reader of a case whose values trust it; else routes check
+
+
+def _read_prop1(word, lam, i, j) -> tuple:
+    """A prop1 case through the input layer, with the errors its routes gave when they checked it."""
+    lam, i, word = check_partition(lam), check_bit(i), check_factorization_word(word)
+    j = tuple(check_int(v, "content") for v in j)
+    check_parity_string(expand_word(word, j), lam)
+    return word, lam, i, j
+
+
+def _prop1_values(shared, word, lam, i, j) -> dict:
+    """Tableaux counted by euler_char's walk, once per parity string d of a share, and chess
+    tableaux read off phi's.  The case, read by check or built by a grid, is not checked again."""
+    chess, counts = shared
+    d = _expand(word, j)
+    if d not in counts:
+        counts[d] = euler_char(lam, i, d)
+    chess_count = chess._coefficient(j)
+    return {"tab_count": counts[d], "factorial_times_chess": prod(map(factorial, j)) * chess_count}
 
 
 # Fields follow lindstrom_minor(word, mu, lam, i); rows call routes by name, so rebinding reaches them.
@@ -36,14 +59,10 @@ _ROWS = {
         "lindstrom": lindstrom_minor(word, (), lam, i),
         "toeplitz": minor(g, (), lam, i),
     }),
-    # tableaux counted by euler_char's walk, chess tableaux read off phi's
+    # the share is phi and the tableau count of each parity string asked for so far
     "prop1": _Row(
         ("word", "lambda", "parity", "content"), 3,
-        lambda word, lam, i: phi_polynomial(lam, i, word),
-        lambda chess, word, lam, i, j: {
-            "tab_count": euler_char(lam, i, expand_word(word, j)),
-            "factorial_times_chess": prod(factorial(v) for v in j) * chess.coefficient(j),
-        },
+        lambda word, lam, i: (phi_polynomial(lam, i, word), {}), _prop1_values, _read_prop1,
     ),
     "conjecture1": _Row(
         ("lambda", "parity", "d", "q"), 2,
@@ -91,19 +110,22 @@ def _row(target: str) -> _Row:
 
 def check(target: str, *case) -> VerificationReport:
     """The report of one case, given as its row's fields in order, such as
-    ``check("lindstrom", word, mu, lam, i)``; each route checks its inputs."""
+    ``check("lindstrom", word, mu, lam, i)``.  A row with a reader (prop1) reads the
+    case through the input layer here, once; the routes of the other rows check theirs."""
     row = _row(target)
+    if row.read:
+        case = row.read(*case)
     return _check(target, case, row.share(*case[: row.shares]))
 
 
 def _check(target: str, case: tuple, shared) -> VerificationReport:
     """Every report: one case's route values, given its row's shared value."""
-    fields, _, _, route_values = _ROWS[target]
-    values = route_values(shared, *case)
+    row = _ROWS[target]
+    values = row.values(shared, *case)
     routes = list(values.values())
     return VerificationReport(
         check=target,
-        case={k: v if isinstance(v, int) else format_partition(v) for k, v in zip(fields, case)},
+        case={k: v if isinstance(v, int) else format_partition(v) for k, v in zip(row.fields, case)},
         values=values,
         ok=routes.count(routes[0]) == len(routes),
     )
@@ -188,7 +210,7 @@ def sweep(target: str, max_size: int, max_word=None, qs=None) -> Iterator[Verifi
 def _reports(target: str, grid) -> Iterator[VerificationReport]:
     """``_check`` of each case, each shared value computed once per sweep and kept while the
     grid can ask for it again: grids cycle words innermost, other keys run consecutively."""
-    fields, shares, share, _ = _ROWS[target]
+    fields, shares, share = _ROWS[target][:3]
     memo = {}
     for case in grid:
         shared = memo.get(case[:shares])

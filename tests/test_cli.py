@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from loopminors import verify
+from loopminors import cli, verify
 from loopminors.cli import build_parser, main
 from loopminors.multipoly import MultiPoly
 
@@ -188,6 +188,18 @@ def test_verify_verbose_streams_cases(capsys):
     lines = out.strip().splitlines()
     assert len(lines) > 1
     assert json.loads(lines[0])["status"] == "ok"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_dumps_only_the_lines_it_writes(capsys, monkeypatch, fmt):
+    # a JSON line dumps its report, a text line its case, and the text summary nothing
+    dumped = []
+    monkeypatch.setattr(cli, "_dumps", lambda obj, real=cli._dumps: dumped.append(obj) or real(obj))
+    argv = ["--format", fmt, "verify", "prop1", "--max-size", "2", "--max-word", "2", "--verbose"]
+    code, out, _ = run_cli(capsys, *argv)
+    cases = len(list(verify.sweep_prop1(2, 2)))
+    assert code == 0 and len(out.splitlines()) == cases + 1
+    assert len(dumped) == cases + (fmt == "json")
 
 
 def test_verify_writes_each_report_before_an_interrupt(tmp_path, capsys, monkeypatch):
