@@ -110,6 +110,12 @@ def size(lam: Partition) -> int:
     return sum(lam)
 
 
+def conjugate(lam: Partition) -> Partition:
+    """The conjugate partition lam', the transpose of lam's diagram: its n-th
+    part counts the parts of lam greater than n."""
+    return tuple(sum(p > n for p in lam) for n in range(part(lam, 0)))
+
+
 def max_index(lam: Partition) -> int:
     """Largest n with ``lam[n] > 0``; 0 for the empty partition by convention."""
     return len(lam) - 1 if lam else 0

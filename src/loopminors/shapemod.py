@@ -29,8 +29,8 @@ from math import isqrt
 from . import gf
 from .errors import DomainError, ResourceLimitError
 from .partitions import (
-    Partition, check_bit, check_bits, check_contained, check_int, check_partition, format_partition,
-    part,
+    Partition, check_bit, check_bits, check_contained, check_int, check_partition, conjugate,
+    format_partition, part,
 )
 from .tableaux import enumerate_by_parity, ground_state
 
@@ -118,8 +118,7 @@ def delta_partition_type(module: ShapeModule) -> Partition:
     while image:
         ranks.append(len(image))
         image = {module.left[box] for box in image if box in module.left}
-    drops = [a - b for a, b in zip(ranks, ranks[1:] + [0])]
-    return tuple(sum(drop > k for drop in drops) for k in range(drops[0] if drops else 0))
+    return conjugate(tuple(a - b for a, b in zip(ranks, ranks[1:] + [0])))
 
 
 def _count_series(field: gf.GF, blocks, d: tuple[int, ...], memo: dict) -> int:

@@ -16,7 +16,10 @@ index order, so each finite block on an index interval is unitriangular and
 its inverse is the same block of T(adj g).  Jacobi's complementary-minor
 theorem then reads any minor of T(g) inside an interval [lo, hi] from the
 complementary window of T(adj g); ``minor`` takes whichever of the two
-windows is smaller.
+windows is smaller.  Transposing and re-indexing that complementary window
+turns it into the window of the conjugate shape, so a straight-shape minor
+on lam equals the one on lam' at the same parity, and ``pieri_determinant``
+expands whichever of the two shapes has fewer rows.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from __future__ import annotations
 from .determinants import det_bareiss, det_cofactor
 from .errors import DomainError
 from .loop import LoopElement, is_unipotent_plus
-from .partitions import Partition, check_bit, check_partition, index_windows, max_index
+from .partitions import (
+    Partition, check_bit, check_partition, conjugate, index_windows, max_index, part,
+)
 
 
 def decompose_index(l: int) -> tuple[int, int]:
@@ -102,6 +107,11 @@ def minor(g: LoopElement, mu: Partition, lam: Partition, i: int):
     return -value if flips % 2 else value
 
 
+def _entry_E(g: LoopElement, i: int, n: int, zero):
+    """``entry_E`` for a checked bit i, with ``zero`` the ring's zero."""
+    return zero if n < 0 else toeplitz_entry(g, i, n + i)
+
+
 def entry_E(g: LoopElement, i: int, n: int):
     """Single-row minor value: the (i, n + i) entry, forced to 0 for n < 0.
 
@@ -109,27 +119,39 @@ def entry_E(g: LoopElement, i: int, n: int):
     determinant be written uniformly; for unipotent-plus elements the raw
     entry below the block diagonal vanishes anyway.
     """
-    check_bit(i)
-    if n < 0:
-        return g.zero_coeff()
-    return toeplitz_entry(g, i, n + i)
+    return _entry_E(g, check_bit(i), n, g.zero_coeff())
 
 
 def pieri_determinant(g: LoopElement, lam: Partition, i: int):
     """Determinant in single-row entries that reproduces minor(g, (), lam, i).
 
-    Entry (s, t) is E^(parity of i + s), subscript lam[t] + s - t, for
-    s, t in 0..maxIndex(lam).  Each entry equals the (s, t) entry of the
-    canonical minor window by the block-shift identity, with negative
-    subscripts reading 0.  Stated for unipotent-plus elements only.  This is
-    always the side maxIndex(lam) + 1 determinant, whichever window ``minor``
-    reads.
+    Stated for unipotent-plus elements only.  It expands the shape nu, of
+    lam and its conjugate lam', with fewer rows (lam on a tie): entry (s, t)
+    is E^(parity of i + s), subscript nu[t] + s - t, for s, t in
+    0..maxIndex(nu).  Each entry equals the (s, t) entry of the canonical
+    minor window of nu by the block-shift identity, with negative subscripts
+    reading 0, so the determinant is minor(g, (), nu, i).
+
+    That equals minor(g, (), lam, i), at the same parity.  Let R and C be the
+    row and column windows of ((), lam) in [lo, hi] = [R[-1], C[0]].
+    Jacobi's complementary minors, as in ``minor``, give det T(g)[R, C] =
+    +-det T(adj g)[C', R'] with C', R' the complements in [lo, hi].
+    Transposing T(h) and re-indexing by l -> 1 - l gives T(sigma h^T sigma),
+    sigma swapping the two components, and sigma adj(g)^T sigma = D g D
+    with D = diag(1, -1), whose Toeplitz matrix is a +-1 diagonal.  So the
+    minor is +-det T(g)[1 - R', 1 - C'].  These re-indexed complements are
+    the row and column windows of ((), lam'), both moved down by 2i, which
+    the block-shift identity absorbs: {lam[n] - n} and {1 - (lam'[n] - n)}
+    for n >= 0 partition the integers.  The signs cancel on every straight
+    shape, which the tests check against the side-maxIndex(lam) + 1
+    determinant and ``minor``.
     """
     if not is_unipotent_plus(g):
         raise DomainError("the Pieri determinant is only defined on unipotent-plus elements")
     lam = check_partition(lam)
     i = check_bit(i)
-    side = range(max_index(lam) + 1)
-    parts = [lam[t] if t < len(lam) else 0 for t in side]
-    matrix = [[entry_E(g, (i + s) % 2, parts[t] + s - t) for t in side] for s in side]
+    nu = min(lam, conjugate(lam), key=len)
+    side = range(max_index(nu) + 1)
+    zero = g.zero_coeff()
+    matrix = [[_entry_E(g, (i + s) % 2, part(nu, t) + s - t, zero) for t in side] for s in side]
     return _determinant(g, matrix)

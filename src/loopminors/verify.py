@@ -115,17 +115,27 @@ def check(target: str, *case) -> VerificationReport:
     row = _row(target)
     if row.read:
         case = row.read(*case)
-    return _check(target, case, row.share(*case[: row.shares]))
+    return _check(target, case, _shared(row, case[: row.shares]))
 
 
-def _check(target: str, case: tuple, shared) -> VerificationReport:
-    """Every report: one case's route values, given its row's shared value."""
+def _shared(row: _Row, head: tuple) -> tuple:
+    """The shared value of the cases that lead with ``head``, and those fields as reported."""
+    return row.share(*head), _fields(row.fields, head)
+
+
+def _fields(names, values) -> dict:
+    return {k: v if isinstance(v, int) else format_partition(v) for k, v in zip(names, values)}
+
+
+def _check(target: str, case: tuple, shared: tuple) -> VerificationReport:
+    """Every report: one case's route values, given its row's ``_shared`` pair."""
     row = _ROWS[target]
-    values = row.values(shared, *case)
+    value, head = shared
+    values = row.values(value, *case)
     routes = list(values.values())
     return VerificationReport(
         check=target,
-        case={k: v if isinstance(v, int) else format_partition(v) for k, v in zip(row.fields, case)},
+        case={**head, **_fields(row.fields[row.shares:], case[row.shares:])},
         values=values,
         ok=routes.count(routes[0]) == len(routes),
     )
@@ -208,16 +218,18 @@ def sweep(target: str, max_size: int, max_word=None, qs=None) -> Iterator[Verifi
 
 
 def _reports(target: str, grid) -> Iterator[VerificationReport]:
-    """``_check`` of each case, each shared value computed once per sweep and kept while the
-    grid can ask for it again: grids cycle words innermost, other keys run consecutively."""
-    fields, shares, share = _ROWS[target][:3]
+    """``_check`` of each case, each shared value and its reported fields computed once per sweep
+    and kept while the grid can ask for it again: grids cycle words innermost, other keys run
+    consecutively."""
+    row = _ROWS[target]
     memo = {}
     for case in grid:
-        shared = memo.get(case[:shares])
+        head = case[: row.shares]
+        shared = memo.get(head)
         if shared is None:
-            if fields[:shares] != ("word",):
+            if row.fields[: row.shares] != ("word",):
                 memo.clear()
-            shared = memo[case[:shares]] = share(*case[:shares])
+            shared = memo[head] = _shared(row, head)
         yield _check(target, case, shared)
 
 

@@ -5,6 +5,7 @@ import pytest
 from loopminors.errors import DomainError, InvalidWindowError
 from loopminors.partitions import (
     check_partition,
+    conjugate,
     contains,
     format_partition,
     index_set,
@@ -106,3 +107,21 @@ def test_subpartitions_are_contained_and_complete():
     for lam in partitions_up_to(8):
         inside = [mu for mu in partitions_up_to(size(lam)) if contains(mu, lam)]
         assert subpartitions(lam) == sorted(inside, reverse=True)
+
+
+def test_conjugate_is_an_involution_that_keeps_the_size():
+    for lam in partitions_up_to(10):
+        assert conjugate(conjugate(lam)) == lam
+        assert size(conjugate(lam)) == size(lam)
+
+
+def test_conjugate_is_the_transpose_of_the_box_set():
+    for lam in partitions_up_to(10):
+        boxes = {(c, r) for r, length in enumerate(lam) for c in range(length)}
+        rows = [sum(1 for r, _ in boxes if r == row) for row in range(size(lam) + 1)]
+        assert conjugate(lam) == check_partition(rows)
+    assert conjugate((4, 3, 1)) == (3, 2, 2, 1)
+
+
+def test_conjugate_of_the_empty_partition_is_empty():
+    assert conjugate(()) == ()
