@@ -116,7 +116,13 @@ class MultiPoly:
 
     @classmethod
     def transfer_sum(cls, nvars: int, start, end, moves) -> "MultiPoly":
-        """Sum of a^e over the walks of ``nvars`` steps from ``start`` to ``end``.
+        """Sum of a^e over the walks of ``nvars`` steps from ``start`` to ``end``:
+        the last value of ``transfer_walk``."""
+        return cls.transfer_walk(nvars, start, end, moves)[-1]
+
+    @classmethod
+    def transfer_walk(cls, nvars: int, start, end, moves, every: bool = False) -> list["MultiPoly"]:
+        """Sums of a^e over the walks from ``start`` to ``end``, after every step or the last.
 
         Step c (0-origin) takes a walk from ``state`` along each pair
         ``(next_state, e)`` that ``moves(c, state)`` yields, and e, a
@@ -124,9 +130,15 @@ class MultiPoly:
         evaluation: each step keeps, per reachable state, the polynomial of the
         walks that end there, so walks are summed, never listed.  States must
         be hashable; a step exponent above ``MAX_EXPONENT`` raises DomainError.
+
+        The list holds the sum over the walks of all ``nvars`` steps; with
+        ``every``, it holds for each k = 1..nvars the sum over the walks of k
+        steps, a polynomial in a1..ak: the end state's terms after step k, each
+        key shifted right past the fields of the steps not taken.
         """
         layer = {start: {0: 1}}
         bound = 0
+        values = []
         for c in range(nvars):
             shift = EXPONENT_BITS * (nvars - 1 - c)
             nxt: dict = {}
@@ -147,7 +159,14 @@ class MultiPoly:
                             key += step
                             acc[key] = get(key, 0) + n
             layer = nxt
-        return cls._from_packed(nvars, layer.get(end) or {}, bound)
+            if every:
+                terms = layer.get(end) or {}
+                if shift:
+                    terms = {key >> shift: n for key, n in terms.items()}
+                values.append(cls._from_packed(c + 1, terms, bound))
+        if not every:
+            values.append(cls._from_packed(nvars, layer.get(end) or {}, bound))
+        return values
 
     @classmethod
     def sum_of_products(cls, nvars: int, triples) -> "MultiPoly":

@@ -28,7 +28,7 @@ from .determinants import det_bareiss, det_cofactor
 from .errors import DomainError
 from .loop import LoopElement, is_unipotent_plus
 from .partitions import (
-    Partition, check_bit, check_partition, conjugate, index_windows, max_index, part,
+    Partition, check_bit, check_int, check_partition, conjugate, index_windows, max_index, part,
 )
 
 
@@ -52,6 +52,11 @@ def _read(entries, rows, cols, zero) -> list[list]:
 
 def toeplitz_entry(g: LoopElement, row: int, col: int):
     """Coefficient of t^(n - m) in the component picked by the index split."""
+    return _toeplitz_entry(g, check_int(row, "index"), check_int(col, "index"))
+
+
+def _toeplitz_entry(g: LoopElement, row: int, col: int):
+    """``toeplitz_entry`` for int indices."""
     (m, c), (n, d) = decompose_index(row), decompose_index(col)
     value = g.entries[c - 1][d - 1].terms.get(n - m)
     return g.zero_coeff() if value is None else value
@@ -108,8 +113,8 @@ def minor(g: LoopElement, mu: Partition, lam: Partition, i: int):
 
 
 def _entry_E(g: LoopElement, i: int, n: int, zero):
-    """``entry_E`` for a checked bit i, with ``zero`` the ring's zero."""
-    return zero if n < 0 else toeplitz_entry(g, i, n + i)
+    """``entry_E`` for a checked bit i and an int n, with ``zero`` the ring's zero."""
+    return zero if n < 0 else _toeplitz_entry(g, i, n + i)
 
 
 def entry_E(g: LoopElement, i: int, n: int):
@@ -119,7 +124,7 @@ def entry_E(g: LoopElement, i: int, n: int):
     determinant be written uniformly; for unipotent-plus elements the raw
     entry below the block diagonal vanishes anyway.
     """
-    return _entry_E(g, check_bit(i), n, g.zero_coeff())
+    return _entry_E(g, check_bit(i), check_int(n, "subscript"), g.zero_coeff())
 
 
 def pieri_determinant(g: LoopElement, lam: Partition, i: int):

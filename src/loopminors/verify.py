@@ -9,27 +9,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial, prod
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError
 from .loop import word_to_loop
-from .networks import lindstrom_minor
+from .networks import lindstrom_prefixes
 from .partitions import (
     Partition, check_bit, check_factorization_word, check_int, check_parity_string, check_partition,
     format_partition, partitions_up_to, size, subpartitions,
 )
-from .phi import euler_char, phi_polynomial
+from .phi import euler_char, phi_prefixes
 from .shapemod import build_module, conjecture1_prediction, count_flags_fq
 from .tableaux import _expand, enumerate_standard, expand_word, parity_string
 from .toeplitz import minor, pieri_determinant
 
 
+class _Share(NamedTuple):
+    fields: tuple[str, ...]  # the case fields that key the value
+    build: Callable  # the value from those fields; a walk share's from them and a word to walk
+    walk: bool = False  # a walk share: a route on every prefix of a word, per start letter
+
+
 class _Row(NamedTuple):
     fields: tuple[str, ...]  # a case: the arguments of check, the keys of its report
-    shares: int  # how many leading fields the shared value reads
-    share: Callable  # the shared value, from those fields
-    values: Callable  # the route values, from the shared value and the case
+    shares: tuple[_Share, ...]  # the values its cases share; they read the leading fields
+    values: Callable  # the route values, from the shared values in order and the case
     read: Callable | None = None  # check's reader of a case whose values trust it; else routes check
+
+
+def _at(walks: dict, word) -> object:
+    """The value on ``word`` of a walk share: its start letter's walk after len(word) steps."""
+    return walks[word[0]][len(word) - 1]
 
 
 def _read_prop1(word, lam, i, j) -> tuple:
@@ -40,44 +51,56 @@ def _read_prop1(word, lam, i, j) -> tuple:
     return word, lam, i, j
 
 
-def _prop1_values(shared, word, lam, i, j) -> dict:
-    """Tableaux counted by euler_char's walk, once per parity string d of a share, and chess
-    tableaux read off phi's.  The case, read by check or built by a grid, is not checked again."""
-    chess, counts = shared
+def _prop1_values(phis, counts, word, lam, i, j) -> dict:
+    """Tableaux counted by euler_char's walk, once per parity string d of a (word, lambda, i),
+    and chess tableaux read off phi's.  The case, read by check or built by a grid, is not
+    checked again."""
     d = _expand(word, j)
     if d not in counts:
         counts[d] = euler_char(lam, i, d)
-    chess_count = chess._coefficient(j)
+    chess_count = _at(phis, word)._coefficient(j)
     return {"tab_count": counts[d], "factorial_times_chess": prod(map(factorial, j)) * chess_count}
 
 
-# Fields follow lindstrom_minor(word, mu, lam, i); rows call routes by name, so rebinding reaches them.
-_BY_WORD = 1, lambda word: word_to_loop(word)
+# Fields follow lindstrom_minor(word, mu, lam, i); shares call routes by name, so rebinding
+# reaches them.  A walk share is keyed by the shape and parity, not the word: each alternating
+# word is the prefix of the longest word of its start letter, and both routes read every
+# prefix's value off one walk of that word.
+_LOOP = _Share(("word",), lambda word: word_to_loop(word))
+_PHI = _Share(("lambda", "parity"), lambda lam, i, word: phi_prefixes(lam, i, word), True)
 _ROWS = {
-    "theorem2": _Row(("word", "lambda", "parity"), *_BY_WORD, lambda g, word, lam, i: {
-        "phi": phi_polynomial(lam, i, word),
-        "lindstrom": lindstrom_minor(word, (), lam, i),
+    "theorem2": _Row(("word", "lambda", "parity"), (
+        _LOOP, _PHI,
+        _Share(("lambda", "parity"), lambda lam, i, word: lindstrom_prefixes(word, (), lam, i), True),
+    ), lambda g, phis, paths, word, lam, i: {
+        "phi": _at(phis, word),
+        "lindstrom": _at(paths, word),
         "toeplitz": minor(g, (), lam, i),
     }),
-    # the share is phi and the tableau count of each parity string asked for so far
+    # the second share: the tableau count of each parity string asked for so far
     "prop1": _Row(
-        ("word", "lambda", "parity", "content"), 3,
-        lambda word, lam, i: (phi_polynomial(lam, i, word), {}), _prop1_values, _read_prop1,
+        ("word", "lambda", "parity", "content"),
+        (_PHI, _Share(("word", "lambda", "parity"), lambda word, lam, i: {})),
+        _prop1_values, _read_prop1,
     ),
     "conjecture1": _Row(
-        ("lambda", "parity", "d", "q"), 2,
-        lambda lam, i: build_module(lam, (), i),
+        ("lambda", "parity", "d", "q"),
+        (_Share(("lambda", "parity"), lambda lam, i: build_module(lam, (), i)),),
         lambda module, lam, i, d, q: {
             "prediction": conjecture1_prediction(lam, i, d, q),
             "brute_force": count_flags_fq(module, d, q),
         },
     ),
-    "pieri": _Row(("word", "lambda", "parity"), *_BY_WORD, lambda g, word, lam, i: {
+    "pieri": _Row(("word", "lambda", "parity"), (_LOOP,), lambda g, word, lam, i: {
         "pieri": pieri_determinant(g, lam, i),
         "minor": minor(g, (), lam, i),
     }),
-    "lindstrom": _Row(("word", "mu", "lambda", "parity"), *_BY_WORD, lambda g, word, mu, lam, i: {
-        "lindstrom": lindstrom_minor(word, mu, lam, i),
+    "lindstrom": _Row(("word", "mu", "lambda", "parity"), (
+        _LOOP,
+        _Share(("mu", "lambda", "parity"),
+               lambda mu, lam, i, word: lindstrom_prefixes(word, mu, lam, i), True),
+    ), lambda g, paths, word, mu, lam, i: {
+        "lindstrom": _at(paths, word),
         "toeplitz": minor(g, mu, lam, i),
     }),
 }
@@ -98,7 +121,10 @@ class VerificationReport:
 
     def to_json(self) -> dict:
         status = "ok" if self.ok else ("mismatch" if self.check in REPORT_ONLY else "fail")
-        values = {k: str(v) for k, v in self.values.items()}
+        # a value equal to the first reuses its text, so a passing report renders one
+        first = next(iter(self.values.values()), None)
+        shown = str(first)
+        values = {k: shown if v is first or v == first else str(v) for k, v in self.values.items()}
         return {"check": self.check, "case": self.case, "values": values, "status": status}
 
 
@@ -111,16 +137,25 @@ def _row(target: str) -> _Row:
 def check(target: str, *case) -> VerificationReport:
     """The report of one case, given as its row's fields in order, such as
     ``check("lindstrom", word, mu, lam, i)``.  A row with a reader (prop1) reads the
-    case through the input layer here, once; the routes of the other rows check theirs."""
+    case through the input layer here, once; the routes of the other rows check theirs.
+    A walk share walks the case's own word."""
     row = _row(target)
     if row.read:
         case = row.read(*case)
-    return _check(target, case, _shared(row, case[: row.shares]))
+    words = case[:1] if row.fields[0] == "word" else ()
+    values = [_value(share, [case[row.fields.index(f)] for f in share.fields], words)
+              for share in row.shares]
+    return _check(target, case, (values, _fields(row.fields, case[: _lead(row)])))
 
 
-def _shared(row: _Row, head: tuple) -> tuple:
-    """The shared value of the cases that lead with ``head``, and those fields as reported."""
-    return row.share(*head), _fields(row.fields, head)
+def _lead(row: _Row) -> int:
+    """How many leading fields of a case its row's shares read."""
+    return len({name for share in row.shares for name in share.fields})
+
+
+def _value(share: _Share, key, words):
+    """The value of ``share`` at the fields ``key``; a walk share walks each word of ``words``."""
+    return {word[0]: share.build(*key, word) for word in words} if share.walk else share.build(*key)
 
 
 def _fields(names, values) -> dict:
@@ -128,14 +163,16 @@ def _fields(names, values) -> dict:
 
 
 def _check(target: str, case: tuple, shared: tuple) -> VerificationReport:
-    """Every report: one case's route values, given its row's ``_shared`` pair."""
+    """Every report: one case's route values, given its shared values in share order and the
+    leading fields they read as reported."""
     row = _ROWS[target]
-    value, head = shared
-    values = row.values(value, *case)
+    shares, head = shared
+    values = row.values(*shares, *case)
     routes = list(values.values())
+    lead = len(head)
     return VerificationReport(
         check=target,
-        case={**head, **_fields(row.fields[row.shares:], case[row.shares:])},
+        case={**head, **_fields(row.fields[lead:], case[lead:])},
         values=values,
         ok=routes.count(routes[0]) == len(routes),
     )
@@ -203,33 +240,46 @@ def sweep(target: str, max_size: int, max_word=None, qs=None) -> Iterator[Verifi
 
     The grid is looked up when called, so a rebound ``sweep_<target>`` is the
     one that runs.  ``qs`` defaults to ``DEFAULT_QS``; a target without a field
-    size q rejects it, and only a target without one reads ``max_word``.
+    size q rejects it, and only a target without one reads ``max_word``.  The
+    walks of a word target run to ``max_word`` letters, the longest word its
+    grid may yield.
     """
     sweeps_q = "q" in _row(target).fields
     check_int(max_size, "max_size")
+    words = ()
     if not sweeps_q:
-        check_int(max_word, "max_word")
+        length = check_int(max_word, "max_word")
+        words = alternating_words(length) if length > 0 else ()
     if qs is not None and not sweeps_q:
         raise DomainError(f"{target} sweeps words, not field sizes; drop --q")
     if qs is not None and (not qs or len(set(qs)) < len(qs)):
         raise DomainError(f"{target} needs at least one field size q, each once; got {list(qs)}")
     grid = globals()[f"sweep_{target}"](max_size, tuple(qs or DEFAULT_QS) if sweeps_q else max_word)
-    return _reports(target, grid)
+    return _reports(target, grid, words)
 
 
-def _reports(target: str, grid) -> Iterator[VerificationReport]:
-    """``_check`` of each case, each shared value and its reported fields computed once per sweep
-    and kept while the grid can ask for it again: grids cycle words innermost, other keys run
-    consecutively."""
+def _reports(target: str, grid, words) -> Iterator[VerificationReport]:
+    """``_check`` of each case, each shared value computed once per key and kept while the grid
+    can ask for it again: grids cycle words innermost, so a value keyed by the word alone is kept
+    to the end, and any other only while its key's cases, which run consecutively, run.  A walk
+    share walks ``words``, the sweep's longest word of each start letter."""
     row = _ROWS[target]
-    memo = {}
+    lead = _lead(row)
+    getters = [itemgetter(*map(row.fields.index, share.fields)) for share in row.shares]
+    memos = [{} for _ in row.shares]
+    head = shared = None
     for case in grid:
-        head = case[: row.shares]
-        shared = memo.get(head)
-        if shared is None:
-            if row.fields[: row.shares] != ("word",):
-                memo.clear()
-            shared = memo[head] = _shared(row, head)
+        if case[:lead] != head:
+            # let go of the last values first, so a key's values die before the next key's are built
+            head, shared, values = case[:lead], None, []
+            for share, get, memo in zip(row.shares, getters, memos):
+                key = get(case)
+                if key not in memo:
+                    if share.fields != ("word",):
+                        memo.clear()
+                    memo[key] = _value(share, key if len(share.fields) > 1 else (key,), words)
+                values.append(memo[key])
+            shared = values, _fields(row.fields, head)
         yield _check(target, case, shared)
 
 

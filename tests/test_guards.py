@@ -29,7 +29,7 @@ from loopminors.tableaux import (
     parity_string,
     sigma,
 )
-from loopminors.toeplitz import minor, pieri_determinant
+from loopminors.toeplitz import entry_E, minor, pieri_determinant, toeplitz_entry
 from loopminors.verify import check, sweep
 
 WORD = (1, 0, 1)
@@ -104,6 +104,9 @@ def test_non_bit_parities_are_rejected(call):
         lambda: generator("x", 1),
         lambda: sweep("theorem2", 3.5, 2),
         lambda: sweep("prop1", 2, 2.0),
+        lambda: entry_E(word_to_loop((1, 0, 1, 0)), 0, 1.5),
+        lambda: toeplitz_entry(word_to_loop((1, 0, 1, 0)), 1.0, 2.0),
+        lambda: entry_E(word_to_loop((1, 0, 1, 0)), 0, "x"),
     ],
     ids=["build_module", "check_partition", "phi_polynomial", "check_bits", "euler_char",
          "check_bit", "expand_word", "expand_word_str", "sigma", "verify_prop1",
@@ -112,7 +115,8 @@ def test_non_bit_parities_are_rejected(call):
          "count_flags_fq_q_str", "verify_conjecture1_q", "conjecture1_prediction_q", "MultiPoly",
          "MultiPoly.const", "LaurentPoly", "PathFamily", "PathFamily_str", "box_parity",
          "box_parity_coordinates", "coefficient", "coefficient_str", "generator_float",
-         "generator_str", "sweep_max_size", "sweep_max_word"],
+         "generator_str", "sweep_max_size", "sweep_max_word", "entry_E", "toeplitz_entry",
+         "entry_E_str"],
 )
 def test_non_integer_entries_are_rejected(call):
     with pytest.raises(DomainError, match="entries must be integers"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from loopminors import verify
 from loopminors.errors import DomainError
 from loopminors.loop import word_to_loop
+from loopminors.multipoly import MultiPoly
 from loopminors.networks import lindstrom_minor
 from loopminors.partitions import (
     format_partition,
@@ -156,6 +157,19 @@ def test_report_json_statuses():
     assert thm.to_json()["status"] == "fail"
 
 
+def test_report_json_renders_each_distinct_value_once(monkeypatch):
+    texts = []
+    real = MultiPoly.text
+    monkeypatch.setattr(MultiPoly, "__str__", lambda poly: texts.append(poly) or real(poly))
+    reports = list(sweep("theorem2", 3, 3)) + list(sweep("lindstrom", 2, 2))
+    rendered = [report.to_json()["values"] for report in reports]
+    assert all(report.ok for report in reports) and len(texts) == len(reports)
+    assert rendered == [{k: v.text() for k, v in report.values.items()} for report in reports]
+    a1 = MultiPoly.variable(1, 0)
+    broken = VerificationReport("theorem2", {}, {"phi": a1, "lindstrom": a1 + 0, "toeplitz": 2 * a1})
+    assert broken.to_json()["values"] == {"phi": "a1", "lindstrom": "a1", "toeplitz": "2*a1"}
+
+
 @pytest.mark.parametrize("target", ["theorem2", "lindstrom"], ids=lambda t: f"sweep_{t}")
 def test_summarize_rejects_a_sweep_that_checked_no_case(target):
     with pytest.raises(DomainError, match="checked no cases"):
@@ -184,39 +198,48 @@ def test_sweep_passes_each_target_its_bounds():
         check("summarize", (1,), (1,), 0)
 
 
-# (max_size, max_word, share calls, most shared values alive) at the benchmark's sizes
+# (max_size, max_word, and per share of the row: builds, most of its values alive) at the
+# benchmark's sizes; a walk share builds one walk per key and start letter
 BENCHMARK_SWEEPS = {
-    "theorem2": (7, 8, 16, 16),
-    "prop1": (5, 6, 456, 1),
-    "conjecture1": (6, 0, 60, 1),
-    "pieri": (6, 8, 16, 16),
-    "lindstrom": (5, 6, 12, 12),
+    "theorem2": (7, 8, [(16, 16), (180, 2), (180, 2)]),
+    "prop1": (5, 6, [(76, 2), (456, 1)]),
+    "conjecture1": (6, 0, [(60, 1)]),
+    "pieri": (6, 8, [(16, 16)]),
+    "lindstrom": (5, 6, [(12, 12), (440, 2)]),
 }
 
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_a_sweep_builds_each_shared_value_once_and_keeps_only_what_it_reuses(monkeypatch, target):
-    # word rows reuse every word's loop element; prop1's and conjecture1's keys run consecutively
-    max_size, max_word, calls, alive = BENCHMARK_SWEEPS[target]
+    # word rows reuse every word's loop element; every other key runs consecutively, so its
+    # values live only while its cases run
+    max_size, max_word, expected = BENCHMARK_SWEEPS[target]
     row = verify._ROWS[target]
-    keys, live, most = [], weakref.WeakSet(), []
+    builds = [([], weakref.WeakSet(), []) for _ in row.shares]
 
     class Shared:
         pass
 
-    def share(*key):
-        keys.append(key)
-        value = Shared()
-        live.add(value)
-        most.append(len(live))
-        return value
+    def counted(share, keys, live, most):
+        def build(*key):
+            keys.append(key)
+            value = Shared()
+            live.add(value)
+            most.append(len(live))
+            return value
+        return share._replace(build=build)
 
-    monkeypatch.setitem(verify._ROWS, target, row._replace(share=share, values=lambda *_: {"v": 0}))
+    shares = tuple(counted(share, *built) for share, built in zip(row.shares, builds))
+    monkeypatch.setitem(verify._ROWS, target, row._replace(shares=shares, values=lambda *_: {"v": 0}))
     bound = (2, 3) if target == "conjecture1" else max_word
     grid = list(getattr(verify, f"sweep_{target}")(max_size, bound))
     assert summarize(sweep(target, max_size, max_word)) == {"cases": len(grid), "failures": 0}
-    assert len(keys) == len(set(keys)) == len({case[: row.shares] for case in grid}) == calls
-    assert max(most) == alive
+    for share, (keys, _, most), (calls, alive) in zip(row.shares, builds, expected):
+        wanted = {tuple(case[row.fields.index(f)] for f in share.fields) for case in grid}
+        if share.walk:  # each walk runs to the sweep's longest word of its start letter
+            wanted = {key + (word,) for key in wanted for word in alternating_words(max_word)}
+        assert len(keys) == len(set(keys)) == calls and set(keys) == wanted
+        assert max(most) == alive
 
 
 @pytest.mark.parametrize(
