@@ -24,11 +24,10 @@ _EXPORTS = {
     "partitions": ("contains", "format_partition", "index_set", "max_index", "parse_partition",
                    "partitions_of", "subpartitions"),
     "phi": ("euler_char", "phi_polynomial"),
-    "shapemod": ("ShapeModule", "build_module", "conjecture1_prediction", "count_flags_fq",
-                 "delta_partition_type"),
-    "tableaux": ("ChessTableau", "StandardTableau", "box_parity", "enumerate_by_parity",
-                 "enumerate_chess", "enumerate_standard", "expand_word", "ground_state",
-                 "parity_string", "sigma"),
+    "shapemod": ("ShapeModule", "build_module", "count_flags_fq", "delta_partition_type"),
+    "tableaux": ("ChessTableau", "StandardTableau", "box_parity", "conjecture1_prediction",
+                 "enumerate_by_parity", "enumerate_chess", "enumerate_standard", "expand_word",
+                 "ground_state", "parity_string", "sigma"),
     "toeplitz": ("entry_E", "minor", "pieri_determinant", "toeplitz_entry"),
     "verify": ("VerificationReport", "check"),
 }

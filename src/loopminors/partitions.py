@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import isqrt
 
 from .errors import DomainError, InvalidWindowError
 
@@ -39,6 +40,16 @@ def is_alternating(bits) -> bool:
     """True iff consecutive entries always differ (vacuously for length <= 1)."""
     bits = tuple(bits)
     return all(a != b for a, b in zip(bits, bits[1:]))
+
+
+def is_prime_power(q: int) -> bool:
+    """True iff the int q is p^k for a prime p and k >= 1, the size of a finite field."""
+    if q < 2:
+        return False
+    p = next((p for p in range(2, isqrt(q) + 1) if q % p == 0), q)  # least prime factor
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def check_bit(value, what: str = "parity") -> int:

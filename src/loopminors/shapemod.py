@@ -22,17 +22,14 @@ row-length partition lam for every shape module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
-from math import isqrt
 
 from . import gf
 from .errors import DomainError, ResourceLimitError
 from .partitions import (
     Partition, check_bit, check_bits, check_contained, check_int, check_partition, conjugate,
-    format_partition, part,
+    format_partition, is_prime_power, part,
 )
-from .tableaux import enumerate_by_parity, ground_state
 
 Box = tuple[int, int]
 
@@ -40,21 +37,17 @@ Box = tuple[int, int]
 ARROWS = {"alpha": ("left", 0), "beta": ("left", 1), "beta*": ("up", 0), "alpha*": ("up", 1)}
 
 
-@dataclass(frozen=True)
 class ShapeModule:
-    """The module of the boxes of ``outer`` not in ``inner``, at one parity."""
+    """The module of the boxes of ``outer`` not in ``inner``, at one parity.
 
-    outer: Partition
-    inner: Partition
-    parity: int
-    boxes: tuple[Box, ...] = field(init=False, compare=False)
-    left: dict[Box, Box] = field(init=False, compare=False)
-    up: dict[Box, Box] = field(init=False, compare=False)
+    A read-only value: equal and hashed by (outer, inner, parity); ``boxes``
+    and the moves ``left`` and ``up`` are derived from it.
+    """
 
-    def __post_init__(self):
-        outer, inner = check_partition(self.outer), check_partition(self.inner)
+    def __init__(self, outer: Partition, inner: Partition, parity: int):
+        outer, inner = check_partition(outer), check_partition(inner)
         check_contained(inner, outer)
-        parity = check_bit(self.parity)
+        parity = check_bit(parity)
         boxes = tuple((s, t) for s in range(len(outer)) for t in range(part(inner, s), outer[s]))
         present = set(boxes)
         left = {(s, t): (s, t - 1) for s, t in boxes if (s, t - 1) in present}
@@ -62,9 +55,25 @@ class ShapeModule:
         for box in boxes:
             if up.get(left.get(box)) != left.get(up.get(box)):
                 raise AssertionError(f"left and up do not commute at {box}")
-        fields = dict(outer=outer, inner=inner, parity=parity, boxes=boxes, left=left, up=up)
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        vars(self).update(outer=outer, inner=inner, parity=parity, boxes=boxes, left=left, up=up)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.outer, self.inner, self.parity
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, ShapeModule) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"ShapeModule(outer={self.outer!r}, inner={self.inner!r}, parity={self.parity!r})"
 
     @property
     def dim(self) -> int:
@@ -193,7 +202,7 @@ def count_flags_fq(module: ShapeModule, d, q: int) -> int:
             f"brute-force counting is guarded to dimension <= 7 (got {module.dim})"
         )
     if q > 5:
-        if not _is_prime_power(q):
+        if not is_prime_power(q):
             raise DomainError(f"field size {q} is not a prime power")
         raise ResourceLimitError(f"brute-force counting is guarded to q <= 5 (got {q})")
     # the arrows into v are the two moves applied to the boxes at 1 - v
@@ -204,24 +213,3 @@ def count_flags_fq(module: ShapeModule, d, q: int) -> int:
         for v in (0, 1)
     )
     return _count_series(gf.GF(q), blocks, d, {})
-
-
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    p = next((p for p in range(2, isqrt(q) + 1) if q % p == 0), q)  # least prime factor
-    while q % p == 0:
-        q //= p
-    return q == 1
-
-
-def conjecture1_prediction(lam: Partition, i: int, d, q: int) -> int:
-    """Sum of q^(ground state) over the tableaux with i-parity string d.
-
-    q is a field size, so a prime power, or 1, where the sum is the Euler
-    characteristic ``euler_char``; any other q is a DomainError.
-    """
-    q = check_int(q, "field size")
-    if q != 1 and not _is_prime_power(q):
-        raise DomainError(f"field size {q} is neither a prime power nor 1")
-    return sum(q ** ground_state(T, i) for T in enumerate_by_parity(lam, i, d))

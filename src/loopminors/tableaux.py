@@ -15,7 +15,8 @@ from itertools import accumulate
 
 from .errors import DomainError
 from .partitions import (
-    BitString, Partition, check_bit, check_int, check_parity_string, check_partition, check_word, size
+    BitString, Partition, check_bit, check_int, check_parity_string, check_partition, check_word,
+    is_prime_power, size,
 )
 
 
@@ -257,3 +258,15 @@ def ground_state(tableau: StandardTableau, i: int) -> int:
             count += _rows_standard(grid)
             grid[row_s][col_s], grid[row_t][col_t] = s, t
     return count
+
+
+def conjecture1_prediction(lam: Partition, i: int, d, q: int) -> int:
+    """Sum of q^(ground state) over the tableaux with i-parity string d.
+
+    q is a field size, so a prime power, or 1, where the sum is the Euler
+    characteristic ``euler_char``; any other q is a DomainError.
+    """
+    q = check_int(q, "field size")
+    if q != 1 and not is_prime_power(q):
+        raise DomainError(f"field size {q} is neither a prime power nor 1")
+    return sum(q ** ground_state(T, i) for T in enumerate_by_parity(lam, i, d))

@@ -20,8 +20,10 @@ from .partitions import (
     format_partition, partitions_up_to, size, subpartitions,
 )
 from .phi import euler_char, phi_prefixes
-from .shapemod import build_module, conjecture1_prediction, count_flags_fq
-from .tableaux import _expand, enumerate_standard, expand_word, parity_string
+from .shapemod import build_module, count_flags_fq
+from .tableaux import (
+    _expand, conjecture1_prediction, enumerate_standard, expand_word, parity_string,
+)
 from .toeplitz import minor, pieri_determinant
 
 

@@ -2,8 +2,8 @@
 
 The package exports its names from one table and imports a module on first
 use of one of its names; each CLI handler imports its own route.  The import
-checks run in a fresh interpreter, so an eager import added to ``__init__`` or
-to ``cli``'s module level fails here.
+checks run in a fresh interpreter, so an eager import added to ``__init__``, to
+``cli``'s module level or to a module of the flag-count route fails here.
 """
 
 import importlib
@@ -33,15 +33,35 @@ print(json.dumps({"import": after_import, "golden": loaded(),
                   "dataclasses": "dataclasses" in sys.modules}))
 """
 
+# the flag-count route: ``import loopminors.shapemod`` with no argument, else a CLI call
+FLAG_PROBE = """
+import json, sys
+if len(sys.argv) > 1:
+    import loopminors.cli
+    loopminors.cli.main(sys.argv[1:])
+else:
+    import loopminors.shapemod
+print(json.dumps({"loaded": sorted(m for m in sys.modules if m.startswith("loopminors.")),
+                  "dataclasses": "dataclasses" in sys.modules}))
+"""
+MODULE_ROUTE = ("errors", "gf", "partitions", "shapemod")
+POINTS_ARGV = ["points", "--lambda", "4,4,2,1", "--mu", "3,1", "--parity", "0",
+               "--d", "0,0,1,1,1,1,0", "--q", "5"]
+MODULE_ARGV = ["module", "--lambda", "4,3,2,2,1", "--mu", "2,1", "--parity", "0"]
+
+
+def run_fresh(probe: str, *args: str) -> list[str]:
+    """The stdout lines of ``probe`` run in a fresh interpreter that imports from ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *args], capture_output=True, text=True, env=env, check=True
+    )
+    return proc.stdout.splitlines()
+
 
 @pytest.fixture(scope="module")
 def probe() -> dict:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(GOLDEN_ARGV)],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    golden, report = proc.stdout.splitlines()
+    golden, report = run_fresh(PROBE, json.dumps(GOLDEN_ARGV))
     assert golden == '{"polynomial":"a1*a2^2 + 2*a1*a2*a4 + a1*a4^2 + a3*a4^2"}'
     return json.loads(report)
 
@@ -54,6 +74,28 @@ def test_the_golden_call_loads_only_the_matrix_route(probe):
     route = ("cli", "determinants", "errors", "loop", "multipoly", "partitions", "toeplitz")
     assert probe["golden"] == [f"loopminors.{name}" for name in route]
     assert not probe["dataclasses"]
+
+
+def test_the_module_route_imports_only_its_own_code():
+    (report,) = run_fresh(FLAG_PROBE)
+    assert json.loads(report) == {
+        "loaded": [f"loopminors.{name}" for name in MODULE_ROUTE], "dataclasses": False
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, answer",
+    [(POINTS_ARGV, '{"count":174096,"d":[0,0,1,1,1,1,0],"lambda":"4,4,2,1","mu":"3,1","parity":0,"q":5}'),
+     (MODULE_ARGV, '{"arrows":[[[0,3],"beta",[0,2]],')],
+    ids=["points", "module"],
+)
+def test_a_flag_count_call_loads_only_the_module_route_and_cli(argv, answer):
+    output, report = run_fresh(FLAG_PROBE, *argv)
+    assert output.startswith(answer)
+    assert json.loads(report) == {
+        "loaded": sorted(f"loopminors.{name}" for name in (*MODULE_ROUTE, "cli")),
+        "dataclasses": False,
+    }
 
 
 @pytest.mark.parametrize("name", loopminors.__all__)

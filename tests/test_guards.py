@@ -16,11 +16,12 @@ from loopminors.multipoly import MultiPoly
 from loopminors.networks import PathFamily, enumerate_families, lindstrom_minor, path_to_tableau
 from loopminors.partitions import check_bits, check_partition, partitions_of
 from loopminors.phi import euler_char, phi_polynomial
-from loopminors.shapemod import build_module, conjecture1_prediction, count_flags_fq
+from loopminors.shapemod import build_module, count_flags_fq
 from loopminors.tableaux import (
     ChessTableau,
     StandardTableau,
     box_parity,
+    conjecture1_prediction,
     enumerate_by_parity,
     enumerate_chess,
     enumerate_standard,

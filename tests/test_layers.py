@@ -1,10 +1,11 @@
-"""The three routes stay independent: no route imports another route's code.
+"""The routes stay independent: no route imports another route's code.
 
 The tableau route is ``tableaux`` and ``phi``, the path route ``networks``,
-and the matrix route ``loop``, ``toeplitz``, ``determinants`` and the ring
-``multipoly``.  Inputs are checked in ``partitions``, which every route may
-import.  The one crossing is the path/tableau bijection, which builds a
-``ChessTableau``.
+the matrix route ``loop``, ``toeplitz``, ``determinants`` and the ring
+``multipoly``, and the module route ``shapemod`` and its field ``gf``, which
+count flags over F_q.  Inputs are checked in ``partitions``, which every
+route may import.  The one crossing is the path/tableau bijection, which
+builds a ``ChessTableau``.
 """
 
 import ast
@@ -15,8 +16,10 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "loopminors"
 
 MATRIX_ROUTE = ("loop", "toeplitz", "determinants", "multipoly")
+MODULE_ROUTE = ("shapemod", "gf")
 FOREIGN = {
     **{module: ("tableaux", "phi", "networks") for module in MATRIX_ROUTE},
+    **{module: ("tableaux", "phi", "networks", *MATRIX_ROUTE) for module in MODULE_ROUTE},
     "networks": ("tableaux", "phi", "loop", "toeplitz", "determinants"),
     "tableaux": ("networks", "loop", "toeplitz", "determinants"),
     "phi": ("networks", "loop", "toeplitz", "determinants"),

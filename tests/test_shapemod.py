@@ -8,11 +8,10 @@ from loopminors.shapemod import (
     ARROWS,
     ShapeModule,
     build_module,
-    conjecture1_prediction,
     count_flags_fq,
     delta_partition_type,
 )
-from loopminors.tableaux import enumerate_standard, ground_state, parity_string
+from loopminors.tableaux import conjecture1_prediction, enumerate_standard, ground_state, parity_string
 
 from conftest import partition_strategy
 
@@ -77,6 +76,15 @@ def test_equal_modules_hash_equal():
     assert module == same and hash(module) == hash(same)
     assert module != build_module((2, 1), (), 0) != build_module((2, 1), (1,), 1)
     assert len({module, same, build_module((2, 1), (), 0)}) == 2
+
+
+def test_a_module_is_a_read_only_value_of_its_own_type():
+    module = build_module((2, 1), (), 1)
+    with pytest.raises(AttributeError):
+        module.outer = (3,)
+    assert module.outer == (2, 1)
+    assert build_module((2, 1), (), 1) != ((2, 1), (), 1)
+    assert repr(module).startswith("ShapeModule(outer=(2, 1), inner=(), parity=1")
 
 
 def test_module_json_shape():
