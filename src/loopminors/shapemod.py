@@ -130,23 +130,47 @@ def delta_partition_type(module: ShapeModule) -> Partition:
     return conjugate(tuple(a - b for a, b in zip(ranks, ranks[1:] + [0])))
 
 
+def _dual(blocks):
+    """The vertex blocks of the dual module M* = Hom(M, F_q), one block per vertex.
+
+    M* reverses every arrow: the arrows into v in M* are the transposes of
+    the arrows out of v in M, which are the two halves of the block into
+    1 - v, each transposed on its own.
+    """
+    n = len(blocks[0]), len(blocks[1])
+    return tuple(
+        [[row[h * n[v] + r] for h in (0, 1) for row in blocks[1 - v]] for r in range(n[v])]
+        for v in (0, 1)
+    )
+
+
 def _count_series(field: gf.GF, blocks, d: tuple[int, ...], memo: dict) -> int:
     dim = len(d)
     if dim == 0:
         return 1
     # blocks[v] has one row per basis vector at vertex v and one column per pair
     # (arrow into v, basis vector at 1 - v); its row count n_v fixes its shape,
-    # and each entry is below q <= 5, so the key is exact
+    # and each entry is below q <= 5, so the key is exact, whichever of M and
+    # M* the blocks came from
     key = bytes((dim, len(blocks[0]), *d, *chain.from_iterable(chain(*blocks))))
     if key in memo:
         return memo[key]
-    eps = d[-1]
-    into, out = blocks[eps], blocks[1 - eps]
-    n = len(into)
     # A functional f with quotient S_eps vanishes off vertex eps and f X lives
     # on vertex 1 - eps, so f X lies in span(f) only as 0: the stable f are the
     # left kernel of the arrows into eps, [X_in | X_in'].
-    functional_basis = gf.left_kernel_basis(field, into)
+    functional_basis = gf.left_kernel_basis(field, blocks[d[-1]])
+    if len(functional_basis) > 1:
+        # Annihilators turn a series of M with quotients d_1..d_n into one of
+        # M* with quotients d_n..d_1, so #series(M, d) = #series(M*, reversed d),
+        # and the top of M* is a socle vector of M at d[0]: peel whichever end
+        # has fewer stable functionals, the top on a tie.
+        dual = _dual(blocks)
+        dual_basis = gf.left_kernel_basis(field, dual[d[0]])
+        if len(dual_basis) < len(functional_basis):
+            blocks, d, functional_basis = dual, d[::-1], dual_basis
+    eps = d[-1]
+    into, out = blocks[eps], blocks[1 - eps]
+    n = len(into)
     add, mul = field.add, field.mul
     total = 0
     for coeffs in gf.projective_vectors(field, len(functional_basis)):
@@ -185,13 +209,18 @@ def count_flags_fq(module: ShapeModule, d, q: int) -> int:
     """Exact number of composition series over F_q with quotients S_{d_t}.
 
     Works on the module's vertex grading: one block per vertex holds the two
-    arrows into it.  Enumerates, top down, every stable hyperplane whose
-    quotient is the required simple, as the projective points of the left
-    kernel of the arrows into that vertex, restricts to it by dropping one
-    row there and a rank-one update of the arrows out of it, with add and mul
-    read from the field's tables, and counts each distinct restricted module
-    once through a memo that lives for this call.  Guarded to dim <= 7, q <= 5,
-    and a larger q that is no prime power is a DomainError.
+    arrows into it.  Peels one end of the series at a time: every stable
+    hyperplane whose quotient is the required simple, as the projective
+    points of the left kernel of the arrows into that vertex, restricted to
+    by dropping one row there and a rank-one update of the arrows out of it,
+    with add and mul read from the field's tables.  The annihilators of a
+    series of M with quotients d_1..d_n form a series of the dual module
+    M* = Hom(M, F_q), whose arrows are the transposes of M's, with quotients
+    d_n..d_1; so the top of M* is the bottom of M, and each step peels
+    whichever of the two tops has fewer stable hyperplanes.  Each distinct
+    restricted module, of either orientation, is counted once through a memo
+    that lives for this call.  Guarded to dim <= 7, q <= 5, and a larger q
+    that is no prime power is a DomainError.
     """
     d = check_bits(d, "parity string")
     q = check_int(q, "field size")

@@ -90,8 +90,13 @@ def minor(g: LoopElement, mu: Partition, lam: Partition, i: int):
         det T(g)[R, C] = (-1)^(sum(r - lo) + sum(c - lo)) det T(adj g)[C', R']
 
     T(adj g) is read off g's entries with the diagonal components swapped;
-    the minus signs of adj g's off-diagonal components are folded into the
-    sign, one flip per even (component-2) index of C' and of R'.  An empty
+    the minus signs of adj g's off-diagonal components add one flip per even
+    (component-2) index of C' and of R' to the sign above.  The total is even,
+    so the complementary minor is read with no sign.  R and C have N elements
+    each, all in [lo, hi], so #even(C') + #even(R') = #even(C) + #even(R)
+    (mod 2); and r + [r even] is odd for every integer r, so
+    r - lo + [r even] = 1 + lo (mod 2).  The flip count is then
+    sum_R (1 + lo) + sum_C (1 + lo) = 2N(1 + lo) = 0 (mod 2).  An empty
     complement gives the ring's one.  The complementary window is read only
     for a unipotent-plus g whose complementary side (hi - lo + 1) - |R| is
     strictly smaller than |R|; every other minor reads the direct window.
@@ -105,11 +110,8 @@ def minor(g: LoopElement, mu: Partition, lam: Partition, i: int):
     co_cols = [l for l in span if l not in rows]
     if not co_rows:
         return g.one_coeff()
-    flips = sum(r - lo for r in rows) + sum(c - lo for c in cols)
-    flips += sum(1 for l in co_rows + co_cols if l % 2 == 0)
     (g11, g12), (g21, g22) = g.entries
-    value = _determinant(g, _read(((g22, g12), (g21, g11)), co_rows, co_cols, g.zero_coeff()))
-    return -value if flips % 2 else value
+    return _determinant(g, _read(((g22, g12), (g21, g11)), co_rows, co_cols, g.zero_coeff()))
 
 
 def _entry_E(g: LoopElement, i: int, n: int, zero):

@@ -2,11 +2,11 @@
 
 ``count_flags_fq`` keeps one block per vertex, the two arrows into it, and
 visits only the projective points of the left kernel of the block into the
-top vertex, the stable functionals.  It restricts to ker f by dropping f's
-pivot row from that block and by a rank-one update, with the pivot column
-dropped, of the block out of it, with field arithmetic read from tables, and
-counts each distinct restricted module once, through a memo that lives for
-one call.  The reference below walks the other way, from the bottom, and
+top vertex, the stable functionals, of the module or of its dual, whichever
+has fewer.  It restricts to ker f by dropping f's pivot row from that block
+and by a rank-one update, with the pivot column dropped, of the block out of
+it, with field arithmetic read from tables, and counts each distinct
+restricted module once, through a memo that lives for one call.  The reference below walks the other way, from the bottom, and
 never restricts: on dense matrices built here from the module's arrows and
 vertices, it grows each submodule V_k by every line at the next vertex
 outside V_k, keeps those lines that every arrow takes into V_k, and counts
@@ -20,7 +20,11 @@ dimension-7 case past the benchmark pool's budget.
 Every shape module has 0/1 arrows, so its restrictions never read the
 rank-one coefficient c = -f/f_p off a general entry.  The last tests hand
 ``shapemod._count_series`` vertex blocks with general entries and compare it
-with the reference on the dense matrices of the same blocks.
+with the reference on the dense matrices of the same blocks.  On such
+blocks the dual module's blocks, ``shapemod._dual``, must give back the
+blocks when dualized again and count the reversed series alike, also by the
+reference.  Two searches are pinned by the functionals they visit, which
+only peeling the end with fewer stable functionals keeps small.
 """
 
 import random
@@ -247,21 +251,29 @@ def test_general_blocks_pin_the_rank_one_coefficient(q, blocks, d, count):
     assert _count_series(field, *dense_from_blocks(blocks), d) == count
 
 
+def sparse_case(rng, q):
+    """Vertex blocks of 1-3 vectors each with general entries, and a series for them.
+
+    Dense random blocks almost always count 0, so most entries are drawn 0.
+    """
+    sizes = (rng.randint(1, 3), rng.randint(1, 3))
+    blocks = tuple(
+        [
+            [rng.randrange(1, q) if rng.random() < 0.2 else 0 for _ in range(2 * sizes[1 - v])]
+            for _ in range(sizes[v])
+        ]
+        for v in (0, 1)
+    )
+    d = tuple(rng.sample([0] * sizes[0] + [1] * sizes[1], sum(sizes)))
+    return blocks, d
+
+
 def test_sparse_general_blocks_match_the_exhaustive_search():
-    # dense random blocks almost always count 0, so most entries are drawn 0
     rng = random.Random(2005)
     nonzero = 0
     for _ in range(60):
         q = rng.choice((3, 4, 5))
-        sizes = (rng.randint(1, 3), rng.randint(1, 3))
-        blocks = tuple(
-            [
-                [rng.randrange(1, q) if rng.random() < 0.2 else 0 for _ in range(2 * sizes[1 - v])]
-                for _ in range(sizes[v])
-            ]
-            for v in (0, 1)
-        )
-        d = tuple(rng.sample([0] * sizes[0] + [1] * sizes[1], sum(sizes)))
+        blocks, d = sparse_case(rng, q)
         field = gf.GF(q)
         count = shapemod._count_series(field, blocks, d, {})
         assert count == _count_series(field, *dense_from_blocks(blocks), d), (q, blocks, d)
@@ -316,3 +328,54 @@ def test_shape_modules_in_a_random_basis_keep_their_counts():
         assert _count_series(field, *dense_from_blocks(blocks), d) == count
         nonzero += count != 0
     assert nonzero >= 30
+
+
+def test_the_dual_of_the_dual_is_the_module():
+    rng = random.Random(2005)
+    for _ in range(60):
+        blocks, _ = sparse_case(rng, rng.choice((2, 3, 4, 5)))
+        dual = shapemod._dual(blocks)
+        assert [len(rows) for rows in dual] == [len(rows) for rows in blocks]
+        assert shapemod._dual(dual) == blocks
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_a_module_and_its_dual_count_the_reversed_series_alike(q):
+    # annihilators match the series of M with quotients d to those of M* with
+    # quotients reversed d; the reference checks the dual blocks on their own
+    rng = random.Random(q)
+    field = gf.GF(q)
+    nonzero = 0
+    for _ in range(40):
+        blocks, d = sparse_case(rng, q)
+        dual = shapemod._dual(blocks)
+        count = shapemod._count_series(field, blocks, d, {})
+        assert shapemod._count_series(field, dual, d[::-1], {}) == count, (blocks, d)
+        assert _count_series(field, *dense_from_blocks(dual), d[::-1]) == count, (blocks, d)
+        nonzero += count != 0
+    assert nonzero >= 10
+
+
+@pytest.mark.parametrize(
+    "lam, mu, i, d, count, budget",
+    [
+        # 10,022 and 1,560 functionals when every step peels the top
+        ((4, 3, 2, 1), (2, 1), 1, (1, 1, 1, 0, 0, 0, 0), 5396976, 500),
+        ((4, 4, 2, 1), (3, 1), 0, (0, 0, 1, 1, 1, 1, 0), 174096, 250),
+    ],
+)
+def test_the_search_peels_the_end_with_fewer_stable_functionals(
+    monkeypatch, lam, mu, i, d, count, budget
+):
+    visited = 0
+    projective_vectors = gf.projective_vectors
+
+    def counted(field, dim):
+        nonlocal visited
+        vectors = projective_vectors(field, dim)
+        visited += len(vectors)
+        return vectors
+
+    monkeypatch.setattr(gf, "projective_vectors", counted)
+    assert count_flags_fq(build_module(lam, mu, i), d, 5) == count
+    assert visited <= budget
