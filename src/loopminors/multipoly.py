@@ -40,6 +40,23 @@ def _unpack(key: int, shifts: list[int]) -> tuple[int, ...]:
     return tuple((key >> shift) & MAX_EXPONENT for shift in shifts)
 
 
+def _carry(layer: dict, edges, shift: int) -> dict:
+    """One transfer step: each edge (state, target, e) adds ``layer[state]``, its
+    keys raised by e in the field at ``shift``, into the next layer's ``target``."""
+    nxt: dict = {}
+    for state, target, e in edges:
+        step, acc = e << shift, nxt.get(target)
+        if acc is None:
+            nxt[target] = {key + step: n for key, n in layer[state].items()}
+        else:
+            # every coefficient counts walks, so none can cancel
+            get = acc.get
+            for key, n in layer[state].items():
+                key += step
+                acc[key] = get(key, 0) + n
+    return nxt
+
+
 class MultiPoly:
     """``terms`` maps packed exponent vectors to coefficients; ``_bound`` is at
     least every exponent of every term, so a product whose bounds add up to at
@@ -116,8 +133,7 @@ class MultiPoly:
 
     @classmethod
     def transfer_sum(cls, nvars: int, start, end, moves) -> "MultiPoly":
-        """Sum of a^e over the walks of ``nvars`` steps from ``start`` to ``end``:
-        the last value of ``transfer_walk``."""
+        """The last value of ``transfer_walk``: the sum over the walks of ``nvars`` steps."""
         return cls.transfer_walk(nvars, start, end, moves)[-1]
 
     @classmethod
@@ -135,38 +151,44 @@ class MultiPoly:
         ``every``, it holds for each k = 1..nvars the sum over the walks of k
         steps, a polynomial in a1..ak: the end state's terms after step k, each
         key shifted right past the fields of the steps not taken.
+
+        A state pass first lists each step's moves out of the states reachable
+        before it, one ``moves`` call per (c, state).  No coefficient cancels, so
+        these are the states a one-way walk holds terms for, in its order, with
+        its calls and exponent checks.  The last value alone meets in the middle
+        (bidirectional transfer matrices): the walks from ``start`` over the
+        first ``nvars // 2`` steps join, at the states both reach, those into
+        ``end`` over the rest, run backward along the listed moves.  The halves
+        fill disjoint exponent fields, so no product of their terms carries.
         """
-        layer = {start: {0: 1}}
-        bound = 0
-        values = []
+        steps, states, bound, bounds = [], [start], 0, []
         for c in range(nvars):
-            shift = EXPONENT_BITS * (nvars - 1 - c)
-            nxt: dict = {}
-            for state, terms in layer.items():
+            steps.append([])
+            nxt = {}
+            for state in states:
                 for target, e in moves(c, state):
                     if not 0 <= e <= bound:
                         if e < 0 or e > MAX_EXPONENT:
                             raise DomainError(f"step exponent {e} outside 0..{MAX_EXPONENT}")
                         bound = e
-                    step = e << shift
-                    acc = nxt.get(target)
-                    if acc is None:
-                        nxt[target] = {key + step: n for key, n in terms.items()}
-                    else:
-                        # every coefficient counts walks, so none can cancel
-                        get = acc.get
-                        for key, n in terms.items():
-                            key += step
-                            acc[key] = get(key, 0) + n
-            layer = nxt
+                    steps[c].append((state, target, e))
+                    nxt[target] = None
+            bounds.append(bound)
+            states = nxt
+        shifts = [EXPONENT_BITS * (nvars - 1 - c) for c in range(nvars)]
+        layer, back, half, values = {start: {0: 1}}, {end: {0: 1}}, nvars // 2, []
+        for c in range(nvars if every else half):
+            layer = _carry(layer, steps[c], shifts[c])
             if every:
-                terms = layer.get(end) or {}
-                if shift:
-                    terms = {key >> shift: n for key, n in terms.items()}
-                values.append(cls._from_packed(c + 1, terms, bound))
-        if not every:
-            values.append(cls._from_packed(nvars, layer.get(end) or {}, bound))
-        return values
+                terms = {key >> shifts[c]: n for key, n in layer.get(end, {}).items()}
+                values.append(cls._from_packed(c + 1, terms, bounds[c]))
+        if every:
+            return values
+        for c in range(nvars - 1, half - 1, -1):
+            back = _carry(back, [(t, s, e) for s, t, e in steps[c] if t in back], shifts[c])
+        pairs = ((1, cls._from_packed(nvars, layer[s], bound),
+                  cls._from_packed(nvars, back[s], bound)) for s in layer if s in back)
+        return [cls._from_packed(nvars, cls.sum_of_products(nvars, pairs).terms, bound)]
 
     @classmethod
     def sum_of_products(cls, nvars: int, triples) -> "MultiPoly":
@@ -296,7 +318,10 @@ class MultiPoly:
         return tuple(max(col) for col in zip(*self._exponents())) or (0,) * self.nvars
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
-        degrees = {sum(exps) for exps in self._exponents()}
+        if self._bound * self.nvars < MAX_EXPONENT:  # 2^16 = 1, so key = degree mod 2^16 - 1
+            degrees = {key % MAX_EXPONENT for key in self.terms}
+        else:
+            degrees = {sum(exps) for exps in self._exponents()}
         if not degrees:
             return True
         if len(degrees) > 1:
