@@ -20,14 +20,14 @@ _EXPORTS = {
              "word_to_loop"),
     "multipoly": ("MultiPoly",),
     "networks": ("PathFamily", "enumerate_families", "family_weight", "lindstrom_minor",
-                 "path_to_tableau", "render_family"),
+                 "render_family"),
     "partitions": ("contains", "format_partition", "index_set", "max_index", "parse_partition",
                    "partitions_of", "subpartitions"),
     "phi": ("euler_char", "phi_polynomial"),
-    "shapemod": ("ShapeModule", "build_module", "count_flags_fq", "delta_partition_type"),
-    "tableaux": ("ChessTableau", "StandardTableau", "box_parity", "conjecture1_prediction",
-                 "enumerate_by_parity", "enumerate_chess", "enumerate_standard", "expand_word",
-                 "ground_state", "parity_string", "sigma"),
+    "shapemod": ("ShapeModule", "build_module", "count_flags_fq"),
+    "tableaux": ("ChessTableau", "StandardTableau", "conjecture1_prediction", "enumerate_by_parity",
+                 "enumerate_chess", "enumerate_standard", "expand_word", "ground_state",
+                 "parity_string"),
     "toeplitz": ("entry_E", "minor", "pieri_determinant", "toeplitz_entry"),
     "verify": ("VerificationReport", "check"),
 }

@@ -98,8 +98,9 @@ def cmd_phi(args, out: Output) -> None:
     from .phi import phi_polynomial
 
     poly = phi_polynomial(args.shape, args.parity, args.word)
-    obj = {"polynomial": poly.text(), "terms": poly.json_terms()}
-    out.emit(obj, text=poly.text())
+    text = poly.text()
+    obj = {"polynomial": text, "terms": poly.json_terms()} if out.fmt == "json" else None
+    out.emit(obj, text=text)
 
 
 def _load_matrix(path: str):
@@ -137,26 +138,26 @@ def cmd_minor(args, out: Output) -> None:
     if (args.word is None) == (args.matrix is None):
         raise DomainError("provide exactly one of --word or --matrix")
     if args.word is not None:
-        value = minor(word_to_loop(args.word), args.mu, args.lam, args.parity)
-        out.emit({"polynomial": value.text()}, text=value.text())
+        text = minor(word_to_loop(args.word), args.mu, args.lam, args.parity).text()
+        out.emit({"polynomial": text}, text=text)
     else:
-        value = minor(_load_matrix(args.matrix), args.mu, args.lam, args.parity)
-        out.emit({"value": str(value)}, text=str(value))
+        text = str(minor(_load_matrix(args.matrix), args.mu, args.lam, args.parity))
+        out.emit({"value": text}, text=text)
 
 
 def cmd_pieri(args, out: Output) -> None:
     from .loop import word_to_loop
     from .toeplitz import pieri_determinant
 
-    value = pieri_determinant(word_to_loop(args.word), args.lam, args.parity)
-    out.emit({"polynomial": value.text()}, text=value.text())
+    text = pieri_determinant(word_to_loop(args.word), args.lam, args.parity).text()
+    out.emit({"polynomial": text}, text=text)
 
 
 def cmd_paths(args, out: Output) -> None:
     from .networks import enumerate_families, family_weight, lindstrom_minor, render_family
 
     families = enumerate_families(args.word, args.mu, args.lam, args.parity)
-    total = lindstrom_minor(args.word, args.mu, args.lam, args.parity)
+    total = lindstrom_minor(args.word, args.mu, args.lam, args.parity).text()
     if args.render:
         rendered = [render_family(fam) for fam in families]
         text = None
@@ -164,12 +165,12 @@ def cmd_paths(args, out: Output) -> None:
             blocks = [
                 f"weight {family_weight(fam).text()}\n{art}" for fam, art in zip(families, rendered)
             ]
-            text = "\n".join(blocks + [f"sum {total.text()}"])
-        obj = {"count": len(families), "polynomial": total.text(), "rendered": rendered}
+            text = "\n".join(blocks + [f"sum {total}"])
+        obj = {"count": len(families), "polynomial": total, "rendered": rendered}
         out.emit(obj, text=text)
     else:
         families_json = [fam.to_json() for fam in families]
-        obj = {"count": len(families), "families": families_json, "polynomial": total.text()}
+        obj = {"count": len(families), "families": families_json, "polynomial": total}
         out.emit(obj, text="\n".join(str(fam) for fam in families_json) or "(none)")
 
 

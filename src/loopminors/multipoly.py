@@ -132,11 +132,6 @@ class MultiPoly:
         return cls(nvars, {tuple(exps): coeff})
 
     @classmethod
-    def transfer_sum(cls, nvars: int, start, end, moves) -> "MultiPoly":
-        """The last value of ``transfer_walk``: the sum over the walks of ``nvars`` steps."""
-        return cls.transfer_walk(nvars, start, end, moves)[-1]
-
-    @classmethod
     def transfer_walk(cls, nvars: int, start, end, moves, every: bool = False) -> list["MultiPoly"]:
         """Sums of a^e over the walks from ``start`` to ``end``, after every step or the last.
 

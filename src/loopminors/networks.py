@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .multipoly import MultiPoly
 from .partitions import BitString, Partition, check_int, check_word, index_windows
-from .tableaux import ChessTableau
 
 
 @dataclass(frozen=True)
@@ -52,15 +51,6 @@ class PathFamily:
                 raise DomainError(
                     "paths must be listed top to bottom and stay strictly apart"
                 )
-
-    @property
-    def sources(self) -> tuple[int, ...]:
-        return tuple(path[0] for path in self.levels)
-
-    def ascent_chips(self, n: int) -> tuple[int, ...]:
-        """1-origin chip indices where the n-th path ascends."""
-        path = self.levels[n]
-        return tuple(c for c in range(1, len(path)) if path[c] == path[c - 1] + 1)
 
     def to_json(self) -> list[list[int]]:
         return [list(path) for path in self.levels]
@@ -175,24 +165,6 @@ def _walk(word, mu, lam, i, every: bool) -> list[MultiPoly]:
         return moved
 
     return MultiPoly.transfer_walk(k, sources, sinks, moves, every)
-
-
-def path_to_tableau(family: PathFamily) -> ChessTableau:
-    """Record each path's ascent chips as a tableau row.
-
-    Only defined for families whose sources are i, i-1, ..., i-N with i in
-    {0, 1} (the empty-mu case); the result is a chess tableau of parity
-    (i + word[0] + 1) mod 2 whose content counts ascents per chip.
-    """
-    sources = family.sources
-    if not sources:
-        raise DomainError("cannot read a tableau off an empty family")
-    i = sources[0]
-    if i not in (0, 1) or any(sources[n] != i - n for n in range(len(sources))):
-        raise DomainError("tableau bijection requires empty-mu sources i, i-1, ...")
-    istar = (i + family.word[0] + 1) % 2
-    rows = tuple(filter(None, map(family.ascent_chips, range(len(family.levels)))))
-    return ChessTableau(rows=rows, parity=istar, content=_ascent_counts(family))
 
 
 def render_family(family: PathFamily) -> str:

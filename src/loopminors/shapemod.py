@@ -15,9 +15,6 @@ on its boxes, and names arrows only where they are printed.  The relations
 alpha* alpha = beta beta* and beta* beta = alpha alpha* both say that
 left-then-up equals up-then-left, which is checked at every box at
 construction time.
-
-delta = alpha + beta is the move ``left``, so its Jordan type is the
-row-length partition lam for every shape module.
 """
 
 from __future__ import annotations
@@ -27,8 +24,8 @@ from itertools import chain
 from . import gf
 from .errors import DomainError, ResourceLimitError
 from .partitions import (
-    Partition, check_bit, check_bits, check_contained, check_int, check_partition, conjugate,
-    format_partition, is_prime_power, part,
+    Partition, check_bit, check_bits, check_contained, check_int, check_partition, format_partition,
+    is_prime_power, part,
 )
 
 Box = tuple[int, int]
@@ -113,21 +110,6 @@ class ShapeModule:
 def build_module(lam: Partition, mu: Partition, i: int) -> ShapeModule:
     """Construct the skew-shape module for mu inside lam at parity i."""
     return ShapeModule(lam, mu, i)
-
-
-def delta_partition_type(module: ShapeModule) -> Partition:
-    """Jordan type of delta = alpha + beta, via ranks of its powers.
-
-    delta is the partial map ``module.left`` on the boxes, and a 0/1 matrix
-    with at most one 1 per column has rank the size of its image, so delta^j
-    has rank r_j = |delta^j(boxes)|.  The drop r_{j-1} - r_j counts the
-    Jordan blocks of size >= j, so the drops are the conjugate of the type.
-    """
-    image, ranks = set(module.boxes), []
-    while image:
-        ranks.append(len(image))
-        image = {module.left[box] for box in image if box in module.left}
-    return conjugate(tuple(a - b for a, b in zip(ranks, ranks[1:] + [0])))
 
 
 def _dual(blocks):

@@ -11,21 +11,12 @@ semi-standard filling only needs weak column increase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .errors import DomainError
 from .partitions import (
     BitString, Partition, check_bit, check_int, check_parity_string, check_partition, check_word,
     is_prime_power, size,
 )
-
-
-def box_parity(s: int, t: int, i: int) -> int:
-    """Parity of s + t + i for the box in row s, column t."""
-    s, t = check_int(s, "box coordinate"), check_int(t, "box coordinate")
-    if s < 0 or t < 0:
-        raise DomainError(f"box coordinates must be nonnegative, got ({s}, {t})")
-    return (s + t + check_bit(i)) % 2
 
 
 def _rows_standard(rows) -> bool:
@@ -209,16 +200,9 @@ def enumerate_chess(
     return {j: grouped[j] for j in sorted(grouped)}
 
 
-def sigma(j, t: int) -> int:
-    """Smallest s (1-origin) with j_1 + ... + j_s >= t."""
-    j = tuple(check_int(v, "content") for v in j)
-    if not 1 <= t <= sum(j):
-        raise DomainError(f"position {t} outside 1..{sum(j)}")
-    return next(s for s, running in enumerate(accumulate(j), start=1) if running >= t)
-
-
 def expand_word(word, j) -> BitString:
-    """The bit string of length sum(j) whose t-th bit is word[sigma(t)].
+    """The bit string of length sum(j) whose t-th bit is word[s], for the
+    smallest s (1-origin) with j_1 + ... + j_s >= t.
 
     ``word`` must be alternating and the content j nonnegative with
     len(j) == len(word).

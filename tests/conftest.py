@@ -5,6 +5,23 @@ from math import factorial
 import pytest
 from hypothesis import strategies as st
 
+from loopminors.partitions import conjugate
+
+
+def delta_partition_type(module) -> tuple:
+    """Jordan type of delta = alpha + beta, via ranks of its powers.
+
+    delta is the partial map ``module.left`` on the boxes, and a 0/1 matrix
+    with at most one 1 per column has rank the size of its image, so delta^j
+    has rank r_j = |delta^j(boxes)|.  The drop r_{j-1} - r_j counts the
+    Jordan blocks of size >= j, so the drops are the conjugate of the type.
+    """
+    image, ranks = set(module.boxes), []
+    while image:
+        ranks.append(len(image))
+        image = {module.left[box] for box in image if box in module.left}
+    return conjugate(tuple(a - b for a, b in zip(ranks, ranks[1:] + [0])))
+
 
 def hook_length_count(lam) -> int:
     """Number of standard tableaux by the hook-length product formula."""

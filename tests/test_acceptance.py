@@ -12,9 +12,11 @@ from loopminors.loop import word_to_loop
 from loopminors.networks import lindstrom_minor
 from loopminors.partitions import partitions_up_to, subpartitions
 from loopminors.phi import phi_polynomial
-from loopminors.shapemod import build_module, delta_partition_type
+from loopminors.shapemod import build_module
 from loopminors.toeplitz import minor, toeplitz_entry
 from loopminors.verify import all_words_up_to, summarize, sweep
+
+from conftest import delta_partition_type
 
 GOLDEN = "a1*a2^2 + 2*a1*a2*a4 + a1*a4^2 + a3*a4^2"
 

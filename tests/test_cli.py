@@ -202,6 +202,24 @@ def test_verify_dumps_only_the_lines_it_writes(capsys, monkeypatch, fmt):
     assert len(dumped) == cases + (fmt == "json")
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", [
+    ["phi", "--shape", "2,1", "--parity", "1", "--word", "1,0,1,0"],
+    ["minor", "--word", "1,0,1,0", "--mu", "", "--lambda", "2,1", "--parity", "1"],
+    ["pieri", "--word", "1,0,1,0", "--lambda", "2,1", "--parity", "1"],
+], ids=["phi", "minor", "pieri"])
+def test_a_polynomial_is_rendered_once_and_only_as_printed(capsys, monkeypatch, fmt, command):
+    # text once in either format; phi's term list only for JSON, where it is printed
+    calls = []
+    for name in ("text", "json_terms"):
+        real = getattr(MultiPoly, name)
+        monkeypatch.setattr(MultiPoly, name, lambda self, n=name, f=real: calls.append(n) or f(self))
+    code, out, _ = run_cli(capsys, "--format", fmt, *command)
+    assert code == 0 and GOLDEN in out
+    terms = fmt == "json" and command[0] == "phi"
+    assert calls == ["text"] + ["json_terms"] * terms
+
+
 def test_verify_writes_each_report_before_an_interrupt(tmp_path, capsys, monkeypatch):
     case = ((1,), (1,), 0)
     report = verify.check("theorem2", *case)

@@ -13,14 +13,13 @@ import loopminors
 from loopminors.errors import DomainError
 from loopminors.loop import LaurentPoly, LoopElement, generator, identity_loop, word_to_loop
 from loopminors.multipoly import MultiPoly
-from loopminors.networks import PathFamily, enumerate_families, lindstrom_minor, path_to_tableau
+from loopminors.networks import PathFamily, enumerate_families, lindstrom_minor
 from loopminors.partitions import check_bits, check_partition, partitions_of
 from loopminors.phi import euler_char, phi_polynomial
 from loopminors.shapemod import build_module, count_flags_fq
 from loopminors.tableaux import (
     ChessTableau,
     StandardTableau,
-    box_parity,
     conjecture1_prediction,
     enumerate_by_parity,
     enumerate_chess,
@@ -28,7 +27,6 @@ from loopminors.tableaux import (
     ground_state,
     expand_word,
     parity_string,
-    sigma,
 )
 from loopminors.toeplitz import entry_E, minor, pieri_determinant, toeplitz_entry
 from loopminors.verify import check, sweep
@@ -53,7 +51,6 @@ WORD = (1, 0, 1)
         lambda: build_module((2, 1), (), 3),
         lambda: conjecture1_prediction((2, 1), 2, (0, 1, 1), 2),
         lambda: conjecture1_prediction((2, 1), 0, (0, 1, 3), 2),
-        lambda: box_parity(0, 1, 3),
         lambda: parity_string(enumerate_standard((2, 1))[0], 3),
         lambda: ground_state(enumerate_standard((2, 1))[0], -1),
         lambda: generator(2, 1),
@@ -62,7 +59,7 @@ WORD = (1, 0, 1)
          "lindstrom_minor", "count_flags_fq", "enumerate_by_parity",
          "enumerate_by_parity_d", "euler_char", "enumerate_chess", "ChessTableau",
          "build_module", "conjecture1_prediction", "conjecture1_prediction_d",
-         "box_parity", "parity_string", "ground_state", "generator"],
+         "parity_string", "ground_state", "generator"],
 )
 def test_non_bit_parities_are_rejected(call):
     with pytest.raises(DomainError):
@@ -80,7 +77,6 @@ def test_non_bit_parities_are_rejected(call):
         lambda: phi_polynomial((2, 1), 1.0, WORD),
         lambda: expand_word((1, 0), (1.5, 0)),
         lambda: expand_word((1, 0), ("x", 0)),
-        lambda: sigma((1, 1.5), 1),
         lambda: check("prop1", (1, 0), (2, 1), 1, (1.5, 2)),
         lambda: StandardTableau(((1.5, 2), (3,))),
         lambda: ChessTableau(rows=((1.5,),), parity=1, content=(1,)),
@@ -97,8 +93,6 @@ def test_non_bit_parities_are_rejected(call):
         lambda: LaurentPoly({1.5: Fraction(1)}),
         lambda: PathFamily(word=(0,), levels=((0.5, 1.9),)),
         lambda: PathFamily(word=(0,), levels=(("0", "1"),)),
-        lambda: box_parity(0, 0, 1.0),
-        lambda: box_parity(1.5, 0.5, 1),
         lambda: phi_polynomial((2, 1), 1, WORD).coefficient((1.7, 2.2, 0.9)),
         lambda: phi_polynomial((2, 1), 1, WORD).coefficient(("1", "2", "0")),
         lambda: generator(0.0, 1),
@@ -110,12 +104,12 @@ def test_non_bit_parities_are_rejected(call):
         lambda: entry_E(word_to_loop((1, 0, 1, 0)), 0, "x"),
     ],
     ids=["build_module", "check_partition", "phi_polynomial", "check_bits", "euler_char",
-         "check_bit", "expand_word", "expand_word_str", "sigma", "verify_prop1",
+         "check_bit", "expand_word", "expand_word_str", "verify_prop1",
          "StandardTableau", "ChessTableau", "ChessTableau_content", "enumerate_chess",
          "enumerate_chess_str", "verify_conjecture1", "count_flags_fq_q",
          "count_flags_fq_q_str", "verify_conjecture1_q", "conjecture1_prediction_q", "MultiPoly",
-         "MultiPoly.const", "LaurentPoly", "PathFamily", "PathFamily_str", "box_parity",
-         "box_parity_coordinates", "coefficient", "coefficient_str", "generator_float",
+         "MultiPoly.const", "LaurentPoly", "PathFamily", "PathFamily_str", "coefficient",
+         "coefficient_str", "generator_float",
          "generator_str", "sweep_max_size", "sweep_max_word", "entry_E", "toeplitz_entry",
          "entry_E_str"],
 )
@@ -153,12 +147,8 @@ MALFORMED = {
     "PathFamily_length": (
         lambda: PathFamily(word=(1, 0), levels=((0, 0),)), "does not traverse 2 chips"
     ),
-    "path_to_tableau_empty": (
-        lambda: path_to_tableau(PathFamily(word=(1,), levels=())), "empty family"
-    ),
     "partitions_of": (lambda: partitions_of(-1), "negative integer"),
     "apply_arrow": (lambda: build_module((2, 1), (), 0).apply("gamma", (0, 0)), "unknown arrow"),
-    "box_parity": (lambda: box_parity(-1, 0, 0), "must be nonnegative"),
     "ChessTableau_empty_row": (
         lambda: ChessTableau(rows=((1,), ()), parity=1, content=(1,)), "empty rows"
     ),

@@ -4,8 +4,7 @@ The tableau route is ``tableaux`` and ``phi``, the path route ``networks``,
 the matrix route ``loop``, ``toeplitz``, ``determinants`` and the ring
 ``multipoly``, and the module route ``shapemod`` and its field ``gf``, which
 count flags over F_q.  Inputs are checked in ``partitions``, which every
-route may import.  The one crossing is the path/tableau bijection, which
-builds a ``ChessTableau``.
+route may import.
 """
 
 import ast
@@ -24,7 +23,7 @@ FOREIGN = {
     "tableaux": ("networks", "loop", "toeplitz", "determinants"),
     "phi": ("networks", "loop", "toeplitz", "determinants"),
 }
-ALLOWED = {("networks", "tableaux"): {"ChessTableau"}}
+ALLOWED: dict[tuple[str, str], set[str]] = {}
 
 
 def imported_names(module: str) -> dict[str, set[str]]:

@@ -11,11 +11,10 @@ from loopminors.networks import (
     enumerate_families,
     family_weight,
     lindstrom_minor,
-    path_to_tableau,
     render_family,
 )
 from loopminors.partitions import partitions_up_to, subpartitions
-from loopminors.tableaux import enumerate_chess
+from loopminors.tableaux import ChessTableau, enumerate_chess
 from loopminors.toeplitz import minor, toeplitz_entry
 from loopminors.verify import all_words_up_to
 
@@ -33,6 +32,25 @@ def chip_weight_entry(bit: int, source: int, sink: int) -> MultiPoly:
     if sink == source + 1 and source % 2 == bit:
         return MultiPoly.variable(1, 0)
     return MultiPoly.zero(1)
+
+
+def path_to_tableau(family: PathFamily) -> ChessTableau:
+    """Record each path's ascent chips as a tableau row.
+
+    Only defined for families whose sources are i, i-1, ..., i-N with i in
+    {0, 1} (the empty-mu case); the result is a chess tableau of parity
+    (i + word[0] + 1) mod 2 whose content counts ascents per chip.
+    """
+    sources = [path[0] for path in family.levels]
+    i = sources[0]
+    if i not in (0, 1) or any(s != i - n for n, s in enumerate(sources)):
+        raise DomainError("tableau bijection requires empty-mu sources i, i-1, ...")
+    rows = [
+        tuple(c for c in range(1, len(path)) if path[c] > path[c - 1]) for path in family.levels
+    ]
+    content = tuple(sum(c in row for row in rows) for c in range(1, len(family.word) + 1))
+    return ChessTableau(rows=tuple(filter(None, rows)), parity=(i + family.word[0] + 1) % 2,
+                        content=content)
 
 
 def test_single_chip_weight_matrix_is_the_generator_matrix():

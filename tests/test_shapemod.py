@@ -9,11 +9,10 @@ from loopminors.shapemod import (
     ShapeModule,
     build_module,
     count_flags_fq,
-    delta_partition_type,
 )
 from loopminors.tableaux import conjecture1_prediction, enumerate_standard, ground_state, parity_string
 
-from conftest import partition_strategy
+from conftest import delta_partition_type, partition_strategy
 
 
 def test_build_column_module():

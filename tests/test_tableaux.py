@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 
@@ -5,18 +7,28 @@ from loopminors.errors import DomainError
 from loopminors.partitions import check_word, is_alternating, partitions_up_to
 from loopminors.tableaux import (
     StandardTableau,
-    box_parity,
     enumerate_by_parity,
     enumerate_chess,
     enumerate_standard,
     expand_word,
     ground_state,
     parity_string,
-    sigma,
 )
 from loopminors.verify import alternating_words, compositions
 
 from conftest import hook_length_count, partition_strategy
+
+
+def box_parity(s: int, t: int, i: int) -> int:
+    """Parity of s + t + i for the box in row s, column t."""
+    return (s + t + i) % 2
+
+
+def sigma(j, t: int) -> int:
+    """Smallest s (1-origin) with j_1 + ... + j_s >= t."""
+    if not 1 <= t <= sum(j):
+        raise DomainError(f"position {t} outside 1..{sum(j)}")
+    return next(s for s, running in enumerate(accumulate(j), start=1) if running >= t)
 
 
 def test_box_parity():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from loopminors import toeplitz
 from loopminors.errors import DomainError
 from loopminors.loop import (
     LaurentPoly,
@@ -15,7 +16,7 @@ from loopminors.loop import (
 )
 from loopminors.multipoly import MultiPoly
 from loopminors.networks import lindstrom_minor
-from loopminors.partitions import index_windows, partitions_up_to, subpartitions
+from loopminors.partitions import index_windows, part, partitions_up_to, subpartitions
 from loopminors.toeplitz import (
     _determinant,
     decompose_index,
@@ -65,7 +66,7 @@ def test_minor_golden_example():
 
 
 def test_minor_on_equal_partitions_is_one():
-    # mu = lam is an empty complementary window: the ring's one, not the int 1
+    # mu = lam is a unitriangular window: the ring's one, not the int 1
     numeric = generator(0, Fraction(3)) * generator(1, Fraction(-2, 5))
     for g, one in (
         (identity_loop(), Fraction(1)),
@@ -203,21 +204,21 @@ def test_symbolic_minor_evaluates_to_numeric_minor(word):
 
 
 def _direct_cases(g, max_size):
-    """(mu, lam, i, direct-window determinant, whether the complementary
-    window is smaller) for every mu inside lam with |lam| <= max_size."""
+    """(mu, lam, i, direct-window determinant, whether lam has fewer columns
+    than rows) for every mu inside lam with |lam| <= max_size."""
     for lam in partitions_up_to(max_size):
         for mu in subpartitions(lam):
             for i in (0, 1):
                 rows, cols = index_windows(mu, lam, i)
-                tall = cols[0] - rows[-1] + 1 - len(rows) < len(rows)
+                tall = part(lam, 0) < len(lam)
                 yield mu, lam, i, _determinant(g, window(g, rows, cols)), tall
 
 
 def test_minor_equals_direct_window_and_path_route():
     # every mu inside lam with |lam| <= 7, both parities, both alternating
-    # words of each length <= 7: 12,572 cases, 6,328 of them on the
-    # complementary window
-    cases = complementary = 0
+    # words of each length <= 7: 12,572 cases, 5,068 of them on the
+    # conjugate window
+    cases = conjugated = 0
     for length in range(1, 8):
         for word in alternating_words(length):
             g = word_to_loop(word)
@@ -225,24 +226,24 @@ def test_minor_equals_direct_window_and_path_route():
                 value = minor(g, mu, lam, i)
                 assert value == direct and value == lindstrom_minor(word, mu, lam, i)
                 cases += 1
-                complementary += tall
-    assert (cases, complementary) == (12572, 6328)
+                conjugated += tall
+    assert (cases, conjugated) == (12572, 5068)
 
 
 def test_minor_off_the_unipotent_plus_subgroup_reads_the_direct_window():
-    # T(g) of diag(t, 1/t) is not triangular, so Jacobi's identity on an
-    # index interval does not hold; many tall windows would read wrong
+    # T(g) of diag(t, 1/t) is not triangular, so the conjugate shape's minor
+    # is not the same; many tall shapes would read wrong
     g = LoopElement(
         (
             (LaurentPoly({1: Fraction(1)}), LaurentPoly()),
             (LaurentPoly(), LaurentPoly({-1: Fraction(1)})),
         )
     )
-    complementary = 0
+    tall_shapes = 0
     for mu, lam, i, direct, tall in _direct_cases(g, 5):
         assert minor(g, mu, lam, i) == direct
-        complementary += tall
-    assert complementary == 118
+        tall_shapes += tall
+    assert tall_shapes == 86
 
 
 def test_each_clause_of_unipotent_plus_guards_the_complementary_window():
@@ -268,6 +269,42 @@ def test_each_clause_of_unipotent_plus_guards_the_complementary_window():
             assert minor(g, mu, lam, i) == direct
     assert minor(g1, (), (1, 1), 0) == 1
     assert (minor(g2, (), (1, 1), 1), minor(g2, (), (1, 1, 1), 0)) == (-2, 0)
+
+
+def _off_the_subgroup():
+    """g1 and g2 of the guard test above: det 1, polynomial entries, and T(g)
+    not unitriangular."""
+    def laurent(*coeffs):
+        return LaurentPoly(dict(enumerate(map(Fraction, coeffs))))
+
+    diag = LoopElement(((laurent(2), laurent()), (laurent(), laurent(Fraction(1, 2)))))
+    lower = LoopElement(((laurent(1), laurent(0, 1)), (laurent(2), laurent(1, 2))))
+    g1 = diag * generator(0, 1) * generator(1, 1)
+    return g1, lower * generator(0, 3) * generator(0, Fraction(5, 2))
+
+
+def test_minor_expands_the_shorter_of_lam_and_its_conjugate(monkeypatch):
+    # a word's element expands side min(l(lam), lam_1); g1 and g2 expand the
+    # direct window, side l(lam), whatever the shape
+    sides = []
+
+    def recording(g, matrix):
+        sides.append(len(matrix))
+        return _determinant(g, matrix)
+
+    monkeypatch.setattr(toeplitz, "_determinant", recording)
+    elements = [(word_to_loop((1, 0, 1, 0)), True), *((g, False) for g in _off_the_subgroup())]
+    shorter = 0
+    for g, unipotent_plus in elements:
+        for lam in partitions_up_to(6):
+            for mu in subpartitions(lam):
+                for i in (0, 1):
+                    sides.clear()
+                    minor(g, mu, lam, i)
+                    side = min(len(lam), part(lam, 0)) if unipotent_plus else len(lam)
+                    assert sides == [max(1, side)], (mu, lam, i)
+                    shorter += side < len(lam)
+    assert shorter > 0
 
 
 def test_window_helper_shape():
