@@ -42,8 +42,8 @@ _SHARED = {
 _READERS = {s.get("dest", flag[2:]): read for flag, (s, read) in _SHARED.items() if read}
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# one encoder for every line, where each json.dumps call with these settings builds its own
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class Output:

@@ -14,25 +14,19 @@ so non-crossing reduces to strict interleaving at every junction column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 from .multipoly import MultiPoly
-from .partitions import BitString, Partition, check_int, check_word, index_windows
+from .partitions import BitString, Partition, Value, check_int, check_word, index_windows
 
 
-@dataclass(frozen=True)
-class PathFamily:
+class PathFamily(Value):
     """Pairwise non-crossing paths through a concatenated chip diagram."""
 
-    word: BitString
-    levels: tuple[tuple[int, ...], ...]
+    _fields = ("word", "levels")
 
-    def __post_init__(self):
-        word = check_word(self.word)
-        object.__setattr__(self, "word", word)
-        levels = tuple(tuple(check_int(l, "path level") for l in path) for path in self.levels)
-        object.__setattr__(self, "levels", levels)
+    def __init__(self, word, levels):
+        word = check_word(word)
+        levels = tuple(tuple(check_int(l, "path level") for l in path) for path in levels)
         k = len(word)
         for path in levels:
             if len(path) != k + 1:
@@ -51,6 +45,7 @@ class PathFamily:
                 raise DomainError(
                     "paths must be listed top to bottom and stay strictly apart"
                 )
+        vars(self).update(word=word, levels=levels)
 
     def to_json(self) -> list[list[int]]:
         return [list(path) for path in self.levels]

@@ -1,7 +1,8 @@
 """The input layer: partitions, bits and words, and the index windows of minors.
 
 Every public entry point checks its inputs with the functions here, so each
-input rule and its message is written once.
+input rule and its message is written once; ``Value`` is the read-only base
+of the classes whose constructors check their fields.
 
 A partition is stored as a tuple of its positive parts in weakly decreasing
 order, indexed from 0 (so ``lam[0]`` is the longest row).  Reading an index
@@ -173,6 +174,32 @@ def index_windows(mu: Partition, lam: Partition, i: int) -> tuple[tuple[int, ...
     check_contained(mu, lam)
     n_max = max_index(lam)
     return tuple(index_set(mu, i, n_max)), tuple(index_set(lam, i, n_max))
+
+
+class Value:
+    """A read-only value, checked once by its constructor, which sets its attributes through
+    ``vars``: equal and hashed by ``_key()``, the values of its ``_fields``, and shown as them."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({shown})"
 
 
 def parse_ints(text: str, what: str) -> tuple[int, ...]:

@@ -24,8 +24,8 @@ from itertools import chain
 from . import gf
 from .errors import DomainError, ResourceLimitError
 from .partitions import (
-    Partition, check_bit, check_bits, check_contained, check_int, check_partition, format_partition,
-    is_prime_power, part,
+    Partition, Value, check_bit, check_bits, check_contained, check_int, check_partition,
+    format_partition, is_prime_power, part,
 )
 
 Box = tuple[int, int]
@@ -34,12 +34,14 @@ Box = tuple[int, int]
 ARROWS = {"alpha": ("left", 0), "beta": ("left", 1), "beta*": ("up", 0), "alpha*": ("up", 1)}
 
 
-class ShapeModule:
+class ShapeModule(Value):
     """The module of the boxes of ``outer`` not in ``inner``, at one parity.
 
     A read-only value: equal and hashed by (outer, inner, parity); ``boxes``
     and the moves ``left`` and ``up`` are derived from it.
     """
+
+    _fields = ("outer", "inner", "parity")
 
     def __init__(self, outer: Partition, inner: Partition, parity: int):
         outer, inner = check_partition(outer), check_partition(inner)
@@ -53,24 +55,6 @@ class ShapeModule:
             if up.get(left.get(box)) != left.get(up.get(box)):
                 raise AssertionError(f"left and up do not commute at {box}")
         vars(self).update(outer=outer, inner=inner, parity=parity, boxes=boxes, left=left, up=up)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return self.outer, self.inner, self.parity
-
-    def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, ShapeModule) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"ShapeModule(outer={self.outer!r}, inner={self.inner!r}, parity={self.parity!r})"
 
     @property
     def dim(self) -> int:

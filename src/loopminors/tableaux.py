@@ -10,12 +10,10 @@ semi-standard filling only needs weak column increase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import DomainError
 from .partitions import (
-    BitString, Partition, check_bit, check_int, check_parity_string, check_partition, check_word,
-    is_prime_power, size,
+    BitString, Partition, Value, check_bit, check_int, check_parity_string, check_partition,
+    check_word, is_prime_power, size,
 )
 
 
@@ -41,8 +39,7 @@ def _boxes(rows) -> dict[int, tuple[int, int]]:
     return {label: (s, t) for s, row in enumerate(rows) for t, label in enumerate(row)}
 
 
-@dataclass(frozen=True)
-class StandardTableau:
+class StandardTableau(Value):
     """A filling of a partition shape with distinct, strictly increasing labels.
 
     Labels may be any distinct positive integers (content a bit string); a
@@ -50,26 +47,25 @@ class StandardTableau:
     Trailing empty rows are dropped.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        rows = [tuple(row) for row in self.rows]
+    def __init__(self, rows):
+        rows = [tuple(row) for row in rows]
         while rows and not rows[-1]:
             rows.pop()
         rows = _check_rows(rows)
-        object.__setattr__(self, "rows", rows)
         labels = [label for row in rows for label in row]
         if any(label < 1 for label in labels):
             raise DomainError(f"labels must be positive, got {min(labels)}")
         if len(set(labels)) != len(labels):
             raise DomainError(f"labels must be distinct, got {labels}")
+        vars(self).update(rows=rows)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
 
 
-@dataclass(frozen=True)
-class ChessTableau:
+class ChessTableau(Value):
     """A semi-standard filling whose box parities match the label parities.
 
     Rows and columns must weakly increase.  The parity condition makes
@@ -78,16 +74,12 @@ class ChessTableau:
     are checked on construction.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    parity: int
-    content: tuple[int, ...] = field(default=())
+    _fields = ("rows", "parity", "content")
 
-    def __post_init__(self):
-        parity = check_bit(self.parity)
-        rows = _check_rows(self.rows)
-        content = tuple(check_int(x, "content") for x in self.content)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "content", content)
+    def __init__(self, rows, parity: int, content=()):
+        parity = check_bit(parity)
+        rows = _check_rows(rows)
+        content = tuple(check_int(x, "content") for x in content)
         k = len(content)
         counts = [0] * k
         for s, row in enumerate(rows):
@@ -101,6 +93,7 @@ class ChessTableau:
                 counts[label - 1] += 1
         if tuple(counts) != content:
             raise DomainError(f"content mismatch: counted {tuple(counts)}")
+        vars(self).update(rows=rows, parity=parity, content=content)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]

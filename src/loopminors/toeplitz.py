@@ -16,7 +16,8 @@ from .determinants import det_bareiss, det_cofactor
 from .errors import DomainError
 from .loop import LoopElement, is_unipotent_plus
 from .partitions import (
-    Partition, check_bit, check_int, check_partition, conjugate, index_windows, max_index, part,
+    Partition, check_bit, check_int, check_partition, conjugate, index_set, index_windows, max_index,
+    part,
 )
 
 
@@ -65,7 +66,9 @@ def minor(g: LoopElement, mu: Partition, lam: Partition, i: int):
     """
     rows, cols = index_windows(mu, lam, i)
     if part(lam, 0) < len(lam) and is_unipotent_plus(g):
-        rows, cols = index_windows(conjugate(mu), conjugate(lam), i)
+        # checked above, so their conjugates are partitions, the one inside the other
+        mu, lam = conjugate(mu), conjugate(lam)
+        rows, cols = index_set(mu, i, max_index(lam)), index_set(lam, i, max_index(lam))
     return _determinant(g, window(g, rows, cols))
 
 

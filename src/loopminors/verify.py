@@ -6,7 +6,6 @@ equal.  A theorem's failure is a regression, a conjecture's mismatch a finding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import factorial, prod
 from operator import itemgetter
@@ -53,15 +52,17 @@ def _read_prop1(word, lam, i, j) -> tuple:
     return word, lam, i, j
 
 
-def _prop1_values(phis, counts, word, lam, i, j) -> dict:
+def _prop1_values(phis, counts, expansions, word, lam, i, j) -> dict:
     """Tableaux counted by euler_char's walk, once per parity string d of a (word, lambda, i),
-    and chess tableaux read off phi's.  The case, read by check or built by a grid, is not
-    checked again."""
-    d = _expand(word, j)
+    and chess tableaux read off phi's; each (word, content)'s d and product of j_t! are made
+    once.  The case, read by check or built by a grid, is not checked again."""
+    key = word, j
+    if key not in expansions:
+        expansions[key] = _expand(word, j), prod(map(factorial, j))
+    d, weight = expansions[key]
     if d not in counts:
         counts[d] = euler_char(lam, i, d)
-    chess_count = _at(phis, word)._coefficient(j)
-    return {"tab_count": counts[d], "factorial_times_chess": prod(map(factorial, j)) * chess_count}
+    return {"tab_count": counts[d], "factorial_times_chess": weight * _at(phis, word)._coefficient(j)}
 
 
 # Fields follow lindstrom_minor(word, mu, lam, i); shares call routes by name, so rebinding
@@ -79,10 +80,11 @@ _ROWS = {
         "lindstrom": _at(paths, word),
         "toeplitz": minor(g, (), lam, i),
     }),
-    # the second share: the tableau count of each parity string asked for so far
+    # the second share: the tableau count of each parity string asked for so far; the third,
+    # keyed by no field, each (word, content)'s expansion for the whole sweep
     "prop1": _Row(
         ("word", "lambda", "parity", "content"),
-        (_PHI, _Share(("word", "lambda", "parity"), lambda word, lam, i: {})),
+        (_PHI, _Share(("word", "lambda", "parity"), lambda word, lam, i: {}), _Share((), dict)),
         _prop1_values, _read_prop1,
     ),
     "conjecture1": _Row(
@@ -114,12 +116,18 @@ REPORT_ONLY = frozenset({"conjecture1"})
 DEFAULT_QS = (2, 3)
 
 
-@dataclass
 class VerificationReport:
-    check: str
-    case: dict[str, object]
-    values: dict[str, object]
-    ok: bool = False
+    """One case's route values and whether they agree; ``ok`` may be reassigned."""
+
+    def __init__(self, check: str, case: dict, values: dict, ok: bool = False):
+        self.check, self.case, self.values, self.ok = check, case, values, ok
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"VerificationReport({shown})"
 
     def to_json(self) -> dict:
         status = "ok" if self.ok else ("mismatch" if self.check in REPORT_ONLY else "fail")
@@ -147,7 +155,7 @@ def check(target: str, *case) -> VerificationReport:
     words = case[:1] if row.fields[0] == "word" else ()
     values = [_value(share, [case[row.fields.index(f)] for f in share.fields], words)
               for share in row.shares]
-    return _check(target, case, (values, _fields(row.fields, case[: _lead(row)])))
+    return _check(target, case, (values, _fields(row.fields, case[: _lead(row)], _text), _text))
 
 
 def _lead(row: _Row) -> int:
@@ -160,21 +168,34 @@ def _value(share: _Share, key, words):
     return {word[0]: share.build(*key, word) for word in words} if share.walk else share.build(*key)
 
 
-def _fields(names, values) -> dict:
-    return {k: v if isinstance(v, int) else format_partition(v) for k, v in zip(names, values)}
+def _text(value):
+    """A case field as reported: an int as it is, a sequence as its comma list."""
+    return value if isinstance(value, int) else format_partition(value)
+
+
+class _Texts(dict):
+    """Each field value of a sweep's cases, hashable there, and its ``_text``, made once."""
+
+    def __missing__(self, value):
+        text = self[value] = _text(value)
+        return text
+
+
+def _fields(names, values, text) -> dict:
+    return {k: text(v) for k, v in zip(names, values)}
 
 
 def _check(target: str, case: tuple, shared: tuple) -> VerificationReport:
-    """Every report: one case's route values, given its shared values in share order and the
-    leading fields they read as reported."""
+    """Every report: one case's route values, given its shared values in share order, the
+    leading fields they read as reported, and the reader that reports the other fields."""
     row = _ROWS[target]
-    shares, head = shared
+    shares, head, text = shared
     values = row.values(*shares, *case)
     routes = list(values.values())
     lead = len(head)
     return VerificationReport(
         check=target,
-        case={**head, **_fields(row.fields[lead:], case[lead:])},
+        case={**head, **_fields(row.fields[lead:], case[lead:], text)},
         values=values,
         ok=routes.count(routes[0]) == len(routes),
     )
@@ -262,13 +283,16 @@ def sweep(target: str, max_size: int, max_word=None, qs=None) -> Iterator[Verifi
 
 def _reports(target: str, grid, words) -> Iterator[VerificationReport]:
     """``_check`` of each case, each shared value computed once per key and kept while the grid
-    can ask for it again: grids cycle words innermost, so a value keyed by the word alone is kept
-    to the end, and any other only while its key's cases, which run consecutively, run.  A walk
-    share walks ``words``, the sweep's longest word of each start letter."""
+    can ask for it again: grids cycle words innermost, so a value keyed by the word alone or by no
+    field is kept to the end, and any other only while its key's cases, which run consecutively,
+    run.  A walk share walks ``words``, the sweep's longest word of each start letter.  Each
+    field value is formatted once per sweep."""
     row = _ROWS[target]
     lead = _lead(row)
-    getters = [itemgetter(*map(row.fields.index, share.fields)) for share in row.shares]
+    places = [tuple(map(row.fields.index, share.fields)) for share in row.shares]
+    getters = [itemgetter(*place) if place else lambda case: () for place in places]
     memos = [{} for _ in row.shares]
+    texts = _Texts().__getitem__
     head = shared = None
     for case in grid:
         if case[:lead] != head:
@@ -279,9 +303,9 @@ def _reports(target: str, grid, words) -> Iterator[VerificationReport]:
                 if key not in memo:
                     if share.fields != ("word",):
                         memo.clear()
-                    memo[key] = _value(share, key if len(share.fields) > 1 else (key,), words)
+                    memo[key] = _value(share, key if len(share.fields) != 1 else (key,), words)
                 values.append(memo[key])
-            shared = values, _fields(row.fields, head)
+            shared = values, _fields(row.fields, head, texts), texts
         yield _check(target, case, shared)
 
 

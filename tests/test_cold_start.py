@@ -50,6 +50,19 @@ POINTS_ARGV = ["points", "--lambda", "4,4,2,1", "--mu", "3,1", "--parity", "0",
 MODULE_ARGV = ["module", "--lambda", "4,3,2,2,1", "--mu", "2,1", "--parity", "0"]
 
 
+# a verify call through the CLI, or an import of the module named
+ROUTE_PROBE = """
+import importlib, json, sys
+if sys.argv[1] == "verify":
+    import loopminors.cli
+    loopminors.cli.main(sys.argv[1:])
+else:
+    importlib.import_module(sys.argv[1])
+print(json.dumps("dataclasses" in sys.modules))
+"""
+VERIFY_ARGV = ["verify", "theorem2", "--max-size", "2", "--max-word", "2", "--verbose"]
+
+
 def run_fresh(probe: str, *args: str) -> list[str]:
     """The stdout lines of ``probe`` run in a fresh interpreter that imports from ``src``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
@@ -96,6 +109,18 @@ def test_a_flag_count_call_loads_only_the_module_route_and_cli(argv, answer):
         "loaded": sorted(f"loopminors.{name}" for name in (*MODULE_ROUTE, "cli")),
         "dataclasses": False,
     }
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [(VERIFY_ARGV, 33), (["loopminors.networks"], 0), (["loopminors.tableaux"], 0)],
+    ids=["verify", "networks", "tableaux"],
+)
+def test_no_route_or_command_loads_dataclasses(argv, lines):
+    *output, report = run_fresh(ROUTE_PROBE, *argv)
+    assert len(output) == lines and json.loads(report) is False
+    if lines:
+        assert output[-1] == '{"cases":32,"failures":0}'
 
 
 @pytest.mark.parametrize("name", loopminors.__all__)

@@ -92,6 +92,14 @@ def test_path_family_validation():
         PathFamily(word=(0,), levels=((0, 2),))  # illegal step
     with pytest.raises(DomainError):
         PathFamily(word=(0,), levels=((1, 2),))  # ascent from odd level in a 0-chip
+    # a valid family is a read-only value
+    fam = PathFamily(word=[0, 1], levels=[[1, 1, 2], [0, 0, 0]])
+    same = PathFamily(word=(0, 1), levels=((1, 1, 2), (0, 0, 0)))
+    assert fam == same and hash(fam) == hash(same) and fam != PathFamily(word=(0, 1), levels=((0, 0, 0),))
+    assert repr(fam) == "PathFamily(word=(0, 1), levels=((1, 1, 2), (0, 0, 0)))"
+    with pytest.raises(AttributeError, match="cannot assign to field 'levels'"):
+        fam.levels = ()
+    assert fam.levels == ((1, 1, 2), (0, 0, 0))
 
 
 def test_lindstrom_golden_example():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from loopminors.errors import DomainError
 from loopminors.partitions import check_word, is_alternating, partitions_up_to
 from loopminors.tableaux import (
+    ChessTableau,
     StandardTableau,
     enumerate_by_parity,
     enumerate_chess,
@@ -215,7 +216,22 @@ def test_standard_tableau_is_a_value():
     assert T == StandardTableau(((1, 2), (3,)))
     assert hash(T) == hash(StandardTableau(((1, 2), (3,))))
     assert T.rows == ((1, 2), (3,))
+    assert repr(T) == "StandardTableau(rows=((1, 2), (3,)))"
+    with pytest.raises(AttributeError, match="cannot assign to field 'rows'"):
+        T.rows = ((1,),)
+    assert T.rows == ((1, 2), (3,)) and T != T.rows
     with pytest.raises(DomainError):
         StandardTableau([[0, 2], [3]])
     with pytest.raises(DomainError):
         StandardTableau([[1, 3], [3]])
+
+
+def test_chess_tableau_is_a_value():
+    T = ChessTableau(rows=[[1, 2]], parity=1, content=[1, 1])
+    assert T == ChessTableau(((1, 2),), 1, (1, 1)) and hash(T) == hash(ChessTableau(((1, 2),), 1, (1, 1)))
+    assert T != ChessTableau(((1, 2),), 1, (1, 1, 0)) and T != StandardTableau(((1, 2),))
+    assert repr(T) == "ChessTableau(rows=((1, 2),), parity=1, content=(1, 1))"
+    for name, value in (("rows", ((1,),)), ("parity", 0), ("content", (1,))):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(T, name, value)
+    assert (T.rows, T.parity, T.content) == (((1, 2),), 1, (1, 1))

@@ -153,8 +153,14 @@ def test_report_json_statuses():
     conj.ok = False
     assert conj.to_json()["status"] == "mismatch"
     thm = check("theorem2", (0,), (1,), 0)
+    assert thm == check("theorem2", [0], [1], 0) != conj
+    assert repr(thm) == (
+        "VerificationReport(check='theorem2', case={'word': '0', 'lambda': '1', 'parity': 0}, "
+        "values={'phi': MultiPoly(1, 'a1'), 'lindstrom': MultiPoly(1, 'a1'), "
+        "'toeplitz': MultiPoly(1, 'a1')}, ok=True)")
     thm.ok = False
     assert thm.to_json()["status"] == "fail"
+    assert thm != check("theorem2", (0,), (1,), 0) and repr(thm).endswith("ok=False)")
 
 
 def test_report_json_renders_each_distinct_value_once(monkeypatch):
@@ -240,6 +246,24 @@ def test_a_sweep_builds_each_shared_value_once_and_keeps_only_what_it_reuses(mon
             wanted = {key + (word,) for key in wanted for word in alternating_words(max_word)}
         assert len(keys) == len(set(keys)) == calls and set(keys) == wanted
         assert max(most) == alive
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_a_sweep_formats_each_field_value_and_expands_each_content_once(monkeypatch, target):
+    # each field's text and each prop1 (word, content) expansion is made once per sweep,
+    # and the reports read as check's
+    formatted, expanded = [], []
+    real_format, real_expand = verify.format_partition, verify._expand
+    monkeypatch.setattr(verify, "format_partition", lambda v: formatted.append(v) or real_format(v))
+    monkeypatch.setattr(verify, "_expand", lambda w, j: expanded.append((w, j)) or real_expand(w, j))
+    bound = (2, 3) if target == "conjecture1" else 3
+    grid = list(getattr(verify, f"sweep_{target}")(3, bound))
+    reports = list(sweep(target, 3, None if target == "conjecture1" else 3))
+    values = {v for case in grid for v in case if not isinstance(v, int)}
+    assert len(formatted) == len(set(formatted)) == len(values)
+    pairs = {(case[0], case[3]) for case in grid} if target == "prop1" else set()
+    assert len(expanded) == len(set(expanded)) == len(pairs)
+    assert [report.to_json() for report in reports] == [check(target, *case).to_json() for case in grid]
 
 
 @pytest.mark.parametrize(
