@@ -232,30 +232,23 @@ class MultiPoly:
             return self._lift(self.nvars, other)
         return NotImplemented
 
+    # sums are products with the constant 1, so one kernel adds every pair of terms
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            total = terms.get(key, 0) + coeff
-            if total:
-                terms[key] = total
-            else:
-                del terms[key]
-        return MultiPoly._from_packed(self.nvars, terms, max(self._bound, other._bound))
+        return MultiPoly.sum_of_products(self.nvars, ((1, self, 1), (1, other, 1)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        terms = {key: -coeff for key, coeff in self.terms.items()}
-        return MultiPoly._from_packed(self.nvars, terms, self._bound)
+        return MultiPoly.sum_of_products(self.nvars, ((-1, self, 1),))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return MultiPoly.sum_of_products(self.nvars, ((1, self, 1), (-1, other, 1)))
 
     def __rsub__(self, other):
         return (-self) + other

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import factorial, prod
-from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError
@@ -26,22 +25,65 @@ from .tableaux import (
 from .toeplitz import minor, pieri_determinant
 
 
-class _Share(NamedTuple):
-    fields: tuple[str, ...]  # the case fields that key the value
-    build: Callable  # the value from those fields; a walk share's from them and a word to walk
-    walk: bool = False  # a walk share: a route on every prefix of a word, per start letter
+class _Kept(dict):
+    """``build(key)`` at each key asked of it so far, each built once."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class _Shared(_Kept):
+    """What the cases of one sweep, or one ``check``, share, each value built once.
+
+    ``shared(build, *key)`` is ``build(*key)``, kept while ``key`` is the last key asked of
+    ``build``: a grid runs each key's cases one after another, and the last value is let go
+    before the next is built.  ``shared[build][key]`` is ``build(key)``, kept to the end, for
+    what grids cycle innermost: each word's loop element, each field's text and each prop1
+    (word, j) expansion.  Walks walk ``words``, the longest word of each start letter.
+    """
+
+    def __init__(self, words):
+        super().__init__(_Kept)
+        self.words, self.last = words, {}
+
+    def __call__(self, build, *key):
+        last = self.last.get(build)
+        if last is None or last[0] != key:
+            last = self.last[build] = None  # let the last value go before the next is built
+            last = self.last[build] = key, build(*key)
+        return last[1]
 
 
 class _Row(NamedTuple):
     fields: tuple[str, ...]  # a case: the arguments of check, the keys of its report
-    shares: tuple[_Share, ...]  # the values its cases share; they read the leading fields
-    values: Callable  # the route values, from the shared values in order and the case
+    values: Callable  # the route values, from the sweep's _Shared and the case
     read: Callable | None = None  # check's reader of a case whose values trust it; else routes check
 
 
+# Rows and builders call routes by name, so rebinding reaches them.  A walk is keyed by the
+# shape and parity, not the word: each alternating word is the prefix of the longest word of
+# its start letter, and both routes read every prefix's value off one walk of that word.
+def _phis(words, lam, i) -> dict:
+    return {w[0]: phi_prefixes(lam, i, w) for w in words}
+
+
+def _paths(words, mu, lam, i) -> dict:
+    return {w[0]: lindstrom_prefixes(w, mu, lam, i) for w in words}
+
+
 def _at(walks: dict, word) -> object:
-    """The value on ``word`` of a walk share: its start letter's walk after len(word) steps."""
+    """The value on ``word`` of a walk: its start letter's walk after len(word) steps."""
     return walks[word[0]][len(word) - 1]
+
+
+def _theorem2(shared, word, lam, i) -> dict:
+    g = shared[word_to_loop][word]
+    phi, paths = shared(_phis, shared.words, lam, i), shared(_paths, shared.words, (), lam, i)
+    return {"phi": _at(phi, word), "lindstrom": _at(paths, word), "toeplitz": minor(g, (), lam, i)}
 
 
 def _read_prop1(word, lam, i, j) -> tuple:
@@ -52,61 +94,47 @@ def _read_prop1(word, lam, i, j) -> tuple:
     return word, lam, i, j
 
 
-def _prop1_values(phis, counts, expansions, word, lam, i, j) -> dict:
-    """Tableaux counted by euler_char's walk, once per parity string d of a (word, lambda, i),
-    and chess tableaux read off phi's; each (word, content)'s d and product of j_t! are made
+def _expansion(key) -> tuple:
+    word, j = key
+    return _expand(word, j), prod(map(factorial, j))
+
+
+def _counts(lam, i) -> _Kept:
+    return _Kept(lambda d: euler_char(lam, i, d))
+
+
+def _prop1(shared, word, lam, i, j) -> dict:
+    """Tableaux counted by euler_char's walk, once per parity string d of a (lambda, i), and
+    chess tableaux read off phi's; each (word, content)'s d and product of j_t! are made
     once.  The case, read by check or built by a grid, is not checked again."""
-    key = word, j
-    if key not in expansions:
-        expansions[key] = _expand(word, j), prod(map(factorial, j))
-    d, weight = expansions[key]
-    if d not in counts:
-        counts[d] = euler_char(lam, i, d)
-    return {"tab_count": counts[d], "factorial_times_chess": weight * _at(phis, word)._coefficient(j)}
+    d, weight = shared[_expansion][word, j]
+    chess = _at(shared(_phis, shared.words, lam, i), word)._coefficient(j)
+    return {"tab_count": shared(_counts, lam, i)[d], "factorial_times_chess": weight * chess}
 
 
-# Fields follow lindstrom_minor(word, mu, lam, i); shares call routes by name, so rebinding
-# reaches them.  A walk share is keyed by the shape and parity, not the word: each alternating
-# word is the prefix of the longest word of its start letter, and both routes read every
-# prefix's value off one walk of that word.
-_LOOP = _Share(("word",), lambda word: word_to_loop(word))
-_PHI = _Share(("lambda", "parity"), lambda lam, i, word: phi_prefixes(lam, i, word), True)
+def _conjecture1(shared, lam, i, d, q) -> dict:
+    module = shared(build_module, lam, (), i)
+    return {"prediction": conjecture1_prediction(lam, i, d, q),
+            "brute_force": count_flags_fq(module, d, q)}
+
+
+def _pieri(shared, word, lam, i) -> dict:
+    g = shared[word_to_loop][word]
+    return {"pieri": pieri_determinant(g, lam, i), "minor": minor(g, (), lam, i)}
+
+
+def _lindstrom(shared, word, mu, lam, i) -> dict:
+    g, paths = shared[word_to_loop][word], shared(_paths, shared.words, mu, lam, i)
+    return {"lindstrom": _at(paths, word), "toeplitz": minor(g, mu, lam, i)}
+
+
+# Fields follow lindstrom_minor(word, mu, lam, i).
 _ROWS = {
-    "theorem2": _Row(("word", "lambda", "parity"), (
-        _LOOP, _PHI,
-        _Share(("lambda", "parity"), lambda lam, i, word: lindstrom_prefixes(word, (), lam, i), True),
-    ), lambda g, phis, paths, word, lam, i: {
-        "phi": _at(phis, word),
-        "lindstrom": _at(paths, word),
-        "toeplitz": minor(g, (), lam, i),
-    }),
-    # the second share: the tableau count of each parity string asked for so far; the third,
-    # keyed by no field, each (word, content)'s expansion for the whole sweep
-    "prop1": _Row(
-        ("word", "lambda", "parity", "content"),
-        (_PHI, _Share(("word", "lambda", "parity"), lambda word, lam, i: {}), _Share((), dict)),
-        _prop1_values, _read_prop1,
-    ),
-    "conjecture1": _Row(
-        ("lambda", "parity", "d", "q"),
-        (_Share(("lambda", "parity"), lambda lam, i: build_module(lam, (), i)),),
-        lambda module, lam, i, d, q: {
-            "prediction": conjecture1_prediction(lam, i, d, q),
-            "brute_force": count_flags_fq(module, d, q),
-        },
-    ),
-    "pieri": _Row(("word", "lambda", "parity"), (_LOOP,), lambda g, word, lam, i: {
-        "pieri": pieri_determinant(g, lam, i),
-        "minor": minor(g, (), lam, i),
-    }),
-    "lindstrom": _Row(("word", "mu", "lambda", "parity"), (
-        _LOOP,
-        _Share(("mu", "lambda", "parity"),
-               lambda mu, lam, i, word: lindstrom_prefixes(word, mu, lam, i), True),
-    ), lambda g, paths, word, mu, lam, i: {
-        "lindstrom": _at(paths, word),
-        "toeplitz": minor(g, mu, lam, i),
-    }),
+    "theorem2": _Row(("word", "lambda", "parity"), _theorem2),
+    "prop1": _Row(("word", "lambda", "parity", "content"), _prop1, _read_prop1),
+    "conjecture1": _Row(("lambda", "parity", "d", "q"), _conjecture1),
+    "pieri": _Row(("word", "lambda", "parity"), _pieri),
+    "lindstrom": _Row(("word", "mu", "lambda", "parity"), _lindstrom),
 }
 
 # The verify targets in CLI order; target t sweeps the cases of ``sweep_<t>``.
@@ -146,26 +174,17 @@ def _row(target: str) -> _Row:
 
 def check(target: str, *case) -> VerificationReport:
     """The report of one case, given as its row's fields in order, such as
-    ``check("lindstrom", word, mu, lam, i)``.  A row with a reader (prop1) reads the
-    case through the input layer here, once; the routes of the other rows check theirs.
-    A walk share walks the case's own word."""
+    ``check("lindstrom", word, mu, lam, i)``; a list field is read as its tuple.  A row with
+    a reader (prop1) reads the case through the input layer here, once; the routes of the
+    other rows check theirs.  The case runs as a sweep's does, its walks on its own word."""
     row = _row(target)
+    if len(case) != len(row.fields):
+        raise DomainError(f"{target} takes {len(row.fields)} fields ({', '.join(row.fields)}), "
+                          f"got {len(case)}")
+    case = tuple(tuple(v) if isinstance(v, list) else v for v in case)
     if row.read:
         case = row.read(*case)
-    words = case[:1] if row.fields[0] == "word" else ()
-    values = [_value(share, [case[row.fields.index(f)] for f in share.fields], words)
-              for share in row.shares]
-    return _check(target, case, (values, _fields(row.fields, case[: _lead(row)], _text), _text))
-
-
-def _lead(row: _Row) -> int:
-    """How many leading fields of a case its row's shares read."""
-    return len({name for share in row.shares for name in share.fields})
-
-
-def _value(share: _Share, key, words):
-    """The value of ``share`` at the fields ``key``; a walk share walks each word of ``words``."""
-    return {word[0]: share.build(*key, word) for word in words} if share.walk else share.build(*key)
+    return _check(target, case, _Shared(case[:1] if row.fields[0] == "word" else ()))
 
 
 def _text(value):
@@ -173,29 +192,15 @@ def _text(value):
     return value if isinstance(value, int) else format_partition(value)
 
 
-class _Texts(dict):
-    """Each field value of a sweep's cases, hashable there, and its ``_text``, made once."""
-
-    def __missing__(self, value):
-        text = self[value] = _text(value)
-        return text
-
-
-def _fields(names, values, text) -> dict:
-    return {k: text(v) for k, v in zip(names, values)}
-
-
-def _check(target: str, case: tuple, shared: tuple) -> VerificationReport:
-    """Every report: one case's route values, given its shared values in share order, the
-    leading fields they read as reported, and the reader that reports the other fields."""
+def _check(target: str, case: tuple, shared: _Shared) -> VerificationReport:
+    """Every report: one case's route values, given what it shares with the other cases of
+    its sweep; each field is reported by its text, made once per sweep."""
     row = _ROWS[target]
-    shares, head, text = shared
-    values = row.values(*shares, *case)
+    values = row.values(shared, *case)
     routes = list(values.values())
-    lead = len(head)
     return VerificationReport(
         check=target,
-        case={**head, **_fields(row.fields[lead:], case[lead:], text)},
+        case={k: shared[_text][v] for k, v in zip(row.fields, case)},
         values=values,
         ok=routes.count(routes[0]) == len(routes),
     )
@@ -278,35 +283,8 @@ def sweep(target: str, max_size: int, max_word=None, qs=None) -> Iterator[Verifi
     if qs is not None and (not qs or len(set(qs)) < len(qs)):
         raise DomainError(f"{target} needs at least one field size q, each once; got {list(qs)}")
     grid = globals()[f"sweep_{target}"](max_size, tuple(qs or DEFAULT_QS) if sweeps_q else max_word)
-    return _reports(target, grid, words)
-
-
-def _reports(target: str, grid, words) -> Iterator[VerificationReport]:
-    """``_check`` of each case, each shared value computed once per key and kept while the grid
-    can ask for it again: grids cycle words innermost, so a value keyed by the word alone or by no
-    field is kept to the end, and any other only while its key's cases, which run consecutively,
-    run.  A walk share walks ``words``, the sweep's longest word of each start letter.  Each
-    field value is formatted once per sweep."""
-    row = _ROWS[target]
-    lead = _lead(row)
-    places = [tuple(map(row.fields.index, share.fields)) for share in row.shares]
-    getters = [itemgetter(*place) if place else lambda case: () for place in places]
-    memos = [{} for _ in row.shares]
-    texts = _Texts().__getitem__
-    head = shared = None
-    for case in grid:
-        if case[:lead] != head:
-            # let go of the last values first, so a key's values die before the next key's are built
-            head, shared, values = case[:lead], None, []
-            for share, get, memo in zip(row.shares, getters, memos):
-                key = get(case)
-                if key not in memo:
-                    if share.fields != ("word",):
-                        memo.clear()
-                    memo[key] = _value(share, key if len(share.fields) != 1 else (key,), words)
-                values.append(memo[key])
-            shared = values, _fields(row.fields, head, texts), texts
-        yield _check(target, case, shared)
+    shared = _Shared(words)
+    return (_check(target, case, shared) for case in grid)
 
 
 def summarize(reports) -> dict:

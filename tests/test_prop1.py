@@ -1,4 +1,4 @@
-"""The prop1 row: one euler_char walk per parity string of a share, each case checked once.
+"""The prop1 row: one euler_char walk per (lambda, i, d), each case checked once.
 
 A sweep's cases come from its grid and are not checked again; ``check`` reads its
 case through the input layer, with the errors the routes gave when each checked it.
@@ -33,8 +33,9 @@ def test_a_sweep_walks_each_parity_string_once_per_share(monkeypatch):
     monkeypatch.setattr(verify, "euler_char", counted)
     grid = list(sweep_prop1(5, 6))
     assert summarize(sweep("prop1", 5, 6)) == {"cases": len(grid), "failures": 0}
-    shares = {(word, lam, i, expand_word(word, j)) for word, lam, i, j in grid}
-    assert (len(grid), len(walks), len(shares), len(set(walks))) == (20044, 5076, 5076, 678)
+    # the counts are kept per (lambda, i), so each (lambda, i, d) is walked once
+    strings = {(lam, i, expand_word(word, j)) for word, lam, i, j in grid}
+    assert (len(grid), len(walks), len(strings), len(set(walks))) == (20044, 678, 678, 678)
 
 
 @pytest.mark.parametrize(

@@ -154,6 +154,12 @@ def test_report_json_statuses():
     assert conj.to_json()["status"] == "mismatch"
     thm = check("theorem2", (0,), (1,), 0)
     assert thm == check("theorem2", [0], [1], 0) != conj
+    # every target reads a list field as its tuple
+    for target, case in [("pieri", ((1, 0, 1), (2, 1), 1)),
+                         ("lindstrom", ((1, 0, 1), (1,), (2, 1), 0)),
+                         ("conjecture1", ((2, 1), 1, (1, 0, 0), 2))]:
+        listed = [list(v) if isinstance(v, tuple) else v for v in case]
+        assert check(target, *listed) == check(target, *case)
     assert repr(thm) == (
         "VerificationReport(check='theorem2', case={'word': '0', 'lambda': '1', 'parity': 0}, "
         "values={'phi': MultiPoly(1, 'a1'), 'lindstrom': MultiPoly(1, 'a1'), "
@@ -174,6 +180,15 @@ def test_report_json_renders_each_distinct_value_once(monkeypatch):
     a1 = MultiPoly.variable(1, 0)
     broken = VerificationReport("theorem2", {}, {"phi": a1, "lindstrom": a1 + 0, "toeplitz": 2 * a1})
     assert broken.to_json()["values"] == {"phi": "a1", "lindstrom": "a1", "toeplitz": "2*a1"}
+
+
+def test_check_names_its_fields_on_a_wrong_count():
+    with pytest.raises(DomainError) as short:
+        check("theorem2", (1,), (1,))
+    assert str(short.value) == "theorem2 takes 3 fields (word, lambda, parity), got 2"
+    with pytest.raises(DomainError) as long:
+        check("prop1", (1, 0), (2, 1), 1, (1, 2), 0)
+    assert str(long.value) == "prop1 takes 4 fields (word, lambda, parity, content), got 5"
 
 
 @pytest.mark.parametrize("target", ["theorem2", "lindstrom"], ids=lambda t: f"sweep_{t}")
@@ -204,48 +219,56 @@ def test_sweep_passes_each_target_its_bounds():
         check("summarize", (1,), (1,), 0)
 
 
-# (max_size, max_word, and per share of the row: builds, most of its values alive) at the
-# benchmark's sizes; a walk share builds one walk per key and start letter
+# (max_size, max_word, and per route that builds a shared value: its builds, most of its
+# values alive) at the benchmark's sizes; a walk is built once per key and start letter
 BENCHMARK_SWEEPS = {
-    "theorem2": (7, 8, [(16, 16), (180, 2), (180, 2)]),
-    "prop1": (5, 6, [(76, 2), (456, 1)]),
-    "conjecture1": (6, 0, [(60, 1)]),
-    "pieri": (6, 8, [(16, 16)]),
-    "lindstrom": (5, 6, [(12, 12), (440, 2)]),
+    "theorem2": (7, 8, {"word_to_loop": (16, 16), "phi_prefixes": (180, 2),
+                        "lindstrom_prefixes": (180, 2)}),
+    "prop1": (5, 6, {"phi_prefixes": (76, 2)}),
+    "conjecture1": (6, 0, {"build_module": (60, 1)}),
+    "pieri": (6, 8, {"word_to_loop": (16, 16)}),
+    "lindstrom": (5, 6, {"word_to_loop": (12, 12), "lindstrom_prefixes": (440, 2)}),
 }
+# the routes that read the shared values, answering 0 for any of them
+READERS = ("minor", "pieri_determinant", "conjecture1_prediction", "count_flags_fq", "euler_char")
+
+
+class Built:
+    """A weakref-able stand-in for a shared value; a walk's value on every prefix is 0."""
+
+    def __getitem__(self, k):
+        return MultiPoly.zero(1)
 
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_a_sweep_builds_each_shared_value_once_and_keeps_only_what_it_reuses(monkeypatch, target):
-    # word rows reuse every word's loop element; every other key runs consecutively, so its
+    # word rows keep every word's loop element; every other key runs consecutively, so its
     # values live only while its cases run
     max_size, max_word, expected = BENCHMARK_SWEEPS[target]
-    row = verify._ROWS[target]
-    builds = [([], weakref.WeakSet(), []) for _ in row.shares]
+    built = {route: ([], weakref.WeakSet(), []) for route in expected}
 
-    class Shared:
-        pass
-
-    def counted(share, keys, live, most):
+    def counted(keys, live, most):
         def build(*key):
             keys.append(key)
-            value = Shared()
+            value = Built()
             live.add(value)
             most.append(len(live))
             return value
-        return share._replace(build=build)
+        return build
 
-    shares = tuple(counted(share, *built) for share, built in zip(row.shares, builds))
-    monkeypatch.setitem(verify._ROWS, target, row._replace(shares=shares, values=lambda *_: {"v": 0}))
+    for route, record in built.items():
+        monkeypatch.setattr(verify, route, counted(*record))
+    for route in READERS:
+        monkeypatch.setattr(verify, route, lambda *_: 0)
     bound = (2, 3) if target == "conjecture1" else max_word
     grid = list(getattr(verify, f"sweep_{target}")(max_size, bound))
     assert summarize(sweep(target, max_size, max_word)) == {"cases": len(grid), "failures": 0}
-    for share, (keys, _, most), (calls, alive) in zip(row.shares, builds, expected):
-        wanted = {tuple(case[row.fields.index(f)] for f in share.fields) for case in grid}
-        if share.walk:  # each walk runs to the sweep's longest word of its start letter
-            wanted = {key + (word,) for key in wanted for word in alternating_words(max_word)}
-        assert len(keys) == len(set(keys)) == calls and set(keys) == wanted
-        assert max(most) == alive
+    for route, (keys, _, most) in built.items():
+        calls, alive = expected[route]
+        assert len(keys) == len(set(keys)) == calls and max(most) == alive
+        if route.endswith("_prefixes"):  # each walk runs to the sweep's longest word
+            walked = {key[2] if route == "phi_prefixes" else key[0] for key in keys}
+            assert walked == set(alternating_words(max_word))
 
 
 @pytest.mark.parametrize("target", TARGETS)
