@@ -132,8 +132,8 @@ class MultiPoly:
         return cls(nvars, {tuple(exps): coeff})
 
     @classmethod
-    def transfer_walk(cls, nvars: int, start, end, moves, every: bool = False) -> list["MultiPoly"]:
-        """Sums of a^e over the walks from ``start`` to ``end``, after every step or the last.
+    def transfer_walk(cls, nvars: int, start, end, moves) -> "MultiPoly":
+        """Sum of a^e over the walks of ``nvars`` steps from ``start`` to ``end``.
 
         Step c (0-origin) takes a walk from ``state`` along each pair
         ``(next_state, e)`` that ``moves(c, state)`` yields, and e, a
@@ -142,21 +142,16 @@ class MultiPoly:
         walks that end there, so walks are summed, never listed.  States must
         be hashable; a step exponent above ``MAX_EXPONENT`` raises DomainError.
 
-        The list holds the sum over the walks of all ``nvars`` steps; with
-        ``every``, it holds for each k = 1..nvars the sum over the walks of k
-        steps, a polynomial in a1..ak: the end state's terms after step k, each
-        key shifted right past the fields of the steps not taken.
-
         A state pass first lists each step's moves out of the states reachable
         before it, one ``moves`` call per (c, state).  No coefficient cancels, so
         these are the states a one-way walk holds terms for, in its order, with
-        its calls and exponent checks.  The last value alone meets in the middle
+        its calls and exponent checks.  The sum meets in the middle
         (bidirectional transfer matrices): the walks from ``start`` over the
         first ``nvars // 2`` steps join, at the states both reach, those into
         ``end`` over the rest, run backward along the listed moves.  The halves
         fill disjoint exponent fields, so no product of their terms carries.
         """
-        steps, states, bound, bounds = [], [start], 0, []
+        steps, states, bound = [], [start], 0
         for c in range(nvars):
             steps.append([])
             nxt = {}
@@ -168,22 +163,16 @@ class MultiPoly:
                         bound = e
                     steps[c].append((state, target, e))
                     nxt[target] = None
-            bounds.append(bound)
             states = nxt
         shifts = [EXPONENT_BITS * (nvars - 1 - c) for c in range(nvars)]
-        layer, back, half, values = {start: {0: 1}}, {end: {0: 1}}, nvars // 2, []
-        for c in range(nvars if every else half):
+        layer, back, half = {start: {0: 1}}, {end: {0: 1}}, nvars // 2
+        for c in range(half):
             layer = _carry(layer, steps[c], shifts[c])
-            if every:
-                terms = {key >> shifts[c]: n for key, n in layer.get(end, {}).items()}
-                values.append(cls._from_packed(c + 1, terms, bounds[c]))
-        if every:
-            return values
         for c in range(nvars - 1, half - 1, -1):
             back = _carry(back, [(t, s, e) for s, t, e in steps[c] if t in back], shifts[c])
         pairs = ((1, cls._from_packed(nvars, layer[s], bound),
                   cls._from_packed(nvars, back[s], bound)) for s in layer if s in back)
-        return [cls._from_packed(nvars, cls.sum_of_products(nvars, pairs).terms, bound)]
+        return cls._from_packed(nvars, cls.sum_of_products(nvars, pairs).terms, bound)
 
     @classmethod
     def sum_of_products(cls, nvars: int, triples) -> "MultiPoly":
@@ -288,6 +277,14 @@ class MultiPoly:
     def _coefficient(self, exps) -> int:
         """``coefficient`` of ``nvars`` ints in 0..``MAX_EXPONENT``, without the checks."""
         return self.terms.get(_pack(exps), 0)
+
+    def _prefix(self, k: int) -> "MultiPoly":
+        """The polynomial at a_{k+1} = ... = a_nvars = 0, in a1..ak: the terms whose
+        last ``nvars - k`` fields are zero, those fields dropped."""
+        shift = EXPONENT_BITS * (self.nvars - k)
+        low = (1 << shift) - 1
+        terms = {key >> shift: n for key, n in self.terms.items() if not key & low}
+        return MultiPoly._from_packed(k, terms, self._bound)
 
     def constant_value(self) -> int:
         """The coefficient of the constant monomial."""

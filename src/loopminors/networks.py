@@ -127,21 +127,6 @@ def lindstrom_minor(word, mu: Partition, lam: Partition, i: int) -> MultiPoly:
     non-crossing condition; a tuple is dropped once some path can no longer
     reach its sink.
     """
-    return _walk(word, mu, lam, i, False)[-1]
-
-
-def lindstrom_prefixes(word, mu: Partition, lam: Partition, i: int) -> list[MultiPoly]:
-    """``lindstrom_minor`` on every prefix of ``word``, read off one walk: entry
-    k - 1 is its value on ``word[:k]``.
-
-    Chip c's moves read c, word[c] and the chips left, which only prune, so the
-    walk through all of ``word`` holds every shorter prefix's families.
-    """
-    return _walk(word, mu, lam, i, True)
-
-
-def _walk(word, mu, lam, i, every: bool) -> list[MultiPoly]:
-    """``lindstrom_minor`` on the last prefix of ``word``, or with ``every`` on each."""
     word = check_word(word)
     sources, sinks = index_windows(mu, lam, i)
     k = len(word)
@@ -159,7 +144,7 @@ def _walk(word, mu, lam, i, every: bool) -> list[MultiPoly]:
             moved = [(path + (level + d,), e + d) for path, e in moved for d in steps]
         return moved
 
-    return MultiPoly.transfer_walk(k, sources, sinks, moves, every)
+    return MultiPoly.transfer_walk(k, sources, sinks, moves)
 
 
 def render_family(family: PathFamily) -> str:

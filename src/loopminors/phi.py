@@ -47,22 +47,6 @@ def phi_polynomial(lam: Partition, i: int, word) -> MultiPoly:
     addable corners of the shape filled so far, each of the label's parity.
     A shape is dropped once a row has more boxes left than labels remain.
     """
-    return _walk(lam, i, word, False)[-1]
-
-
-def phi_prefixes(lam: Partition, i: int, word) -> list[MultiPoly]:
-    """``phi_polynomial`` on every prefix of ``word``, read off one walk: entry k - 1
-    is its value on ``word[:k]``.
-
-    The moves of label c + 1 read c, the parity (i + word[0] + 1) % 2 and the
-    labels left, which only prune, so the walk over ``word`` pruned against its
-    full length holds every shorter prefix's walks.
-    """
-    return _walk(lam, i, word, True)
-
-
-def _walk(lam, i, word, every: bool) -> list[MultiPoly]:
-    """``phi_polynomial`` on the last prefix of ``word``, or with ``every`` on each."""
     lam = check_partition(lam)
     i = check_bit(i)
     word = check_factorization_word(word)
@@ -84,8 +68,7 @@ def _walk(lam, i, word, every: bool) -> list[MultiPoly]:
             grown = [(rows + (length + d,), e + d) for rows, e in grown for d in steps]
         return grown
 
-    polys = MultiPoly.transfer_walk(k, (0,) * len(lam), lam, moves, every)
-    for poly in polys:
-        if poly and not poly.is_homogeneous(size(lam)):
-            raise AssertionError(f"chess contents of {lam} do not all sum to |lam|")
-    return polys
+    poly = MultiPoly.transfer_walk(k, (0,) * len(lam), lam, moves)
+    if poly and not poly.is_homogeneous(size(lam)):
+        raise AssertionError(f"chess contents of {lam} do not all sum to |lam|")
+    return poly

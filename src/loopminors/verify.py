@@ -12,12 +12,12 @@ from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError
 from .loop import word_to_loop
-from .networks import lindstrom_prefixes
+from .networks import lindstrom_minor
 from .partitions import (
     Partition, check_bit, check_factorization_word, check_int, check_parity_string, check_partition,
     format_partition, partitions_up_to, size, subpartitions,
 )
-from .phi import euler_char, phi_prefixes
+from .phi import euler_char, phi_polynomial
 from .shapemod import build_module, count_flags_fq
 from .tableaux import (
     _expand, conjecture1_prediction, enumerate_standard, expand_word, parity_string,
@@ -66,17 +66,24 @@ class _Row(NamedTuple):
 
 # Rows and builders call routes by name, so rebinding reaches them.  A walk is keyed by the
 # shape and parity, not the word: each alternating word is the prefix of the longest word of
-# its start letter, and both routes read every prefix's value off one walk of that word.
+# its start letter, and a word's value on its prefix of k letters is its value at
+# a_{k+1} = ... = 0 (a tableau or a family that uses no later letter; a generator at 0 is
+# the identity), so each route walks that word once and every shorter value is read off it.
+def _prefixes(value) -> list:
+    """``value`` at each a_{k+1} = ... = 0, entry k - 1 for k = 1..nvars."""
+    return [value._prefix(k) for k in range(1, value.nvars + 1)]
+
+
 def _phis(words, lam, i) -> dict:
-    return {w[0]: phi_prefixes(lam, i, w) for w in words}
+    return {w[0]: _prefixes(phi_polynomial(lam, i, w)) for w in words}
 
 
 def _paths(words, mu, lam, i) -> dict:
-    return {w[0]: lindstrom_prefixes(w, mu, lam, i) for w in words}
+    return {w[0]: _prefixes(lindstrom_minor(w, mu, lam, i)) for w in words}
 
 
 def _at(walks: dict, word) -> object:
-    """The value on ``word`` of a walk: its start letter's walk after len(word) steps."""
+    """The value on ``word``: its start letter's walk restricted to len(word) letters."""
     return walks[word[0]][len(word) - 1]
 
 
@@ -174,7 +181,8 @@ def _row(target: str) -> _Row:
 
 def check(target: str, *case) -> VerificationReport:
     """The report of one case, given as its row's fields in order, such as
-    ``check("lindstrom", word, mu, lam, i)``; a list field is read as its tuple.  A row with
+    ``check("lindstrom", word, mu, lam, i)``; a list field is read as its tuple, and a field
+    with no hash (a set has no order) is a DomainError.  A row with
     a reader (prop1) reads the case through the input layer here, once; the routes of the
     other rows check theirs.  The case runs as a sweep's does, its walks on its own word."""
     row = _row(target)
@@ -182,6 +190,11 @@ def check(target: str, *case) -> VerificationReport:
         raise DomainError(f"{target} takes {len(row.fields)} fields ({', '.join(row.fields)}), "
                           f"got {len(case)}")
     case = tuple(tuple(v) if isinstance(v, list) else v for v in case)
+    for field, value in zip(row.fields, case):
+        try:
+            hash(value)
+        except TypeError:
+            raise DomainError(f"{field} must be a tuple, a list or an int, got {value!r}") from None
     if row.read:
         case = row.read(*case)
     return _check(target, case, _Shared(case[:1] if row.fields[0] == "word" else ()))

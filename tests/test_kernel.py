@@ -3,9 +3,9 @@
 ``MultiPoly.transfer_walk`` lists the moves out of every reachable state, then
 sums walks forward from the start over the first half of the steps and
 backward from the end over the rest, and joins the halves in the middle.  Here
-random layered move systems are walked by listing every walk; the last value,
-the every-step walk's last entry and the listing must agree, and the kernel
-must ask for each reachable (step, state)'s moves exactly once.
+random layered move systems are walked by listing every walk; the walk's value
+and the listing must agree, and the kernel must ask for each reachable
+(step, state)'s moves exactly once.
 """
 
 from collections import Counter
@@ -69,19 +69,13 @@ def test_the_two_ended_walk_matches_the_listed_walks(system):
         calls[c, state] += 1
         return table[c][state]
 
-    [last] = MultiPoly.transfer_walk(nvars, start, end, moves)
+    last = MultiPoly.transfer_walk(nvars, start, end, moves)
     assert calls == Counter(reachable(nvars, start, table))
     assert last.nvars == nvars
     assert last == listed_walks(nvars, start, end, table)
     assert all(e <= last._bound for exps, _ in last.sorted_terms() for e in exps)
-    every = MultiPoly.transfer_walk(nvars, start, end, lambda c, s: table[c][s], every=True)
-    assert len(every) == nvars
-    if nvars:
-        assert every[-1] == last
-    for k, poly in enumerate(every, 1):
-        assert poly == listed_walks(k, start, end, table[:k])
     # no walk ends off the states
-    assert MultiPoly.transfer_walk(nvars, start, "off", moves)[0] == MultiPoly.zero(nvars)
+    assert MultiPoly.transfer_walk(nvars, start, "off", moves) == MultiPoly.zero(nvars)
 
 
 @pytest.mark.parametrize("bad", [-1, MAX_EXPONENT + 1])
@@ -93,10 +87,9 @@ def test_a_bad_exponent_on_a_dead_end_is_rejected(bad, at):
             return [("dead", bad if c == at else 0)]
         return [(state, 1), ("dead", 0)] if c == 0 else [(state, 1)]
 
-    for every in (False, True):
-        with pytest.raises(DomainError, match=rf"^step exponent {bad} outside 0\.\.{MAX_EXPONENT}$"):
-            MultiPoly.transfer_walk(4, "live", "live", moves, every)
-    assert MultiPoly.transfer_walk(at, "live", "live", moves) == [MultiPoly.monomial(at, (1,) * at)]
+    with pytest.raises(DomainError, match=rf"^step exponent {bad} outside 0\.\.{MAX_EXPONENT}$"):
+        MultiPoly.transfer_walk(4, "live", "live", moves)
+    assert MultiPoly.transfer_walk(at, "live", "live", moves) == MultiPoly.monomial(at, (1,) * at)
 
 
 def test_symbolic_reach_both_routes_agree_on_fourteen_letters():

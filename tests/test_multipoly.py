@@ -216,6 +216,22 @@ def test_packed_ring_matches_tuple_reference(data):
     assert_same_value(MultiPoly(k, small), TuplePoly(k, small), values)
 
 
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_prefix_is_the_polynomial_at_zero_in_the_trailing_variables(data):
+    nvars = data.draw(st.integers(1, 6), label="nvars")
+    p = MultiPoly(nvars, data.draw(term_maps(nvars), label="p"))
+    values = data.draw(st.lists(st.sampled_from(CHEAP_VALUES), min_size=nvars, max_size=nvars))
+    assert p._prefix(nvars) == p
+    for k in range(1, nvars + 1):
+        prefix, zeros = p._prefix(k), (0,) * (nvars - k)
+        assert prefix.nvars == k
+        assert prefix.sorted_terms() == [
+            (exps[:k], n) for exps, n in p.sorted_terms() if exps[k:] == zeros]
+        assert all(e <= prefix._bound for exps, _ in prefix.sorted_terms() for e in exps)
+        assert prefix.evaluate(values[:k]) == p.evaluate(values[:k] + list(zeros))
+
+
 def test_readers_match_the_reference_on_the_twelve_variable_anchor():
     word = tuple((t + 1) % 2 for t in range(12))
     poly = phi_polynomial((5, 4, 3, 2, 1), 1, word)
@@ -249,14 +265,14 @@ def test_transfer_sum_counts_walks_by_step_exponents():
     def up(c, level):
         return [(level + e, e) for e in (0, 1) if level + e <= 2]
 
-    poly = MultiPoly.transfer_walk(3, 0, 2, up)[-1]
+    poly = MultiPoly.transfer_walk(3, 0, 2, up)
     assert poly == MultiPoly(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
     assert poly._bound == 1
     # two routes into one state add up; an unreachable end gives zero
-    twice = MultiPoly.transfer_walk(1, "s", "t", lambda c, s: [("t", 2), ("t", 2)])[-1]
+    twice = MultiPoly.transfer_walk(1, "s", "t", lambda c, s: [("t", 2), ("t", 2)])
     assert twice == 2 * a(1, 0) * a(1, 0)
-    assert MultiPoly.transfer_walk(2, 0, 5, up)[-1] == 0
-    assert MultiPoly.transfer_walk(0, 0, 0, up)[-1] == 1
+    assert MultiPoly.transfer_walk(2, 0, 5, up) == 0
+    assert MultiPoly.transfer_walk(0, 0, 0, up) == 1
 
 
 def test_transfer_sum_rejects_an_exponent_outside_a_field():
@@ -264,7 +280,7 @@ def test_transfer_sum_rejects_an_exponent_outside_a_field():
         MultiPoly.transfer_walk(1, 0, 0, lambda c, s: [(0, MAX_EXPONENT + 1)])
     with pytest.raises(DomainError):
         MultiPoly.transfer_walk(1, 0, 0, lambda c, s: [(0, -1)])
-    top = MultiPoly.transfer_walk(2, 0, 0, lambda c, s: [(0, MAX_EXPONENT)])[-1]
+    top = MultiPoly.transfer_walk(2, 0, 0, lambda c, s: [(0, MAX_EXPONENT)])
     assert top == MultiPoly.monomial(2, (MAX_EXPONENT, MAX_EXPONENT))
 
 

@@ -1,45 +1,30 @@
 """One transfer walk per word family: every prefix's value off one walk.
 
 The alternating word of length k that starts with letter s is a prefix of the
-one of length K, and both routes' moves at step c read only c, the letter and
-the steps left, which only prune.  So ``phi_prefixes`` and
-``lindstrom_prefixes`` read every shorter word's value off the walk of the
-longest, and the word sweeps walk once per shape and start letter.
+one of length K.  A chess tableau with no label above k, or a path family with
+no ascent past chip k, is one of the prefix, so each route's value on
+``word[:k]`` is its value on ``word`` at a_{k+1} = ... = a_K = 0
+(``MultiPoly._prefix``).  The word sweeps read every shorter word's value off
+the walk of the longest, and walk once per shape and start letter.
 """
 
 import pytest
 
 from loopminors import verify
 from loopminors.multipoly import MultiPoly
-from loopminors.networks import lindstrom_minor, lindstrom_prefixes
+from loopminors.networks import lindstrom_minor
 from loopminors.partitions import partitions_up_to, subpartitions
-from loopminors.phi import phi_polynomial, phi_prefixes
+from loopminors.phi import phi_polynomial
 from loopminors.verify import alternating_words, summarize, sweep
-
-
-def up(c, level):
-    return [(level + e, e) for e in (0, 1) if level + e <= 2]
-
-
-def test_a_walk_reports_the_end_state_after_every_step():
-    steps = MultiPoly.transfer_walk(3, 0, 2, up, every=True)
-    assert steps == [
-        MultiPoly.zero(1),
-        MultiPoly(2, {(1, 1): 1}),
-        MultiPoly(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}),
-    ]
-    assert [poly.nvars for poly in steps] == [1, 2, 3]
-    assert MultiPoly.transfer_walk(3, 0, 2, up) == steps[-1:]
-    assert MultiPoly.transfer_walk(0, 0, 0, up, every=True) == []
 
 
 def test_phi_prefixes_equal_the_route_pruned_at_each_length():
     for lam in partitions_up_to(6):
         for i in (0, 1):
             for word in alternating_words(8):
-                prefixes = phi_prefixes(lam, i, word)
-                assert len(prefixes) == 8
-                for k, poly in enumerate(prefixes, 1):
+                whole = phi_polynomial(lam, i, word)
+                for k in range(1, 9):
+                    poly = whole._prefix(k)
                     assert poly == phi_polynomial(lam, i, word[:k]), (lam, i, word[:k])
                     assert poly.nvars == k
                     assert all(e <= poly._bound for exps, _ in poly.sorted_terms() for e in exps)
@@ -51,8 +36,9 @@ def test_lindstrom_prefixes_equal_the_route_pruned_at_each_length():
         for mu in subpartitions(lam) if sum(lam) <= 5 else [()]:
             for i in (0, 1):
                 for word in alternating_words(8):
-                    prefixes = lindstrom_prefixes(word, mu, lam, i)
-                    for k, poly in enumerate(prefixes, 1):
+                    whole = lindstrom_minor(word, mu, lam, i)
+                    for k in range(1, 9):
+                        poly = whole._prefix(k)
                         assert poly == lindstrom_minor(word[:k], mu, lam, i), (word[:k], mu, lam, i)
                         assert poly.nvars == k
                         cases += 1
@@ -60,34 +46,34 @@ def test_lindstrom_prefixes_equal_the_route_pruned_at_each_length():
     assert cases == (110 + 11) * 2 * 2 * 8
 
 
-def _one_layer_late(route, word_at):
-    """``route`` reading layer k + 1 for the prefix of length k."""
-    def late(*args):
-        word = args[word_at]
-        longer = word + ((word[-1] + 1) % 2,)
-        return route(*args[:word_at], longer, *args[word_at + 1 :])[1:]
-    return late
-
-
 @pytest.mark.parametrize(
     "target, route, word_at",
-    [("theorem2", "phi_prefixes", 2), ("theorem2", "lindstrom_prefixes", 0),
-     ("lindstrom", "lindstrom_prefixes", 0)],
+    [("theorem2", "phi_polynomial", 2), ("theorem2", "lindstrom_minor", 0),
+     ("lindstrom", "lindstrom_minor", 0)],
 )
 def test_a_read_one_layer_late_fails_every_case(monkeypatch, target, route, word_at):
-    monkeypatch.setattr(verify, route, _one_layer_late(getattr(verify, route), word_at))
+    # the route walks one letter past the sweep's longest word, 4, and its restriction to
+    # k + 1 letters is read as its value on k
+    walk, restrict = getattr(verify, route), verify._prefixes
+
+    def longer(*args):
+        word = args[word_at]
+        return walk(*args[:word_at], word + ((word[-1] + 1) % 2,), *args[word_at + 1 :])
+
+    monkeypatch.setattr(verify, route, longer)
+    monkeypatch.setattr(verify, "_prefixes", lambda value: restrict(value)[value.nvars - 4 :])
     reports = list(sweep(target, 3, 4))
     assert reports and not any(report.ok for report in reports)
 
 
 def _counted_walks(monkeypatch):
-    """The kernel's calls, as (route module, steps, every), while the patch is on."""
+    """The kernel's calls, as (route module, steps), while the patch is on."""
     walks = []
     real = MultiPoly.transfer_walk.__func__
 
-    def counted(cls, nvars, start, end, moves, every=False):
-        walks.append((moves.__module__.rpartition(".")[2], nvars, every))
-        return real(cls, nvars, start, end, moves, every)
+    def counted(cls, nvars, start, end, moves):
+        walks.append((moves.__module__.rpartition(".")[2], nvars))
+        return real(cls, nvars, start, end, moves)
 
     monkeypatch.setattr(MultiPoly, "transfer_walk", classmethod(counted))
     return walks
@@ -107,15 +93,15 @@ def test_a_sweep_walks_once_per_shape_and_start_letter(monkeypatch, target, max_
     assert summarize(sweep(target, max_size, max_word))["failures"] == 0
     assert {route: sum(1 for w in walks if w[0] == route) for route in counts} == counts
     assert len(walks) == sum(counts.values())
-    assert set(walks) == {(route, max_word, True) for route in counts}
+    assert set(walks) == {(route, max_word) for route in counts}
 
 
 def test_a_single_word_call_walks_once_and_keeps_only_the_last_step(monkeypatch):
     walks = _counted_walks(monkeypatch)
     word = (1, 0, 1, 0)
     assert phi_polynomial((2, 1), 1, word) == lindstrom_minor(word, (), (2, 1), 1)
-    assert walks == [("phi", 4, False), ("networks", 4, False)]
+    assert walks == [("phi", 4), ("networks", 4)]
     # check() walks the case's own word, to its own length
     del walks[:]
     assert verify.check("theorem2", word, (2, 1), 1).ok
-    assert walks == [("phi", 4, True), ("networks", 4, True)]
+    assert walks == [("phi", 4), ("networks", 4)]

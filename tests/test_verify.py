@@ -191,6 +191,20 @@ def test_check_names_its_fields_on_a_wrong_count():
     assert str(long.value) == "prop1 takes 4 fields (word, lambda, parity, content), got 5"
 
 
+@pytest.mark.parametrize(
+    "target, case, message",
+    [("pieri", ({1, 0}, (2, 1), 1), "word must be a tuple, a list or an int, got {0, 1}"),
+     ("lindstrom", ((1, 0), bytearray([1]), (2, 1), 0),
+      "mu must be a tuple, a list or an int, got bytearray(b'\\x01')")],
+    ids=["pieri-set", "lindstrom-bytearray"],
+)
+def test_check_names_a_field_with_no_hash(target, case, message):
+    # a set has no order, so it is not read as a word
+    with pytest.raises(DomainError) as error:
+        check(target, *case)
+    assert str(error.value) == message
+
+
 @pytest.mark.parametrize("target", ["theorem2", "lindstrom"], ids=lambda t: f"sweep_{t}")
 def test_summarize_rejects_a_sweep_that_checked_no_case(target):
     with pytest.raises(DomainError, match="checked no cases"):
@@ -222,22 +236,30 @@ def test_sweep_passes_each_target_its_bounds():
 # (max_size, max_word, and per route that builds a shared value: its builds, most of its
 # values alive) at the benchmark's sizes; a walk is built once per key and start letter
 BENCHMARK_SWEEPS = {
-    "theorem2": (7, 8, {"word_to_loop": (16, 16), "phi_prefixes": (180, 2),
-                        "lindstrom_prefixes": (180, 2)}),
-    "prop1": (5, 6, {"phi_prefixes": (76, 2)}),
+    "theorem2": (7, 8, {"word_to_loop": (16, 16), "phi_polynomial": (180, 2),
+                        "lindstrom_minor": (180, 2)}),
+    "prop1": (5, 6, {"phi_polynomial": (76, 2)}),
     "conjecture1": (6, 0, {"build_module": (60, 1)}),
     "pieri": (6, 8, {"word_to_loop": (16, 16)}),
-    "lindstrom": (5, 6, {"word_to_loop": (12, 12), "lindstrom_prefixes": (440, 2)}),
+    "lindstrom": (5, 6, {"word_to_loop": (12, 12), "lindstrom_minor": (440, 2)}),
 }
 # the routes that read the shared values, answering 0 for any of them
 READERS = ("minor", "pieri_determinant", "conjecture1_prediction", "count_flags_fq", "euler_char")
 
 
 class Built:
-    """A weakref-able stand-in for a shared value; a walk's value on every prefix is 0."""
+    """A weakref-able stand-in for a shared value, such as a walk of ``nvars`` letters."""
 
-    def __getitem__(self, k):
-        return MultiPoly.zero(1)
+    def __init__(self, nvars):
+        self.nvars = nvars
+
+
+class Restricted(list):
+    """A stand-in walk's restrictions, each 0, keeping the walk alive while they are kept."""
+
+    def __init__(self, walk):
+        super().__init__(MultiPoly.zero(k) for k in range(1, walk.nvars + 1))
+        self.walk = walk
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -250,7 +272,7 @@ def test_a_sweep_builds_each_shared_value_once_and_keeps_only_what_it_reuses(mon
     def counted(keys, live, most):
         def build(*key):
             keys.append(key)
-            value = Built()
+            value = Built(max_word)
             live.add(value)
             most.append(len(live))
             return value
@@ -260,14 +282,15 @@ def test_a_sweep_builds_each_shared_value_once_and_keeps_only_what_it_reuses(mon
         monkeypatch.setattr(verify, route, counted(*record))
     for route in READERS:
         monkeypatch.setattr(verify, route, lambda *_: 0)
+    monkeypatch.setattr(verify, "_prefixes", Restricted)
     bound = (2, 3) if target == "conjecture1" else max_word
     grid = list(getattr(verify, f"sweep_{target}")(max_size, bound))
     assert summarize(sweep(target, max_size, max_word)) == {"cases": len(grid), "failures": 0}
     for route, (keys, _, most) in built.items():
         calls, alive = expected[route]
         assert len(keys) == len(set(keys)) == calls and max(most) == alive
-        if route.endswith("_prefixes"):  # each walk runs to the sweep's longest word
-            walked = {key[2] if route == "phi_prefixes" else key[0] for key in keys}
+        if route in ("phi_polynomial", "lindstrom_minor"):  # each walk runs to the longest word
+            walked = {key[2] if route == "phi_polynomial" else key[0] for key in keys}
             assert walked == set(alternating_words(max_word))
 
 
