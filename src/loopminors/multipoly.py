@@ -259,8 +259,8 @@ class MultiPoly:
 
     def __hash__(self):
         # a constant polynomial equals its int value, so it hashes like it
-        if self.is_constant():
-            return hash(self.constant_value())
+        if not any(self.terms):
+            return hash(self.terms.get(0, 0))
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __bool__(self):
@@ -285,13 +285,6 @@ class MultiPoly:
         low = (1 << shift) - 1
         terms = {key >> shift: n for key, n in self.terms.items() if not key & low}
         return MultiPoly._from_packed(k, terms, self._bound)
-
-    def constant_value(self) -> int:
-        """The coefficient of the constant monomial."""
-        return self.terms.get(0, 0)
-
-    def is_constant(self) -> bool:
-        return all(key == 0 for key in self.terms)
 
     def _exponents(self):
         """The exponent tuples of the terms, in no particular order."""

@@ -30,14 +30,7 @@ def decompose_index(l: int) -> tuple[int, int]:
 
 def toeplitz_entry(g: LoopElement, row: int, col: int):
     """Coefficient of t^(n - m) in the component picked by the index split."""
-    return _toeplitz_entry(g, check_int(row, "index"), check_int(col, "index"))
-
-
-def _toeplitz_entry(g: LoopElement, row: int, col: int):
-    """``toeplitz_entry`` for int indices."""
-    (m, c), (n, d) = decompose_index(row), decompose_index(col)
-    value = g.entries[c - 1][d - 1].terms.get(n - m)
-    return g.zero_coeff() if value is None else value
+    return window(g, [check_int(row, "index")], [check_int(col, "index")])[0][0]
 
 
 def window(g: LoopElement, rows, cols) -> list[list]:
@@ -72,11 +65,6 @@ def minor(g: LoopElement, mu: Partition, lam: Partition, i: int):
     return _determinant(g, window(g, rows, cols))
 
 
-def _entry_E(g: LoopElement, i: int, n: int, zero):
-    """``entry_E`` for a checked bit i and an int n, with ``zero`` the ring's zero."""
-    return zero if n < 0 else _toeplitz_entry(g, i, n + i)
-
-
 def entry_E(g: LoopElement, i: int, n: int):
     """Single-row minor value: the (i, n + i) entry, forced to 0 for n < 0.
 
@@ -84,7 +72,8 @@ def entry_E(g: LoopElement, i: int, n: int):
     determinant be written uniformly; for unipotent-plus elements the raw
     entry below the block diagonal vanishes anyway.
     """
-    return _entry_E(g, check_bit(i), check_int(n, "subscript"), g.zero_coeff())
+    i, n = check_bit(i), check_int(n, "subscript")
+    return g.zero_coeff() if n < 0 else window(g, [i], [n + i])[0][0]
 
 
 def pieri_determinant(g: LoopElement, lam: Partition, i: int):
@@ -122,6 +111,7 @@ def pieri_determinant(g: LoopElement, lam: Partition, i: int):
     i = check_bit(i)
     nu = min(lam, conjugate(lam), key=len)
     side = range(max_index(nu) + 1)
-    zero = g.zero_coeff()
-    matrix = [[_entry_E(g, (i + s) % 2, part(nu, t) + s - t, zero) for t in side] for s in side]
+    # a negative subscript is below the block diagonal: 0 for the unipotent-plus g let in above
+    matrix = [window(g, [(i + s) % 2], [part(nu, t) + s - t + (i + s) % 2 for t in side])[0]
+              for s in side]
     return _determinant(g, matrix)

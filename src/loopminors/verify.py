@@ -68,23 +68,18 @@ class _Row(NamedTuple):
 # shape and parity, not the word: each alternating word is the prefix of the longest word of
 # its start letter, and a word's value on its prefix of k letters is its value at
 # a_{k+1} = ... = 0 (a tableau or a family that uses no later letter; a generator at 0 is
-# the identity), so each route walks that word once and every shorter value is read off it.
-def _prefixes(value) -> list:
-    """``value`` at each a_{k+1} = ... = 0, entry k - 1 for k = 1..nvars."""
-    return [value._prefix(k) for k in range(1, value.nvars + 1)]
-
-
+# the identity), so each route walks that word once and a case restricts it when it reads it.
 def _phis(words, lam, i) -> dict:
-    return {w[0]: _prefixes(phi_polynomial(lam, i, w)) for w in words}
+    return {w[0]: phi_polynomial(lam, i, w) for w in words}
 
 
 def _paths(words, mu, lam, i) -> dict:
-    return {w[0]: _prefixes(lindstrom_minor(w, mu, lam, i)) for w in words}
+    return {w[0]: lindstrom_minor(w, mu, lam, i) for w in words}
 
 
 def _at(walks: dict, word) -> object:
     """The value on ``word``: its start letter's walk restricted to len(word) letters."""
-    return walks[word[0]][len(word) - 1]
+    return walks[word[0]]._prefix(len(word))
 
 
 def _theorem2(shared, word, lam, i) -> dict:
@@ -112,10 +107,12 @@ def _counts(lam, i) -> _Kept:
 
 def _prop1(shared, word, lam, i, j) -> dict:
     """Tableaux counted by euler_char's walk, once per parity string d of a (lambda, i), and
-    chess tableaux read off phi's; each (word, content)'s d and product of j_t! are made
+    chess tableaux read off phi's longest walk, as a^j with trailing zeros, which the
+    restriction to the word keeps; each (word, content)'s d and product of j_t! are made
     once.  The case, read by check or built by a grid, is not checked again."""
     d, weight = shared[_expansion][word, j]
-    chess = _at(shared(_phis, shared.words, lam, i), word)._coefficient(j)
+    walk = shared(_phis, shared.words, lam, i)[word[0]]
+    chess = walk._coefficient(j + (0,) * (walk.nvars - len(j)))
     return {"tab_count": shared(_counts, lam, i)[d], "factorial_times_chess": weight * chess}
 
 

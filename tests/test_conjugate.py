@@ -124,9 +124,23 @@ def test_pieri_expands_a_matrix_of_the_shorter_side(monkeypatch):
 
 
 def test_entry_E_reads_zero_below_the_diagonal_off_the_unipotent_plus_set():
-    # the private reader Pieri uses keeps entry_E's convention: n < 0 reads 0
-    # even where the raw Toeplitz entry does not vanish
+    # entry_E keeps its own convention: n < 0 reads 0 even where the raw Toeplitz entry
+    # does not vanish; pieri_determinant reads raw entries, and only of unipotent-plus elements
     one = Fraction(1)
     g = LoopElement(((LaurentPoly({-1: one}), LaurentPoly()), (LaurentPoly(), LaurentPoly({1: one}))))
     assert toeplitz.toeplitz_entry(g, 1, -1) == 1
     assert entry_E(g, 1, -2) == 0 and entry_E(g, 1, 0) == 0
+
+
+def test_pieri_reads_zero_below_the_block_diagonal_as_entry_E_does():
+    # pieri_determinant reads a negative subscript as the raw entry below the block
+    # diagonal, which vanishes on every unipotent-plus element, symbolic or numeric
+    numeric = generator(0, Fraction(3, 2)) * generator(1, 2) * generator(0, 5) * generator(1, -1)
+    for g in [word_to_loop(word) for word in all_words_up_to(6)] + [numeric]:
+        assert is_unipotent_plus(g)
+        for r, n in product((0, 1), range(-6, 0)):
+            assert window(g, [r], [n + r]) == [[g.zero_coeff()]]
+        for lam in partitions_up_to(6):
+            for i in (0, 1):
+                nu = min(lam, conjugate(lam), key=len)
+                assert pieri_determinant(g, lam, i) == side_length_pieri(g, nu, i)

@@ -53,15 +53,20 @@ def test_lindstrom_prefixes_equal_the_route_pruned_at_each_length():
 )
 def test_a_read_one_layer_late_fails_every_case(monkeypatch, target, route, word_at):
     # the route walks one letter past the sweep's longest word, 4, and its restriction to
-    # k + 1 letters is read as its value on k
-    walk, restrict = getattr(verify, route), verify._prefixes
+    # k + 1 letters is read as its value on k; the other theorem2 route walks 4 letters, so
+    # its restriction stops there
+    walk = getattr(verify, route)
 
     def longer(*args):
         word = args[word_at]
         return walk(*args[:word_at], word + ((word[-1] + 1) % 2,), *args[word_at + 1 :])
 
+    def late(walks, word):
+        whole = walks[word[0]]
+        return whole._prefix(min(len(word) + 1, whole.nvars))
+
     monkeypatch.setattr(verify, route, longer)
-    monkeypatch.setattr(verify, "_prefixes", lambda value: restrict(value)[value.nvars - 4 :])
+    monkeypatch.setattr(verify, "_at", late)
     reports = list(sweep(target, 3, 4))
     assert reports and not any(report.ok for report in reports)
 
@@ -105,3 +110,17 @@ def test_a_single_word_call_walks_once_and_keeps_only_the_last_step(monkeypatch)
     del walks[:]
     assert verify.check("theorem2", word, (2, 1), 1).ok
     assert walks == [("phi", 4), ("networks", 4)]
+
+
+@pytest.mark.parametrize(
+    "target, case, restrictions",
+    [("theorem2", ((1, 0, 1, 0), (2, 1), 1), 2),
+     ("lindstrom", ((1, 0, 1, 0), (1,), (2, 1), 1), 1),
+     ("prop1", ((1, 0, 1, 0), (2, 1), 1, (1, 1, 0, 1)), 0)],
+)
+def test_check_restricts_once_per_route_it_reads(monkeypatch, target, case, restrictions):
+    # a case restricts a walk when it reads it, and prop1 reads its coefficient off the walk
+    cuts, real = [], MultiPoly._prefix
+    monkeypatch.setattr(MultiPoly, "_prefix", lambda p, k: cuts.append((p.nvars, k)) or real(p, k))
+    assert verify.check(target, *case).ok
+    assert cuts == [(4, 4)] * restrictions

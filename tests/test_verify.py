@@ -248,18 +248,17 @@ READERS = ("minor", "pieri_determinant", "conjecture1_prediction", "count_flags_
 
 
 class Built:
-    """A weakref-able stand-in for a shared value, such as a walk of ``nvars`` letters."""
+    """A weakref-able stand-in for a shared value, such as a walk of ``nvars`` letters, whose
+    restrictions and coefficients are 0."""
 
     def __init__(self, nvars):
         self.nvars = nvars
 
+    def _prefix(self, k):
+        return MultiPoly.zero(k)
 
-class Restricted(list):
-    """A stand-in walk's restrictions, each 0, keeping the walk alive while they are kept."""
-
-    def __init__(self, walk):
-        super().__init__(MultiPoly.zero(k) for k in range(1, walk.nvars + 1))
-        self.walk = walk
+    def _coefficient(self, exps):
+        return 0
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -282,7 +281,6 @@ def test_a_sweep_builds_each_shared_value_once_and_keeps_only_what_it_reuses(mon
         monkeypatch.setattr(verify, route, counted(*record))
     for route in READERS:
         monkeypatch.setattr(verify, route, lambda *_: 0)
-    monkeypatch.setattr(verify, "_prefixes", Restricted)
     bound = (2, 3) if target == "conjecture1" else max_word
     grid = list(getattr(verify, f"sweep_{target}")(max_size, bound))
     assert summarize(sweep(target, max_size, max_word)) == {"cases": len(grid), "failures": 0}
