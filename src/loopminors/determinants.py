@@ -43,7 +43,7 @@ def det_cofactor(matrix):
         raise DomainError("determinant requires a square matrix")
     if n == 0:
         return 1
-    zero = matrix[0][0] - matrix[0][0]  # ring zero of the right type
+    zero = matrix[0][0] * 0  # ring zero of the right type, from no term product
     cache: dict[int, object] = {}
 
     def expand(row: int, colmask: int):

@@ -15,6 +15,7 @@ by construction, so they build through ``LoopElement._built``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .determinants import signed_sum
 from .errors import DomainError
@@ -86,6 +87,7 @@ def _graded_sum(triples, zero) -> LaurentPoly:
     return LaurentPoly({exp: signed_sum(group, zero) for exp, group in groups.items()})
 
 
+@cache  # no value is changed in place, so every caller shares them
 def _ring(nvars: int | None):
     """The coefficient ring's (zero, one): rationals for None, else polynomials in nvars variables."""
     if nvars is None:

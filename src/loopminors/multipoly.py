@@ -36,10 +36,6 @@ def _shifts(nvars: int) -> list[int]:
     return [EXPONENT_BITS * k for k in range(nvars - 1, -1, -1)]
 
 
-def _unpack(key: int, shifts: list[int]) -> tuple[int, ...]:
-    return tuple((key >> shift) & MAX_EXPONENT for shift in shifts)
-
-
 def _carry(layer: dict, edges, shift: int) -> dict:
     """One transfer step: each edge (state, target, e) adds ``layer[state]``, its
     keys raised by e in the field at ``shift``, into the next layer's ``target``."""
@@ -289,7 +285,7 @@ class MultiPoly:
     def _exponents(self):
         """The exponent tuples of the terms, in no particular order."""
         shifts = _shifts(self.nvars)
-        return (_unpack(key, shifts) for key in self.terms)
+        return (tuple((key >> shift) & MAX_EXPONENT for shift in shifts) for key in self.terms)
 
     def _degrees(self) -> tuple[int, ...]:
         """Highest exponent of each variable; all zero for the zero polynomial."""
@@ -331,11 +327,6 @@ class MultiPoly:
         return Fraction(sum(column), denominator)
 
     # -- canonical output ---------------------------------------------------
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """(exponent tuple, coefficient) pairs in descending lexicographic order."""
-        shifts = _shifts(self.nvars)
-        return [(_unpack(key, shifts), self.terms[key]) for key in sorted(self.terms, reverse=True)]
 
     def text(self) -> str:
         if not self.terms:

@@ -41,14 +41,17 @@ class _Shared(_Kept):
 
     ``shared(build, *key)`` is ``build(*key)``, kept while ``key`` is the last key asked of
     ``build``: a grid runs each key's cases one after another, and the last value is let go
-    before the next is built.  ``shared[build][key]`` is ``build(key)``, kept to the end, for
-    what grids cycle innermost: each word's loop element, each field's text and each prop1
-    (word, j) expansion.  Walks walk ``words``, the longest word of each start letter.
+    before the next is built.  ``shared[build][key]`` is ``build(key)``, kept to the end: each
+    field's text, each prop1 (word, j) expansion, and ``loops()``, the loop element of each of
+    ``words``, the longest word of each start letter, on which each route runs.
     """
 
     def __init__(self, words):
         super().__init__(_Kept)
         self.words, self.last = words, {}
+
+    def loops(self) -> dict:
+        return {w: self[word_to_loop][w] for w in self.words}
 
     def __call__(self, build, *key):
         last = self.last.get(build)
@@ -64,11 +67,10 @@ class _Row(NamedTuple):
     read: Callable | None = None  # check's reader of a case whose values trust it; else routes check
 
 
-# Rows and builders call routes by name, so rebinding reaches them.  A walk is keyed by the
-# shape and parity, not the word: each alternating word is the prefix of the longest word of
-# its start letter, and a word's value on its prefix of k letters is its value at
-# a_{k+1} = ... = 0 (a tableau or a family that uses no later letter; a generator at 0 is
-# the identity), so each route walks that word once and a case restricts it when it reads it.
+# Rows and builders call routes by name, so rebinding reaches them.  A value is keyed by the
+# shape and parity, not the word: a route's value on the alternating word of k letters is its
+# value on the longest of that start letter at a_{k+1} = ... = 0 (a tableau or family uses no
+# later letter; a generator at 0 is the identity), so a case restricts that value as it reads it.
 def _phis(words, lam, i) -> dict:
     return {w[0]: phi_polynomial(lam, i, w) for w in words}
 
@@ -77,15 +79,23 @@ def _paths(words, mu, lam, i) -> dict:
     return {w[0]: lindstrom_minor(w, mu, lam, i) for w in words}
 
 
-def _at(walks: dict, word) -> object:
-    """The value on ``word``: its start letter's walk restricted to len(word) letters."""
-    return walks[word[0]]._prefix(len(word))
+def _minors(loops, mu, lam, i) -> dict:
+    return {w[0]: minor(g, mu, lam, i) for w, g in loops.items()}
+
+
+def _pieris(loops, lam, i) -> dict:
+    return {w[0]: pieri_determinant(g, lam, i) for w, g in loops.items()}
+
+
+def _at(word, **values) -> dict:
+    """Each route's value on ``word``: its start letter's value restricted to len(word) letters."""
+    return {route: by_start[word[0]]._prefix(len(word)) for route, by_start in values.items()}
 
 
 def _theorem2(shared, word, lam, i) -> dict:
-    g = shared[word_to_loop][word]
-    phi, paths = shared(_phis, shared.words, lam, i), shared(_paths, shared.words, (), lam, i)
-    return {"phi": _at(phi, word), "lindstrom": _at(paths, word), "toeplitz": minor(g, (), lam, i)}
+    loops, words = shared.loops(), shared.words
+    return _at(word, phi=shared(_phis, words, lam, i), lindstrom=shared(_paths, words, (), lam, i),
+               toeplitz=shared(_minors, loops, (), lam, i))
 
 
 def _read_prop1(word, lam, i, j) -> tuple:
@@ -123,13 +133,14 @@ def _conjecture1(shared, lam, i, d, q) -> dict:
 
 
 def _pieri(shared, word, lam, i) -> dict:
-    g = shared[word_to_loop][word]
-    return {"pieri": pieri_determinant(g, lam, i), "minor": minor(g, (), lam, i)}
+    loops = shared.loops()
+    return _at(word, pieri=shared(_pieris, loops, lam, i), minor=shared(_minors, loops, (), lam, i))
 
 
 def _lindstrom(shared, word, mu, lam, i) -> dict:
-    g, paths = shared[word_to_loop][word], shared(_paths, shared.words, mu, lam, i)
-    return {"lindstrom": _at(paths, word), "toeplitz": minor(g, mu, lam, i)}
+    loops = shared.loops()
+    return _at(word, lindstrom=shared(_paths, shared.words, mu, lam, i),
+               toeplitz=shared(_minors, loops, mu, lam, i))
 
 
 # Fields follow lindstrom_minor(word, mu, lam, i).
@@ -181,7 +192,7 @@ def check(target: str, *case) -> VerificationReport:
     ``check("lindstrom", word, mu, lam, i)``; a list field is read as its tuple, and a field
     with no hash (a set has no order) is a DomainError.  A row with
     a reader (prop1) reads the case through the input layer here, once; the routes of the
-    other rows check theirs.  The case runs as a sweep's does, its walks on its own word."""
+    other rows check theirs.  The case runs as a sweep's does, its values on its own word."""
     row = _row(target)
     if len(case) != len(row.fields):
         raise DomainError(f"{target} takes {len(row.fields)} fields ({', '.join(row.fields)}), "
@@ -276,11 +287,9 @@ def sweep_lindstrom(max_size: int, max_word: int) -> Iterator[tuple]:
 def sweep(target: str, max_size: int, max_word=None, qs=None) -> Iterator[VerificationReport]:
     """The reports of the cases of ``sweep_<target>``, given the bounds it takes.
 
-    The grid is looked up when called, so a rebound ``sweep_<target>`` is the
-    one that runs.  ``qs`` defaults to ``DEFAULT_QS``; a target without a field
-    size q rejects it, and only a target without one reads ``max_word``.  The
-    walks of a word target run to ``max_word`` letters, the longest word its
-    grid may yield.
+    The grid is looked up when called, so a rebound ``sweep_<target>`` is the one that runs.
+    ``qs`` defaults to ``DEFAULT_QS``; a target without a field size q rejects it, and only a
+    target without one reads ``max_word``, the length of the longest word its values run on.
     """
     sweeps_q = "q" in _row(target).fields
     check_int(max_size, "max_size")

@@ -23,6 +23,11 @@ def delta_partition_type(module) -> tuple:
     return conjugate(tuple(a - b for a, b in zip(ranks, ranks[1:] + [0])))
 
 
+def sorted_terms(poly) -> list:
+    """A MultiPoly's (exponent tuple, coefficient) pairs, in descending lexicographic order."""
+    return sorted(zip(poly._exponents(), poly.terms.values()), reverse=True)
+
+
 def hook_length_count(lam) -> int:
     """Number of standard tableaux by the hook-length product formula."""
     lam = tuple(lam)

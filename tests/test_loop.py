@@ -9,6 +9,7 @@ from loopminors.loop import (
     LaurentPoly,
     LoopElement,
     _graded_sum,
+    _ring,
     generator,
     identity_loop,
     is_unipotent_plus,
@@ -17,7 +18,7 @@ from loopminors.loop import (
 from loopminors.multipoly import MultiPoly
 from loopminors.verify import all_words_up_to
 
-from conftest import word_strategy
+from conftest import sorted_terms, word_strategy
 
 
 def sym(k, idx):
@@ -170,7 +171,7 @@ def test_multiplicativity_after_reindexing(w1, w2):
                         {
                             e: MultiPoly(
                                 nv,
-                                {(0,) * offset + exps + (0,) * pad: n for exps, n in c.sorted_terms()},
+                                {(0,) * offset + exps + (0,) * pad: n for exps, n in sorted_terms(c)},
                             )
                             for e, c in g.entry(i, j).terms.items()
                         }
@@ -182,6 +183,17 @@ def test_multiplicativity_after_reindexing(w1, w2):
 
     product = reindex(g1, 0, k) * reindex(g2, len(w1), k)
     assert product == combined
+
+
+def test_each_mode_keeps_one_zero_and_one():
+    # no coefficient is changed in place, so every window, membership test and product of a
+    # mode reads the same two values
+    for nvars, ring in ((None, (Fraction(0), Fraction(1))), (3, (MultiPoly.zero(3), MultiPoly.one(3)))):
+        zero, one = _ring(nvars)
+        assert (zero, one) == ring and _ring(nvars)[0] is zero and _ring(nvars)[1] is one
+    g, h = word_to_loop((1, 0, 1)), word_to_loop((0, 1, 0))
+    assert g.zero_coeff() is h.zero_coeff() and g.one_coeff() is h.one_coeff()
+    assert identity_loop().zero_coeff() is generator(1, 2).zero_coeff()
 
 
 def test_unipotent_plus_membership():

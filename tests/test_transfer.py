@@ -24,6 +24,8 @@ from loopminors.tableaux import (
     parity_string,
 )
 
+from conftest import sorted_terms
+
 
 def alternating(length, start):
     return tuple((start + t) % 2 for t in range(length))
@@ -41,7 +43,7 @@ def chess_oracle(lam, i, word):
 
 
 def assert_bound_covers_exponents(poly):
-    assert all(e <= poly._bound for exps, _ in poly.sorted_terms() for e in exps)
+    assert all(e <= poly._bound for exps, _ in sorted_terms(poly) for e in exps)
 
 
 def check_case(lam, mu, i, word):

@@ -234,17 +234,18 @@ def test_sweep_passes_each_target_its_bounds():
 
 
 # (max_size, max_word, and per route that builds a shared value: its builds, most of its
-# values alive) at the benchmark's sizes; a walk is built once per key and start letter
+# values alive) at the benchmark's sizes; a walk or a determinant is built once per key and
+# start letter, on the longest word of that letter or its loop element
 BENCHMARK_SWEEPS = {
-    "theorem2": (7, 8, {"word_to_loop": (16, 16), "phi_polynomial": (180, 2),
-                        "lindstrom_minor": (180, 2)}),
+    "theorem2": (7, 8, {"word_to_loop": (2, 2), "phi_polynomial": (180, 2),
+                        "lindstrom_minor": (180, 2), "minor": (180, 2)}),
     "prop1": (5, 6, {"phi_polynomial": (76, 2)}),
     "conjecture1": (6, 0, {"build_module": (60, 1)}),
-    "pieri": (6, 8, {"word_to_loop": (16, 16)}),
-    "lindstrom": (5, 6, {"word_to_loop": (12, 12), "lindstrom_minor": (440, 2)}),
+    "pieri": (6, 8, {"word_to_loop": (2, 2), "pieri_determinant": (120, 2), "minor": (120, 2)}),
+    "lindstrom": (5, 6, {"word_to_loop": (2, 2), "lindstrom_minor": (440, 2), "minor": (440, 2)}),
 }
 # the routes that read the shared values, answering 0 for any of them
-READERS = ("minor", "pieri_determinant", "conjecture1_prediction", "count_flags_fq", "euler_char")
+READERS = ("conjecture1_prediction", "count_flags_fq", "euler_char")
 
 
 class Built:
@@ -263,8 +264,8 @@ class Built:
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_a_sweep_builds_each_shared_value_once_and_keeps_only_what_it_reuses(monkeypatch, target):
-    # word rows keep every word's loop element; every other key runs consecutively, so its
-    # values live only while its cases run
+    # word rows keep the loop element of each longest word; every other key runs
+    # consecutively, so its values live only while its cases run
     max_size, max_word, expected = BENCHMARK_SWEEPS[target]
     built = {route: ([], weakref.WeakSet(), []) for route in expected}
 
@@ -287,9 +288,11 @@ def test_a_sweep_builds_each_shared_value_once_and_keeps_only_what_it_reuses(mon
     for route, (keys, _, most) in built.items():
         calls, alive = expected[route]
         assert len(keys) == len(set(keys)) == calls and max(most) == alive
-        if route in ("phi_polynomial", "lindstrom_minor"):  # each walk runs to the longest word
+        if route in ("phi_polynomial", "lindstrom_minor", "word_to_loop"):  # on the longest words
             walked = {key[2] if route == "phi_polynomial" else key[0] for key in keys}
             assert walked == set(alternating_words(max_word))
+        if route in ("minor", "pieri_determinant"):  # on the longest words' loop elements
+            assert {key[0] for key in keys} == set(built["word_to_loop"][1])
 
 
 @pytest.mark.parametrize("target", TARGETS)
