@@ -137,6 +137,7 @@ class MultiPoly:
         evaluation: each step keeps, per reachable state, the polynomial of the
         walks that end there, so walks are summed, never listed.  States must
         be hashable; a step exponent above ``MAX_EXPONENT`` raises DomainError.
+        Moves of exponent 0 count walks: the sum is then a constant, their number.
 
         A state pass first lists each step's moves out of the states reachable
         before it, one ``moves`` call per (c, state).  No coefficient cancels, so

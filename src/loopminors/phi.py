@@ -5,7 +5,8 @@ length k has, as coefficient of a^j, the number of chess tableaux of shape
 lam, parity ``(i + word[0] + 1) % 2``, and content j.  Each such coefficient
 equals the number of standard tableaux whose i-parity string is the expanded
 word, divided by j_1! ... j_k!, which is an exact integer.  Every monomial has total
-degree |lam|.
+degree |lam|.  Both counts are walks of the one kernel ``MultiPoly.transfer_walk``
+over the shapes inside lam, each with its own moves.
 """
 
 from __future__ import annotations
@@ -19,23 +20,21 @@ from .partitions import (
 def euler_char(lam: Partition, i: int, d) -> int:
     """Number of standard tableaux of shape lam with i-parity string d.
 
-    A walk over the shapes inside lam, counting the fillings that reach each:
-    label t fills an addable corner (s, length) of box parity d_t.
+    A walk over the shapes inside lam whose moves all have exponent 0, so it
+    counts: label c + 1 fills an addable corner (s, length) of box parity d_c.
     """
     lam = check_partition(lam)
     i = check_bit(i)
     d = check_parity_string(d, lam)
-    layer = {(0,) * len(lam): 1}
-    for bit in d:
-        nxt: dict[tuple[int, ...], int] = {}
-        for shape, count in layer.items():
-            for s, (length, full) in enumerate(zip(shape, lam)):
-                corner = length < full and (s == 0 or shape[s - 1] > length)
-                if corner and (s + length + i) % 2 == bit:
-                    grown = shape[:s] + (length + 1,) + shape[s + 1 :]
-                    nxt[grown] = nxt.get(grown, 0) + count
-        layer = nxt
-    return layer.get(lam, 0)
+
+    def moves(c: int, shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+        return [
+            (shape[:s] + (length + 1,) + shape[s + 1 :], 0)
+            for s, (length, full) in enumerate(zip(shape, lam))
+            if length < full and (s == 0 or shape[s - 1] > length) and (s + length + i) % 2 == d[c]
+        ]
+
+    return MultiPoly.transfer_walk(len(d), (0,) * len(lam), lam, moves)._coefficient((0,) * len(d))
 
 
 def phi_polynomial(lam: Partition, i: int, word) -> MultiPoly:

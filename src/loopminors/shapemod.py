@@ -64,17 +64,6 @@ class ShapeModule(Value):
         s, t = box
         return (s + t + self.parity) % 2
 
-    def apply(self, arrow: str, box: Box) -> Box | None:
-        """Where the named arrow takes a box; None if the box is not in its domain."""
-        if arrow not in ARROWS:
-            raise DomainError(f"unknown arrow {arrow!r}")
-        if not isinstance(box, (tuple, list)) or len(box) != 2:
-            raise DomainError(f"a box is a pair of integers, got {box!r}")
-        box = check_int(box[0], "box"), check_int(box[1], "box")
-        move, source = ARROWS[arrow]
-        target = getattr(self, move).get(box)
-        return target if target is not None and self.vertex(box) == source else None
-
     def to_json(self) -> dict:
         arrows = sorted(
             [list(src), name, list(dst)]

@@ -23,6 +23,11 @@ def delta_partition_type(module) -> tuple:
     return conjugate(tuple(a - b for a, b in zip(ranks, ranks[1:] + [0])))
 
 
+def named_arrows(module) -> dict:
+    """The arrows the ``module`` command prints, as {(name, source box): target box}."""
+    return {(name, tuple(src)): tuple(dst) for src, name, dst in module.to_json()["arrows"]}
+
+
 def sorted_terms(poly) -> list:
     """A MultiPoly's (exponent tuple, coefficient) pairs, in descending lexicographic order."""
     return sorted(zip(poly._exponents(), poly.terms.values()), reverse=True)

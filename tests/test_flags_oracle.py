@@ -40,16 +40,19 @@ from loopminors.partitions import partitions_up_to, size, subpartitions
 from loopminors.phi import euler_char
 from loopminors.shapemod import ARROWS, build_module, count_flags_fq
 
+from conftest import named_arrows
+
 
 def dense_matrices(module):
     """The four arrows and the two vertex idempotents as dense dim x dim 0/1 matrices."""
     n = module.dim
     index = {box: idx for idx, box in enumerate(module.boxes)}
+    named = named_arrows(module)
     arrows = []
     for name in ARROWS:
         mat = [[0] * n for _ in range(n)]
         for src in module.boxes:
-            dst = module.apply(name, src)
+            dst = named.get((name, src))
             if dst is not None:
                 mat[index[dst]][index[src]] = 1
         arrows.append(mat)

@@ -148,7 +148,6 @@ MALFORMED = {
         lambda: PathFamily(word=(1, 0), levels=((0, 0),)), "does not traverse 2 chips"
     ),
     "partitions_of": (lambda: partitions_of(-1), "negative integer"),
-    "apply_arrow": (lambda: build_module((2, 1), (), 0).apply("gamma", (0, 0)), "unknown arrow"),
     "ChessTableau_empty_row": (
         lambda: ChessTableau(rows=((1,), ()), parity=1, content=(1,)), "empty rows"
     ),
@@ -195,21 +194,6 @@ def test_coefficient_of_an_absent_monomial_is_zero():
     assert poly.coefficient((1, 2)) == 0
     assert poly.coefficient((1, 2, -1)) == 0
     assert poly.coefficient((1, 2, 1 << 40)) == 0
-
-
-@pytest.mark.parametrize(
-    "box", [(0.5, 1), "x", 5, (0, 1, 2)], ids=["float", "str", "int", "triple"]
-)
-def test_apply_rejects_a_box_that_is_no_pair_of_integers(box):
-    with pytest.raises(DomainError):
-        build_module((2, 1), (), 1).apply("beta", box)
-
-
-def test_apply_takes_any_pair_of_integers_and_gives_none_off_the_module():
-    module = build_module((2, 1), (), 1)
-    assert module.apply("beta", [0, 1]) is None  # (0, 1) sits at vertex 0, beta leaves 1
-    assert module.apply("alpha", [0, 1]) == module.apply("alpha", (0, 1)) == (0, 0)
-    assert module.apply("alpha", (5, 5)) is None
 
 
 def _unipotent(upper, diagonal=Fraction(1), nvars=None):

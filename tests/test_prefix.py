@@ -94,12 +94,12 @@ def test_a_read_one_layer_late_fails_every_case(monkeypatch, target, route, word
 
 
 def _counted_walks(monkeypatch):
-    """The kernel's calls, as (route module, steps), while the patch is on."""
+    """The kernel's calls, as (function whose moves walk, steps), while the patch is on."""
     walks = []
     real = MultiPoly.transfer_walk.__func__
 
     def counted(cls, nvars, start, end, moves):
-        walks.append((moves.__module__.rpartition(".")[2], nvars))
+        walks.append((moves.__qualname__.partition(".")[0], nvars))
         return real(cls, nvars, start, end, moves)
 
     monkeypatch.setattr(MultiPoly, "transfer_walk", classmethod(counted))
@@ -110,9 +110,10 @@ def _counted_walks(monkeypatch):
     "target, max_size, max_word, counts",
     [
         # word by word these were 1,440 walks of each route, 2,640 and 456
-        ("theorem2", 7, 8, {"phi": 180, "networks": 180}),
-        ("lindstrom", 5, 6, {"networks": 440}),
-        ("prop1", 5, 6, {"phi": 76}),
+        ("theorem2", 7, 8, {"phi_polynomial": 180, "lindstrom_minor": 180, "euler_char": 0}),
+        ("lindstrom", 5, 6, {"lindstrom_minor": 440, "euler_char": 0}),
+        # and one parity walk per distinct (lambda, i, d), as tests/test_prop1.py pins
+        ("prop1", 5, 6, {"phi_polynomial": 76, "euler_char": 678}),
     ],
 )
 def test_a_sweep_walks_once_per_shape_and_start_letter(monkeypatch, target, max_size, max_word, counts):
@@ -120,18 +121,20 @@ def test_a_sweep_walks_once_per_shape_and_start_letter(monkeypatch, target, max_
     assert summarize(sweep(target, max_size, max_word))["failures"] == 0
     assert {route: sum(1 for w in walks if w[0] == route) for route in counts} == counts
     assert len(walks) == sum(counts.values())
-    assert set(walks) == {(route, max_word) for route in counts}
+    # the word routes walk the longest words; a parity walk takes one step per box
+    assert {steps for route, steps in walks if route != "euler_char"} == {max_word}
+    assert all(steps <= max_size for route, steps in walks if route == "euler_char")
 
 
 def test_a_single_word_call_walks_once_and_keeps_only_the_last_step(monkeypatch):
     walks = _counted_walks(monkeypatch)
     word = (1, 0, 1, 0)
     assert phi_polynomial((2, 1), 1, word) == lindstrom_minor(word, (), (2, 1), 1)
-    assert walks == [("phi", 4), ("networks", 4)]
+    assert walks == [("phi_polynomial", 4), ("lindstrom_minor", 4)]
     # check() walks the case's own word, to its own length
     del walks[:]
     assert verify.check("theorem2", word, (2, 1), 1).ok
-    assert walks == [("phi", 4), ("networks", 4)]
+    assert walks == [("phi_polynomial", 4), ("lindstrom_minor", 4)]
 
 
 @pytest.mark.parametrize(
