@@ -36,20 +36,17 @@ def _shifts(nvars: int) -> list[int]:
     return [EXPONENT_BITS * k for k in range(nvars - 1, -1, -1)]
 
 
-def _carry(layer: dict, edges, shift: int) -> dict:
-    """One transfer step: each edge (state, target, e) adds ``layer[state]``, its
-    keys raised by e in the field at ``shift``, into the next layer's ``target``."""
+def _carry(layer: dict, edges) -> dict:
+    """One walk step or the join: each edge (state, target, step, n) adds n times
+    ``layer[state]``, every key raised by the packed offset step, into ``target``."""
     nxt: dict = {}
-    for state, target, e in edges:
-        step, acc = e << shift, nxt.get(target)
-        if acc is None:
-            nxt[target] = {key + step: n for key, n in layer[state].items()}
-        else:
-            # every coefficient counts walks, so none can cancel
-            get = acc.get
-            for key, n in layer[state].items():
-                key += step
-                acc[key] = get(key, 0) + n
+    for state, target, step, n in edges:
+        acc = nxt.setdefault(target, {})
+        # every coefficient counts walks, so none can cancel
+        get = acc.get
+        for key, m in layer[state].items():
+            key += step
+            acc[key] = get(key, 0) + m * n
     return nxt
 
 
@@ -146,7 +143,8 @@ class MultiPoly:
         (bidirectional transfer matrices): the walks from ``start`` over the
         first ``nvars // 2`` steps join, at the states both reach, those into
         ``end`` over the rest, run backward along the listed moves.  The halves
-        fill disjoint exponent fields, so no product of their terms carries.
+        fill disjoint exponent fields, so no product of their terms carries: the
+        join is one more ``_carry``, and no polynomial is wrapped but the answer.
         """
         steps, states, bound = [], [start], 0
         for c in range(nvars):
@@ -161,15 +159,13 @@ class MultiPoly:
                     steps[c].append((state, target, e))
                     nxt[target] = None
             states = nxt
-        shifts = [EXPONENT_BITS * (nvars - 1 - c) for c in range(nvars)]
-        layer, back, half = {start: {0: 1}}, {end: {0: 1}}, nvars // 2
+        shifts, layer, back, half = _shifts(nvars), {start: {0: 1}}, {end: {0: 1}}, nvars // 2
         for c in range(half):
-            layer = _carry(layer, steps[c], shifts[c])
+            layer = _carry(layer, ((s, t, e << shifts[c], 1) for s, t, e in steps[c]))
         for c in range(nvars - 1, half - 1, -1):
-            back = _carry(back, [(t, s, e) for s, t, e in steps[c] if t in back], shifts[c])
-        pairs = ((1, cls._from_packed(nvars, layer[s], bound),
-                  cls._from_packed(nvars, back[s], bound)) for s in layer if s in back)
-        return cls._from_packed(nvars, cls.sum_of_products(nvars, pairs).terms, bound)
+            back = _carry(back, ((t, s, e << shifts[c], 1) for s, t, e in steps[c] if t in back))
+        meet = ((s, end, key, n) for s in layer if s in back for key, n in back[s].items())
+        return cls._from_packed(nvars, _carry(layer, meet).get(end, {}), bound)
 
     @classmethod
     def sum_of_products(cls, nvars: int, triples) -> "MultiPoly":

@@ -151,8 +151,10 @@ def render_family(family: PathFamily) -> str:
     """ASCII picture: levels top-down, sources left, sinks right.
 
     Vertices on a path print as '*', others as 'o'; horizontal edges as
-    dashes and diagonal ascents as '/'.
+    dashes and diagonal ascents as '/'.  A family of no paths has no levels, so no lines.
     """
+    if not family.levels:
+        return ""
     k = len(family.word)
     top = max(max(path) for path in family.levels)
     bottom = min(min(path) for path in family.levels)

@@ -6,6 +6,7 @@ equal.  A theorem's failure is a regression, a conjecture's mismatch a finding.
 
 from __future__ import annotations
 
+from functools import cache, partial
 from itertools import combinations
 from math import factorial, prod
 from typing import Callable, Iterator, NamedTuple
@@ -25,33 +26,25 @@ from .tableaux import (
 from .toeplitz import minor, pieri_determinant
 
 
-class _Kept(dict):
-    """``build(key)`` at each key asked of it so far, each built once."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
-class _Shared(_Kept):
+class _Shared(dict):
     """What the cases of one sweep, or one ``check``, share, each value built once.
 
     ``shared(build, *key)`` is ``build(*key)``, kept while ``key`` is the last key asked of
     ``build``: a grid runs each key's cases one after another, and the last value is let go
-    before the next is built.  ``shared[build][key]`` is ``build(key)``, kept to the end: each
+    before the next is built.  ``shared[build]`` is ``cache(build)``, kept to the end: each
     field's text, each prop1 (word, j) expansion, and ``loops()``, the loop element of each of
     ``words``, the longest word of each start letter, on which each route runs.
     """
 
     def __init__(self, words):
-        super().__init__(_Kept)
         self.words, self.last = words, {}
 
+    def __missing__(self, build):
+        kept = self[build] = cache(build)
+        return kept
+
     def loops(self) -> dict:
-        return {w: self[word_to_loop][w] for w in self.words}
+        return {w: self[word_to_loop](w) for w in self.words}
 
     def __call__(self, build, *key):
         last = self.last.get(build)
@@ -106,13 +99,12 @@ def _read_prop1(word, lam, i, j) -> tuple:
     return word, lam, i, j
 
 
-def _expansion(key) -> tuple:
-    word, j = key
+def _expansion(word, j) -> tuple:
     return _expand(word, j), prod(map(factorial, j))
 
 
-def _counts(lam, i) -> _Kept:
-    return _Kept(lambda d: euler_char(lam, i, d))
+def _counts(lam, i) -> Callable:
+    return cache(partial(euler_char, lam, i))
 
 
 def _prop1(shared, word, lam, i, j) -> dict:
@@ -120,10 +112,10 @@ def _prop1(shared, word, lam, i, j) -> dict:
     chess tableaux read off phi's longest walk, as a^j with trailing zeros, which the
     restriction to the word keeps; each (word, content)'s d and product of j_t! are made
     once.  The case, read by check or built by a grid, is not checked again."""
-    d, weight = shared[_expansion][word, j]
+    d, weight = shared[_expansion](word, j)
     walk = shared(_phis, shared.words, lam, i)[word[0]]
     chess = walk._coefficient(j + (0,) * (walk.nvars - len(j)))
-    return {"tab_count": shared(_counts, lam, i)[d], "factorial_times_chess": weight * chess}
+    return {"tab_count": shared(_counts, lam, i)(d), "factorial_times_chess": weight * chess}
 
 
 def _conjecture1(shared, lam, i, d, q) -> dict:
@@ -221,7 +213,7 @@ def _check(target: str, case: tuple, shared: _Shared) -> VerificationReport:
     routes = list(values.values())
     return VerificationReport(
         check=target,
-        case={k: shared[_text][v] for k, v in zip(row.fields, case)},
+        case={k: shared[_text](v) for k, v in zip(row.fields, case)},
         values=values,
         ok=routes.count(routes[0]) == len(routes),
     )
@@ -239,15 +231,9 @@ def all_words_up_to(max_word: int) -> list[tuple[int, ...]]:
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Nonnegative integer tuples of a given length summing to total."""
+    """Nonnegative integer tuples of a given length summing to total: the gaps between cuts."""
     for cuts in combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        comp = []
-        for cut in cuts:
-            comp.append(cut - prev - 1)
-            prev = cut
-        comp.append(total + parts - 2 - prev)
-        yield tuple(comp)
+        yield tuple(b - a - 1 for a, b in zip((-1, *cuts), (*cuts, total + parts - 1)))
 
 
 def realizable_parities(lam: Partition, i: int) -> list[tuple[int, ...]]:

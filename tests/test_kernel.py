@@ -2,7 +2,8 @@
 
 ``MultiPoly.transfer_walk`` lists the moves out of every reachable state, then
 sums walks forward from the start over the first half of the steps and
-backward from the end over the rest, and joins the halves in the middle.  Here
+backward from the end over the rest, and joins the halves in the middle with
+one more step of the same loop, so it wraps no polynomial but its answer.  Here
 random layered move systems are walked by listing every walk; the walk's value
 and the listing must agree, and the kernel must ask for each reachable
 (step, state)'s moves exactly once.
@@ -99,6 +100,20 @@ def test_symbolic_reach_both_routes_agree_on_fourteen_letters():
     phi = phi_polynomial(lam, 1, word)
     assert len(phi.terms) == 220_206
     assert phi == lindstrom_minor(word, (), lam, 1)
+
+
+def test_the_walk_wraps_only_its_answer(monkeypatch):
+    # the halves join through the walk's own step, not a product of polynomials
+    calls = Counter()
+    for name in ("sum_of_products", "_from_packed"):
+        def counted(cls, *args, name=name, kernel=getattr(MultiPoly, name)):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(MultiPoly, name, classmethod(counted))
+    phi = phi_polynomial((5, 4, 3, 2, 1), 1, (1, 0) * 6)
+    assert len(phi.terms) == 3_885
+    assert calls == Counter(_from_packed=1)
 
 
 def degrees_by_tuple(poly):

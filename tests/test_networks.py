@@ -184,3 +184,9 @@ def test_render_family_is_deterministic_ascii():
     assert "*" in art and "/" in art
     assert art == render_family(fam)
     assert art.splitlines()[0].startswith("   3")
+
+
+def test_a_family_of_no_paths_renders_as_no_lines():
+    empty = PathFamily((1, 0), ())
+    assert family_weight(empty) == 1
+    assert render_family(empty) == ""
