@@ -52,52 +52,38 @@ class PathFamily(Value):
 
 
 def _paths_between(word: BitString, source: int, sink: int) -> list[tuple[int, ...]]:
-    """All admissible level sequences from source to sink, lexicographically."""
+    """All admissible level sequences from source to sink, lexicographically: grown chip
+    by chip, staying put before rising, while ``level <= sink <= level + chips left``."""
     k = len(word)
-    found: list[tuple[int, ...]] = []
-
-    def walk(prefix: list[int]) -> None:
-        c = len(prefix) - 1
-        level = prefix[-1]
-        if sink - level > k - c:
-            return
-        if level > sink:
-            return
-        if c == k:
-            if level == sink:
-                found.append(tuple(prefix))
-            return
-        walk(prefix + [level])
-        if level % 2 == word[c]:
-            walk(prefix + [level + 1])
-
-    walk([source])
-    return found
+    paths = [(source,)] if source <= sink <= source + k else []
+    for c, bit in enumerate(word):
+        paths = [
+            path + (level,) for path in paths
+            for level in range(path[-1], path[-1] + 1 + (path[-1] % 2 == bit))
+            if level <= sink <= level + k - c - 1
+        ]
+    return paths
 
 
 def enumerate_families(word, mu: Partition, lam: Partition, i: int) -> list[PathFamily]:
     """All non-crossing families joining the mu-sources to the lam-sinks.
 
     Path n runs from mu[n] + i - n to lam[n] + i - n for n in 0..maxIndex(lam);
-    the list is empty when no family exists.  Each path's candidates are in
-    lexicographic order and path 0 is chosen first, so the list is sorted by levels.
+    the list is empty when no family exists.  Path 0 is chosen first, each path
+    from its candidates in lexicographic order and kept when it stays strictly
+    below the one before, so the list is sorted by levels.
     """
     word = check_word(word)
     sources, sinks = index_windows(mu, lam, i)
-    per_path = [_paths_between(word, u, v) for u, v in zip(sources, sinks)]
-    families: list[PathFamily] = []
-
-    def extend(n: int, chosen: list[tuple[int, ...]]) -> None:
-        if n == len(per_path):
-            families.append(PathFamily(word=word, levels=tuple(chosen)))
-            return
-        for path in per_path[n]:
-            if chosen and any(a <= b for a, b in zip(chosen[-1], path)):
-                continue
-            extend(n + 1, chosen + [path])
-
-    extend(0, [])
-    return families
+    families = [()]
+    for source, sink in zip(sources, sinks):
+        candidates = _paths_between(word, source, sink)
+        families = [
+            chosen + (path,)
+            for chosen in families for path in candidates
+            if not chosen or all(a > b for a, b in zip(chosen[-1], path))
+        ]
+    return [PathFamily(word=word, levels=levels) for levels in families]
 
 
 def _ascent_counts(family: PathFamily) -> tuple[int, ...]:
@@ -106,9 +92,7 @@ def _ascent_counts(family: PathFamily) -> tuple[int, ...]:
     Every step is 0 or 1, so chip t's count is how much the paths' summed
     level grows across it.
     """
-    heights = [sum(column) for column in zip(*family.levels)]
-    if not heights:
-        return (0,) * len(family.word)
+    heights = [sum(path[c] for path in family.levels) for c in range(len(family.word) + 1)]
     return tuple(b - a for a, b in zip(heights, heights[1:]))
 
 
@@ -150,43 +134,27 @@ def lindstrom_minor(word, mu: Partition, lam: Partition, i: int) -> MultiPoly:
 def render_family(family: PathFamily) -> str:
     """ASCII picture: levels top-down, sources left, sinks right.
 
-    Vertices on a path print as '*', others as 'o'; horizontal edges as
-    dashes and diagonal ascents as '/'.  A family of no paths has no levels, so no lines.
+    Vertices on a path print as '*', others as 'o'; horizontal edges as dashes
+    and ascents as '/' on the gap line below the level they reach, which is
+    left out when it holds none.  A family of no paths has no levels, so no lines.
     """
     if not family.levels:
         return ""
     k = len(family.word)
     top = max(max(path) for path in family.levels)
     bottom = min(min(path) for path in family.levels)
-    occupied = {(c, path[c]) for path in family.levels for c in range(k + 1)}
-    horizontal = {
-        (c, path[c])
-        for path in family.levels
-        for c in range(1, k + 1)
-        if path[c] == path[c - 1]
-    }
-    diagonal = {
-        (c, path[c - 1])
-        for path in family.levels
-        for c in range(1, k + 1)
-        if path[c] == path[c - 1] + 1
-    }
     width = 5 + 4 * k + 1
-    lines = []
+    lines = []  # the row of each level, then the gap line below it
     for level in range(top, bottom - 1, -1):
         row = list(f"{level:>4} ".ljust(width))
-        for c in range(k + 1):
-            row[5 + 4 * c] = "*" if (c, level) in occupied else "o"
-        for c in range(1, k + 1):
-            if (c, level) in horizontal:
-                row[5 + 4 * c - 3] = row[5 + 4 * c - 2] = row[5 + 4 * c - 1] = "-"
-        lines.append("".join(row).rstrip())
-        if level > bottom:
-            gap = list(" " * width)
-            for c in range(1, k + 1):
-                if (c, level - 1) in diagonal:
-                    gap[5 + 4 * c - 2] = "/"
-            gap_text = "".join(gap).rstrip()
-            if gap_text:
-                lines.append(gap_text)
-    return "\n".join(lines)
+        row[5:width:4] = "o" * (k + 1)
+        lines += [row, [" "] * width]
+    for path in family.levels:
+        for c, level in enumerate(path):
+            n = 2 * (top - level)
+            lines[n][5 + 4 * c] = "*"
+            if c and level == path[c - 1]:
+                lines[n][4 * c + 2:4 * c + 5] = "---"
+            elif c:
+                lines[n + 1][4 * c + 3] = "/"
+    return "\n".join(filter(None, ("".join(line).rstrip() for line in lines)))

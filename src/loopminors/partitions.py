@@ -151,18 +151,18 @@ def index_set(lam: Partition, i: int, n_max: int) -> list[int]:
     first.  Minor computations rely on this fixed ordering for a
     deterministic determinant sign.
 
-    Raises :class:`InvalidWindowError` if the window would truncate ``lam``,
-    and :class:`DomainError` if ``lam`` is not a partition, so that the window
-    is not strictly decreasing.
+    ``lam`` is read as a partition, ``i`` as a bit and ``n_max`` as an int,
+    each a :class:`DomainError` otherwise; a window that would truncate
+    ``lam`` raises :class:`InvalidWindowError`.
     """
+    lam = check_partition(lam)
+    i = check_bit(i)
+    n_max = check_int(n_max, "window bound")
     if n_max < max_index(lam):
         raise InvalidWindowError(
             f"window n_max={n_max} smaller than max index {max_index(lam)} of {lam}"
         )
-    values = [part(lam, n) + i - n for n in range(n_max + 1)]
-    if any(a <= b for a, b in zip(values, values[1:])):
-        raise DomainError(f"index window {values} of {lam} is not strictly decreasing")
-    return values
+    return [part(lam, n) + i - n for n in range(n_max + 1)]
 
 
 def index_windows(mu: Partition, lam: Partition, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -248,13 +248,9 @@ def partitions_up_to(n: int) -> list[Partition]:
 
 
 def subpartitions(lam: Partition) -> list[Partition]:
-    """All partitions contained in ``lam``, in descending lexicographic order."""
-
-    def rec(row: int, cap: int) -> list[tuple[int, ...]]:
-        out = []
-        for p in range(min(cap, part(lam, row)), 0, -1):
-            for rest in rec(row + 1, p):
-                out.append((p,) + rest)
-        return out + [()]  # a zero part ends the partition
-
-    return rec(0, part(lam, 0))
+    """All partitions contained in ``lam``, in descending lexicographic order: grown row by
+    row, each part at most the one above and lam's, so a zero part ends the partition."""
+    grown = [()]
+    for cap in lam:
+        grown = [mu + (p,) for mu in grown for p in range(min(mu[-1:] + (cap,)), -1, -1)]
+    return [tuple(filter(None, mu)) for mu in grown]

@@ -102,30 +102,19 @@ class ChessTableau(Value):
 def enumerate_standard(lam: Partition) -> list[StandardTableau]:
     """All standard tableaux of shape lam with content (1, ..., 1).
 
-    Returned in lexicographic order of the row-reading word, so callers and
-    golden files see a stable enumeration.
+    Label l extends each filling at each row that is not full and is the top
+    row or shorter than the one above.  Returned in lexicographic order of the
+    rows, so callers and golden files see a stable enumeration.
     """
     lam = check_partition(lam)
-    n = size(lam)
-    filled = [0] * len(lam)
-    rows: list[list[int]] = [[] for _ in lam]
-    found: list[StandardTableau] = []
-
-    def place(label: int) -> None:
-        if label > n:
-            found.append(StandardTableau([tuple(r) for r in rows]))
-            return
-        for s in range(len(lam)):
-            if filled[s] < lam[s] and (s == 0 or filled[s - 1] > filled[s]):
-                rows[s].append(label)
-                filled[s] += 1
-                place(label + 1)
-                filled[s] -= 1
-                rows[s].pop()
-
-    place(1)
-    found.sort(key=lambda T: T.rows)
-    return found
+    fillings = [((),) * len(lam)]
+    for label in range(1, size(lam) + 1):
+        fillings = [
+            rows[:s] + (rows[s] + (label,),) + rows[s + 1:]
+            for rows in fillings for s in range(len(lam))
+            if len(rows[s]) < lam[s] and (s == 0 or len(rows[s - 1]) > len(rows[s]))
+        ]
+    return [StandardTableau(rows) for rows in sorted(fillings)]
 
 
 def parity_string(tableau: StandardTableau, i: int) -> BitString:
@@ -149,13 +138,12 @@ def enumerate_by_parity(lam: Partition, i: int, d) -> list[StandardTableau]:
     return [T for T in enumerate_standard(lam) if parity_string(T, i) == d]
 
 
-def enumerate_chess(
-    lam: Partition, i: int, k: int
-) -> dict[tuple[int, ...], list[ChessTableau]]:
-    """All chess tableaux of shape lam and parity i with labels in 1..k.
+def enumerate_chess(lam: Partition, i: int, k: int) -> dict[tuple[int, ...], list[ChessTableau]]:
+    """All chess tableaux of shape lam and parity i with labels in 1..k, grouped by
+    content (length k) with sorted keys; k is explicit, as the full family is infinite.
 
-    Grouped by content vector (length k); keys come out sorted.  The label
-    bound k is explicit because the full family is infinite as k grows.
+    Box (s, t), in row-reading order, takes each label of parity (s + t + i) % 2
+    past its left neighbour's and at least its upper neighbour's.
     """
     lam = check_partition(lam)
     i = check_bit(i)
@@ -163,33 +151,21 @@ def enumerate_chess(
     if k < 0:
         raise DomainError(f"label bound must be nonnegative, got {k}")
     boxes = [(s, t) for s in range(len(lam)) for t in range(lam[s])]
-    grid = [[0] * lam[s] for s in range(len(lam))]
+    # a filling's position 0 holds a 0, read for the neighbours outside the shape
+    at = {box: n for n, box in enumerate(boxes, start=1)}
+    fillings = [(0,)]
+    for s, t in boxes:
+        left, above = at.get((s, t - 1), 0), at.get((s - 1, t), 0)
+        fillings = [
+            labels + (label,)
+            for labels in fillings for label in range(max(labels[left] + 1, labels[above]), k + 1)
+            if label % 2 == (s + t + i) % 2
+        ]
     grouped: dict[tuple[int, ...], list[ChessTableau]] = {}
-
-    def fill(idx: int) -> None:
-        if idx == len(boxes):
-            rows = tuple(tuple(row) for row in grid)
-            content = [0] * k
-            for row in rows:
-                for label in row:
-                    content[label - 1] += 1
-            tab = ChessTableau(rows=rows, parity=i, content=tuple(content))
-            grouped.setdefault(tab.content, []).append(tab)
-            return
-        s, t = boxes[idx]
-        lo = 1
-        if t > 0:
-            lo = grid[s][t - 1] + 1
-        if s > 0:
-            lo = max(lo, grid[s - 1][t])
-        want = (s + t + i) % 2
-        for label in range(lo, k + 1):
-            if label % 2 == want:
-                grid[s][t] = label
-                fill(idx + 1)
-                grid[s][t] = 0
-
-    fill(0)
+    for labels in fillings:
+        rows = tuple(labels[at[s, 0]:at[s, 0] + p] for s, p in enumerate(lam))
+        content = tuple(labels.count(c) for c in range(1, k + 1))
+        grouped.setdefault(content, []).append(ChessTableau(rows=rows, parity=i, content=content))
     return {j: grouped[j] for j in sorted(grouped)}
 
 

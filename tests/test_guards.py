@@ -14,7 +14,7 @@ from loopminors.errors import DomainError
 from loopminors.loop import LaurentPoly, LoopElement, generator, identity_loop, word_to_loop
 from loopminors.multipoly import MultiPoly
 from loopminors.networks import PathFamily, enumerate_families, lindstrom_minor
-from loopminors.partitions import check_bits, check_partition, partitions_of
+from loopminors.partitions import check_bits, check_partition, index_set, partitions_of
 from loopminors.phi import euler_char, phi_polynomial
 from loopminors.shapemod import build_module, count_flags_fq
 from loopminors.tableaux import (
@@ -54,12 +54,13 @@ WORD = (1, 0, 1)
         lambda: parity_string(enumerate_standard((2, 1))[0], 3),
         lambda: ground_state(enumerate_standard((2, 1))[0], -1),
         lambda: generator(2, 1),
+        lambda: index_set((2, 1), 5, 1),
     ],
     ids=["minor", "pieri_determinant", "phi_polynomial", "enumerate_families",
          "lindstrom_minor", "count_flags_fq", "enumerate_by_parity",
          "enumerate_by_parity_d", "euler_char", "enumerate_chess", "ChessTableau",
          "build_module", "conjecture1_prediction", "conjecture1_prediction_d",
-         "parity_string", "ground_state", "generator"],
+         "parity_string", "ground_state", "generator", "index_set"],
 )
 def test_non_bit_parities_are_rejected(call):
     with pytest.raises(DomainError):
@@ -102,6 +103,8 @@ def test_non_bit_parities_are_rejected(call):
         lambda: entry_E(word_to_loop((1, 0, 1, 0)), 0, 1.5),
         lambda: toeplitz_entry(word_to_loop((1, 0, 1, 0)), 1.0, 2.0),
         lambda: entry_E(word_to_loop((1, 0, 1, 0)), 0, "x"),
+        lambda: index_set((2.5, 1), 0, 1),
+        lambda: index_set((2, 1), 0, 1.5),
     ],
     ids=["build_module", "check_partition", "phi_polynomial", "check_bits", "euler_char",
          "check_bit", "expand_word", "expand_word_str", "verify_prop1",
@@ -111,7 +114,7 @@ def test_non_bit_parities_are_rejected(call):
          "MultiPoly.const", "LaurentPoly", "PathFamily", "PathFamily_str", "coefficient",
          "coefficient_str", "generator_float",
          "generator_str", "sweep_max_size", "sweep_max_word", "entry_E", "toeplitz_entry",
-         "entry_E_str"],
+         "entry_E_str", "index_set", "index_set_n_max"],
 )
 def test_non_integer_entries_are_rejected(call):
     with pytest.raises(DomainError, match="entries must be integers"):
@@ -148,6 +151,7 @@ MALFORMED = {
         lambda: PathFamily(word=(1, 0), levels=((0, 0),)), "does not traverse 2 chips"
     ),
     "partitions_of": (lambda: partitions_of(-1), "negative integer"),
+    "index_set": (lambda: index_set((-1,), 0, 0), "negative part -1"),
     "ChessTableau_empty_row": (
         lambda: ChessTableau(rows=((1,), ()), parity=1, content=(1,)), "empty rows"
     ),

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from loopminors.networks import (
     lindstrom_minor,
     render_family,
 )
-from loopminors.partitions import partitions_up_to, subpartitions
+from loopminors.partitions import contains, part, partitions_up_to, size, subpartitions
 from loopminors.tableaux import ChessTableau, enumerate_chess
 from loopminors.toeplitz import minor, toeplitz_entry
 from loopminors.verify import all_words_up_to
@@ -78,6 +79,37 @@ def test_enumerate_families_edge_cases():
     assert len(one) == 1
     assert one[0].levels == ((0, 1),)
     assert enumerate_families((1,), (), (2,), 1) == []
+
+
+def _paths_by_steps(word, source, sink):
+    """The level sequences of the step strings in {0, 1}^k that rise only from a
+    level of the chip's parity and end at the sink, in lexicographic order."""
+    paths = (tuple(accumulate(steps, initial=source))
+             for steps in product((0, 1), repeat=len(word)))
+    return [path for path in paths if path[-1] == sink and all(
+        b == a or a % 2 == bit for a, b, bit in zip(path, path[1:], word))]
+
+
+def test_enumerate_families_is_every_separated_choice_of_step_strings():
+    for lam in partitions_up_to(4):
+        for mu in subpartitions(lam):
+            for i in (0, 1):
+                ends = [(part(mu, n) + i - n, part(lam, n) + i - n)
+                        for n in range(max(len(lam), 1))]
+                for word in [()] + all_words_up_to(5):
+                    choices = product(*(_paths_by_steps(word, u, v) for u, v in ends))
+                    expected = sorted(levels for levels in choices if all(
+                        a > b for upper, lower in zip(levels, levels[1:])
+                        for a, b in zip(upper, lower)))
+                    found = enumerate_families(word, mu, lam, i)
+                    assert [f.levels for f in found] == expected, (word, mu, lam, i)
+
+
+def test_subpartitions_are_the_contained_partitions_by_padded_parts():
+    for lam in partitions_up_to(8):
+        inside = [mu for mu in partitions_up_to(size(lam)) if contains(mu, lam)]
+        padded = sorted(inside, key=lambda mu: mu + (0,) * (len(lam) - len(mu)), reverse=True)
+        assert subpartitions(lam) == padded, lam
 
 
 def test_family_weight_no_ascents_is_one():
@@ -184,6 +216,25 @@ def test_render_family_is_deterministic_ascii():
     assert "*" in art and "/" in art
     assert art == render_family(fam)
     assert art.splitlines()[0].startswith("   3")
+
+
+def test_render_family_draws_each_vertex_and_edge_in_place():
+    # recorded from the rendering that scanned every (level, chip) pair; a gap
+    # line that holds no ascent is left out
+    fam = PathFamily((1, 0, 1, 0), ((1, 2, 2, 2, 3), (0, 0, 1, 1, 1)))
+    assert render_family(fam).split("\n") == [
+        "   3 o   o   o   o   *",
+        "                   /",
+        "   2 o   *---*---*   o",
+        "       /",
+        "   1 *   o   *---*---*",
+        "           /",
+        "   0 *---*   o   o   o",
+    ]
+    flat = PathFamily((1, 0), ((3, 3, 3), (0, 0, 0)))
+    assert render_family(flat).split("\n") == [
+        "   3 *---*---*", "   2 o   o   o", "   1 o   o   o", "   0 *---*---*",
+    ]
 
 
 def test_a_family_of_no_paths_renders_as_no_lines():

@@ -54,6 +54,7 @@ def test_index_set_examples():
     assert index_set((4, 3, 2, 2, 1), 0, 4) == [4, 2, 0, -1, -3]
     assert index_set((), 1, 1) == [1, 0]
     assert index_set((2, 1), 1, 1) == [3, 1]
+    assert index_set((2, 1, 0), 0, 1) == [2, 0]  # a trailing zero part is stripped
 
 
 def test_index_set_window_guard():

@@ -1,10 +1,10 @@
-from itertools import accumulate
+from itertools import accumulate, permutations, product
 
 import pytest
 from hypothesis import given, settings
 
 from loopminors.errors import DomainError
-from loopminors.partitions import check_word, is_alternating, partitions_up_to
+from loopminors.partitions import check_word, is_alternating, partitions_up_to, size
 from loopminors.tableaux import (
     ChessTableau,
     StandardTableau,
@@ -209,6 +209,44 @@ def test_ground_state_and_parity_string_on_every_shape_up_to_six():
                 assert ground_state(T, i) == _ground_state_by_docstring(rows, i), (rows, i)
                 by_box = {v: box_parity(s, t, i) for s, row in enumerate(rows) for t, v in enumerate(row)}
                 assert parity_string(T, i) == tuple(by_box[v] for v in range(1, len(by_box) + 1))
+
+
+def _cut(lam, labels):
+    """The rows of lam filled by a sequence of labels in row-reading order."""
+    ends = list(accumulate(lam, initial=0))
+    return tuple(tuple(labels[a:b]) for a, b in zip(ends, ends[1:]))
+
+
+def test_enumerate_standard_is_every_increasing_permutation_filling():
+    # every filling of lam's boxes by a permutation of 1..n that increases
+    # along rows and down columns, in sorted order of the rows
+    for lam in partitions_up_to(6):
+        fillings = (_cut(lam, perm) for perm in permutations(range(1, size(lam) + 1)))
+        expected = sorted(rows for rows in fillings if _standard(rows))
+        assert [T.rows for T in enumerate_standard(lam)] == expected, lam
+
+
+def test_enumerate_chess_is_every_labelling_with_the_chess_conditions():
+    # strict rows, weak columns and the box parities, grouped by content with
+    # the keys sorted and each group in row-reading order of the labels
+    for lam in partitions_up_to(4):
+        for i in (0, 1):
+            for k in range(6):
+                grouped = {}
+                for labels in product(range(1, k + 1), repeat=size(lam)):
+                    rows = _cut(lam, labels)
+                    if (all(a < b for row in rows for a, b in zip(row, row[1:]))
+                            and all(a <= b for up, low in zip(rows, rows[1:])
+                                    for a, b in zip(up, low))
+                            and all(v % 2 == box_parity(s, t, i)
+                                    for s, row in enumerate(rows) for t, v in enumerate(row))):
+                        content = tuple(labels.count(c) for c in range(1, k + 1))
+                        grouped.setdefault(content, []).append(rows)
+                found = enumerate_chess(lam, i, k)
+                assert list(found) == sorted(grouped), (lam, i, k)
+                assert {j: [T.rows for T in tabs] for j, tabs in found.items()} == grouped
+                assert all(T.content == j and T.parity == i
+                           for j, tabs in found.items() for T in tabs)
 
 
 def test_standard_tableau_is_a_value():
