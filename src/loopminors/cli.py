@@ -42,8 +42,21 @@ _SHARED = {
 _READERS = {s.get("dest", flag[2:]): read for flag, (s, read) in _SHARED.items() if read}
 
 
-# one encoder for every line, where each json.dumps call with these settings builds its own
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def _line_encoder():
+    """What ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` gives, from one C
+    encoder held for every line where ``JSONEncoder.encode`` builds one per call; the pure
+    Python encoder where the C one is missing."""
+    python = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return python.encode
+    # (markers, default, encoder, indent, key and item separators, sort_keys, skipkeys, allow_nan)
+    held = make(None, python.default, json.encoder.encode_basestring_ascii, None, ":", ",",
+                True, False, True)
+    return lambda obj: "".join(held(obj, 0))
+
+
+_dumps = _line_encoder()
 
 
 class Output:

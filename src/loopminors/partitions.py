@@ -162,6 +162,11 @@ def index_set(lam: Partition, i: int, n_max: int) -> list[int]:
         raise InvalidWindowError(
             f"window n_max={n_max} smaller than max index {max_index(lam)} of {lam}"
         )
+    return _index_window(lam, i, n_max)
+
+
+def _index_window(lam: Partition, i: int, n_max: int) -> list[int]:
+    """``index_set`` of inputs already checked."""
     return [part(lam, n) + i - n for n in range(n_max + 1)]
 
 
@@ -173,7 +178,7 @@ def index_windows(mu: Partition, lam: Partition, i: int) -> tuple[tuple[int, ...
     i = check_bit(i)
     check_contained(mu, lam)
     n_max = max_index(lam)
-    return tuple(index_set(mu, i, n_max)), tuple(index_set(lam, i, n_max))
+    return tuple(_index_window(mu, i, n_max)), tuple(_index_window(lam, i, n_max))
 
 
 class Value:

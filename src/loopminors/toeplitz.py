@@ -16,8 +16,8 @@ from .determinants import det_bareiss, det_cofactor
 from .errors import DomainError
 from .loop import LoopElement, is_unipotent_plus
 from .partitions import (
-    Partition, check_bit, check_int, check_partition, conjugate, index_set, index_windows, max_index,
-    part,
+    Partition, _index_window, check_bit, check_int, check_partition, conjugate, index_windows,
+    max_index, part,
 )
 
 
@@ -61,7 +61,7 @@ def minor(g: LoopElement, mu: Partition, lam: Partition, i: int):
     if part(lam, 0) < len(lam) and is_unipotent_plus(g):
         # checked above, so their conjugates are partitions, the one inside the other
         mu, lam = conjugate(mu), conjugate(lam)
-        rows, cols = index_set(mu, i, max_index(lam)), index_set(lam, i, max_index(lam))
+        rows, cols = _index_window(mu, i, max_index(lam)), _index_window(lam, i, max_index(lam))
     return _determinant(g, window(g, rows, cols))
 
 

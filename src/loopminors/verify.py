@@ -2,28 +2,21 @@
 
 Each target is one row of ``_ROWS``; a case passes when its route values are all
 equal.  A theorem's failure is a regression, a conjecture's mismatch a finding.
+Each builder imports its route when it runs, so a sweep loads only its target's routes.
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import combinations
 from math import factorial, prod
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError
-from .loop import word_to_loop
-from .networks import lindstrom_minor
 from .partitions import (
     Partition, check_bit, check_factorization_word, check_int, check_parity_string, check_partition,
     format_partition, partitions_up_to, size, subpartitions,
 )
-from .phi import euler_char, phi_polynomial
-from .shapemod import build_module, count_flags_fq
-from .tableaux import (
-    _expand, conjecture1_prediction, enumerate_standard, expand_word, parity_string,
-)
-from .toeplitz import minor, pieri_determinant
 
 
 class _Shared(dict):
@@ -32,8 +25,8 @@ class _Shared(dict):
     ``shared(build, *key)`` is ``build(*key)``, kept while ``key`` is the last key asked of
     ``build``: a grid runs each key's cases one after another, and the last value is let go
     before the next is built.  ``shared[build]`` is ``cache(build)``, kept to the end: each
-    field's text, each prop1 (word, j) expansion, and ``loops()``, the loop element of each of
-    ``words``, the longest word of each start letter, on which each route runs.
+    field's text and each prop1 (word, j) expansion.  ``loops`` is the loop element of each of
+    ``words``, the longest word of each start letter, on which each route runs, built once.
     """
 
     def __init__(self, words):
@@ -43,8 +36,11 @@ class _Shared(dict):
         kept = self[build] = cache(build)
         return kept
 
+    @cached_property
     def loops(self) -> dict:
-        return {w: self[word_to_loop](w) for w in self.words}
+        from .loop import word_to_loop
+
+        return {w: word_to_loop(w) for w in self.words}
 
     def __call__(self, build, *key):
         last = self.last.get(build)
@@ -60,23 +56,32 @@ class _Row(NamedTuple):
     read: Callable | None = None  # check's reader of a case whose values trust it; else routes check
 
 
-# Rows and builders call routes by name, so rebinding reaches them.  A value is keyed by the
-# shape and parity, not the word: a route's value on the alternating word of k letters is its
-# value on the longest of that start letter at a_{k+1} = ... = 0 (a tableau or family uses no
-# later letter; a generator at 0 is the identity), so a case restricts that value as it reads it.
+# Builders import their routes when they run, so rebinding a name in the route's module reaches
+# them.  A value is keyed by the shape and parity, not the word: a route's value on the
+# alternating word of k letters is its value on the longest of that start letter at
+# a_{k+1} = ... = 0 (a tableau or family uses no later letter; a generator at 0 is the
+# identity), so a case restricts that value as it reads it.
 def _phis(words, lam, i) -> dict:
+    from .phi import phi_polynomial
+
     return {w[0]: phi_polynomial(lam, i, w) for w in words}
 
 
 def _paths(words, mu, lam, i) -> dict:
+    from .networks import lindstrom_minor
+
     return {w[0]: lindstrom_minor(w, mu, lam, i) for w in words}
 
 
 def _minors(loops, mu, lam, i) -> dict:
+    from .toeplitz import minor
+
     return {w[0]: minor(g, mu, lam, i) for w, g in loops.items()}
 
 
 def _pieris(loops, lam, i) -> dict:
+    from .toeplitz import pieri_determinant
+
     return {w[0]: pieri_determinant(g, lam, i) for w, g in loops.items()}
 
 
@@ -86,13 +91,15 @@ def _at(word, **values) -> dict:
 
 
 def _theorem2(shared, word, lam, i) -> dict:
-    loops, words = shared.loops(), shared.words
+    loops, words = shared.loops, shared.words
     return _at(word, phi=shared(_phis, words, lam, i), lindstrom=shared(_paths, words, (), lam, i),
                toeplitz=shared(_minors, loops, (), lam, i))
 
 
 def _read_prop1(word, lam, i, j) -> tuple:
     """A prop1 case through the input layer, with the errors its routes gave when they checked it."""
+    from .tableaux import expand_word
+
     lam, i, word = check_partition(lam), check_bit(i), check_factorization_word(word)
     j = tuple(check_int(v, "content") for v in j)
     check_parity_string(expand_word(word, j), lam)
@@ -100,10 +107,14 @@ def _read_prop1(word, lam, i, j) -> tuple:
 
 
 def _expansion(word, j) -> tuple:
+    from .tableaux import _expand
+
     return _expand(word, j), prod(map(factorial, j))
 
 
 def _counts(lam, i) -> Callable:
+    from .phi import euler_char
+
     return cache(partial(euler_char, lam, i))
 
 
@@ -119,18 +130,21 @@ def _prop1(shared, word, lam, i, j) -> dict:
 
 
 def _conjecture1(shared, lam, i, d, q) -> dict:
+    from .shapemod import build_module, count_flags_fq
+    from .tableaux import conjecture1_prediction
+
     module = shared(build_module, lam, (), i)
     return {"prediction": conjecture1_prediction(lam, i, d, q),
             "brute_force": count_flags_fq(module, d, q)}
 
 
 def _pieri(shared, word, lam, i) -> dict:
-    loops = shared.loops()
+    loops = shared.loops
     return _at(word, pieri=shared(_pieris, loops, lam, i), minor=shared(_minors, loops, (), lam, i))
 
 
 def _lindstrom(shared, word, mu, lam, i) -> dict:
-    loops = shared.loops()
+    loops = shared.loops
     return _at(word, lindstrom=shared(_paths, shared.words, mu, lam, i),
                toeplitz=shared(_minors, loops, mu, lam, i))
 
@@ -213,7 +227,7 @@ def _check(target: str, case: tuple, shared: _Shared) -> VerificationReport:
     routes = list(values.values())
     return VerificationReport(
         check=target,
-        case={k: shared[_text](v) for k, v in zip(row.fields, case)},
+        case=dict(zip(row.fields, map(shared[_text], case))),
         values=values,
         ok=routes.count(routes[0]) == len(routes),
     )
@@ -238,6 +252,8 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def realizable_parities(lam: Partition, i: int) -> list[tuple[int, ...]]:
     """Distinct i-parity strings of the standard tableaux of shape lam."""
+    from .tableaux import enumerate_standard, parity_string
+
     return sorted({parity_string(T, i) for T in enumerate_standard(lam)})
 
 

@@ -190,6 +190,29 @@ def test_verify_verbose_streams_cases(capsys):
     assert json.loads(lines[0])["status"] == "ok"
 
 
+# a report, a summary and an error line, each with text outside ASCII
+LINES = [
+    verify.VerificationReport(
+        "conjecture1", {"d": "0,1", "lambda": "3,2,1", "parity": 0, "q": 2},
+        {"prediction": "a\u2081\u00b7\u03bb", "brute_force": "\u2603"},
+    ).to_json(),
+    {"cases": 25308, "failures": 0, "interrupted": True},
+    {"error": {"message": "cannot write output file 'r\u00e9pertoire/\u2603.json': No such file",
+               "type": "DomainError"}},
+]
+
+
+@pytest.mark.parametrize("held", [True, False], ids=["held", "python"])
+def test_dumps_writes_the_bytes_of_json_dumps(monkeypatch, held):
+    # the C encoder held from import, else, where the C accelerator is missing, the Python one
+    expected = [json.dumps(obj, sort_keys=True, separators=(",", ":")) for obj in LINES]
+    if not held:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    dumps = cli._dumps if held else cli._line_encoder()
+    assert (getattr(dumps, "__func__", None) is json.JSONEncoder.encode) is not held
+    assert [dumps(obj) for obj in LINES] == expected
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_verify_dumps_only_the_lines_it_writes(capsys, monkeypatch, fmt):
     # a JSON line dumps its report, a text line its case, and the text summary nothing

@@ -1,7 +1,8 @@
 """Cold start: ``import loopminors`` and a CLI call load only what their work uses.
 
 The package exports its names from one table and imports a module on first
-use of one of its names; each CLI handler imports its own route.  The import
+use of one of its names; each CLI handler imports its own route, and each
+``verify`` builder the route it runs.  The import
 checks run in a fresh interpreter, so an eager import added to ``__init__``, to
 ``cli``'s module level or to a module of the flag-count route fails here.
 """
@@ -121,6 +122,34 @@ def test_no_route_or_command_loads_dataclasses(argv, lines):
     assert len(output) == lines and json.loads(report) is False
     if lines:
         assert output[-1] == '{"cases":32,"failures":0}'
+
+
+# a verify call through the CLI, then the package's modules it loaded
+VERIFY_PROBE = """
+import json, sys
+import loopminors.cli
+loopminors.cli.main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("loopminors."))))
+"""
+# the modules each target's verify call loads: its routes and the ring beneath them
+VERIFY_LOADS = {
+    "theorem2": ("cli", "determinants", "errors", "loop", "multipoly", "networks", "partitions",
+                 "phi", "toeplitz", "verify"),
+    "prop1": ("cli", "errors", "multipoly", "partitions", "phi", "tableaux", "verify"),
+    "pieri": ("cli", "determinants", "errors", "loop", "multipoly", "partitions", "toeplitz",
+              "verify"),
+    "lindstrom": ("cli", "determinants", "errors", "loop", "multipoly", "networks", "partitions",
+                  "toeplitz", "verify"),
+    "conjecture1": ("cli", "errors", "gf", "partitions", "shapemod", "tableaux", "verify"),
+}
+
+
+@pytest.mark.parametrize("target", VERIFY_LOADS)
+def test_a_verify_call_loads_only_its_targets_routes(target):
+    bounds = ["--max-size", "2"] + (["--max-word", "2"] if target != "conjecture1" else [])
+    summary, report = run_fresh(VERIFY_PROBE, "verify", target, *bounds)
+    assert json.loads(summary)["failures"] == 0
+    assert json.loads(report) == [f"loopminors.{name}" for name in VERIFY_LOADS[target]]
 
 
 @pytest.mark.parametrize("name", loopminors.__all__)

@@ -11,7 +11,7 @@ start letter.
 
 import pytest
 
-from loopminors import verify
+from loopminors import loop, networks, phi, verify
 from loopminors.loop import word_to_loop
 from loopminors.multipoly import MultiPoly
 from loopminors.networks import lindstrom_minor
@@ -80,14 +80,15 @@ def test_a_read_one_layer_late_fails_every_case(monkeypatch, target, route, word
     # the route under test runs one letter past the sweep's longest word (the Toeplitz route
     # takes its word through word_to_loop), so only its values have more letters: each of them
     # is read one layer late, its restriction to k + 1 letters as its value on k, while the
-    # other routes read their own
-    real, cut, longest = getattr(verify, route), MultiPoly._prefix, 4
+    # other routes read their own; verify imports each route from its module when it runs
+    home = {"phi_polynomial": phi, "lindstrom_minor": networks, "word_to_loop": loop}[route]
+    real, cut, longest = getattr(home, route), MultiPoly._prefix, 4
 
     def longer(*args):
         word = args[word_at]
         return real(*args[:word_at], word + ((word[-1] + 1) % 2,), *args[word_at + 1 :])
 
-    monkeypatch.setattr(verify, route, longer)
+    monkeypatch.setattr(home, route, longer)
     monkeypatch.setattr(MultiPoly, "_prefix", lambda p, k: cut(p, k + (p.nvars > longest)))
     reports = list(sweep(target, 3, longest))
     assert reports and not any(report.ok for report in reports)

@@ -6,7 +6,7 @@ case through the input layer, with the errors the routes gave when each checked 
 
 import pytest
 
-from loopminors import verify
+from loopminors import phi
 from loopminors.errors import DomainError
 from loopminors.tableaux import expand_word
 from loopminors.verify import check, summarize, sweep, sweep_prop1
@@ -14,8 +14,8 @@ from loopminors.verify import check, summarize, sweep, sweep_prop1
 
 def test_a_broken_tableau_count_fails_every_case_the_walk_memo_answers(monkeypatch):
     honest = list(sweep("prop1", 3, 3))
-    real = verify.euler_char
-    monkeypatch.setattr(verify, "euler_char", lambda lam, i, d: real(lam, i, d) + 1)
+    real = phi.euler_char
+    monkeypatch.setattr(phi, "euler_char", lambda lam, i, d: real(lam, i, d) + 1)
     broken = list(sweep("prop1", 3, 3))
     assert [r.values["tab_count"] for r in broken] == [r.values["tab_count"] + 1 for r in honest]
     assert sum(1 for r in honest if r.values["tab_count"]) > 0
@@ -24,13 +24,13 @@ def test_a_broken_tableau_count_fails_every_case_the_walk_memo_answers(monkeypat
 
 def test_a_sweep_walks_each_parity_string_once_per_share(monkeypatch):
     walks = []
-    real = verify.euler_char
+    real = phi.euler_char
 
     def counted(lam, i, d):
         walks.append((lam, i, d))
         return real(lam, i, d)
 
-    monkeypatch.setattr(verify, "euler_char", counted)
+    monkeypatch.setattr(phi, "euler_char", counted)
     grid = list(sweep_prop1(5, 6))
     assert summarize(sweep("prop1", 5, 6)) == {"cases": len(grid), "failures": 0}
     # the counts are kept per (lambda, i), so each (lambda, i, d) is walked once

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopminors import verify
+from loopminors import loop, networks, phi, shapemod, tableaux, toeplitz, verify
 from loopminors.errors import DomainError
 from loopminors.loop import word_to_loop
 from loopminors.multipoly import MultiPoly
@@ -246,6 +246,10 @@ BENCHMARK_SWEEPS = {
 }
 # the routes that read the shared values, answering 0 for any of them
 READERS = ("conjecture1_prediction", "count_flags_fq", "euler_char")
+# each route's module, from which verify imports it when it runs, so a rebinding there reaches it
+HOMES = {"word_to_loop": loop, "phi_polynomial": phi, "euler_char": phi,
+         "lindstrom_minor": networks, "minor": toeplitz, "pieri_determinant": toeplitz,
+         "build_module": shapemod, "count_flags_fq": shapemod, "conjecture1_prediction": tableaux}
 
 
 class Built:
@@ -279,9 +283,9 @@ def test_a_sweep_builds_each_shared_value_once_and_keeps_only_what_it_reuses(mon
         return build
 
     for route, record in built.items():
-        monkeypatch.setattr(verify, route, counted(*record))
+        monkeypatch.setattr(HOMES[route], route, counted(*record))
     for route in READERS:
-        monkeypatch.setattr(verify, route, lambda *_: 0)
+        monkeypatch.setattr(HOMES[route], route, lambda *_: 0)
     bound = (2, 3) if target == "conjecture1" else max_word
     grid = list(getattr(verify, f"sweep_{target}")(max_size, bound))
     assert summarize(sweep(target, max_size, max_word)) == {"cases": len(grid), "failures": 0}
@@ -300,9 +304,9 @@ def test_a_sweep_formats_each_field_value_and_expands_each_content_once(monkeypa
     # each field's text and each prop1 (word, content) expansion is made once per sweep,
     # and the reports read as check's
     formatted, expanded = [], []
-    real_format, real_expand = verify.format_partition, verify._expand
+    real_format, real_expand = verify.format_partition, tableaux._expand
     monkeypatch.setattr(verify, "format_partition", lambda v: formatted.append(v) or real_format(v))
-    monkeypatch.setattr(verify, "_expand", lambda w, j: expanded.append((w, j)) or real_expand(w, j))
+    monkeypatch.setattr(tableaux, "_expand", lambda w, j: expanded.append((w, j)) or real_expand(w, j))
     bound = (2, 3) if target == "conjecture1" else 3
     grid = list(getattr(verify, f"sweep_{target}")(3, bound))
     reports = list(sweep(target, 3, None if target == "conjecture1" else 3))
@@ -311,6 +315,22 @@ def test_a_sweep_formats_each_field_value_and_expands_each_content_once(monkeypa
     pairs = {(case[0], case[3]) for case in grid} if target == "prop1" else set()
     assert len(expanded) == len(set(expanded)) == len(pairs)
     assert [report.to_json() for report in reports] == [check(target, *case).to_json() for case in grid]
+
+
+@pytest.mark.parametrize("target", ["theorem2", "pieri", "lindstrom"])
+@pytest.mark.parametrize(
+    "word, message",
+    [((), "at least one letter"), ((2,), "must be 0 or 1"), ((1, 1), "not alternating")],
+)
+def test_check_reads_a_malformed_word_through_word_to_loop_before_any_route(
+    monkeypatch, target, word, message
+):
+    # the sweep's loop elements are built first, once, so the Toeplitz route's reader fails
+    for route in ("phi_polynomial", "lindstrom_minor", "minor", "pieri_determinant"):
+        monkeypatch.setattr(HOMES[route], route, lambda *_: pytest.fail("a route ran"))
+    case = (word, (1,), (2, 1), 0) if target == "lindstrom" else (word, (2, 1), 0)
+    with pytest.raises(DomainError, match=message):
+        check(target, *case)
 
 
 @pytest.mark.parametrize(
