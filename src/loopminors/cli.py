@@ -7,8 +7,9 @@ comma lists with the empty string for the empty partition; words, parity
 strings, and contents are comma lists of integers.
 
 Exit codes: 0 on success (including reported conjecture mismatches), 1 for
-domain errors, 2 for bad options (argparse usage errors), 130 for a ``verify``
-sweep ended by an interrupt, after its partial summary.
+domain errors and for running out of memory, each reported as one JSON error
+line, 2 for bad options (argparse usage errors), 130 for a ``verify`` sweep
+ended by an interrupt, after its partial summary.
 
 Each handler imports its route when it runs, so a call loads only the modules
 of its subcommand.
@@ -293,8 +294,8 @@ def main(argv=None) -> int:
             if getattr(args, dest, None) is not None:
                 setattr(args, dest, read(getattr(args, dest)))
         return args.func(args, out) or 0  # a handler that only prints returns None
-    except LoopMinorsError as exc:
-        out.emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+    except (LoopMinorsError, MemoryError) as exc:
+        out.emit({"error": {"type": type(exc).__name__, "message": str(exc) or "out of memory"}})
         return 1
     finally:
         out.close()

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -310,6 +311,22 @@ def test_domain_error_exit_code(capsys):
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
+@pytest.mark.parametrize("exc, shown", [(MemoryError(), "out of memory"),
+                                        (MemoryError("no room"), "no room")],
+                         ids=["bare", "with-message"])
+def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch, exc, shown):
+    from loopminors import tableaux
+
+    def exhausted(*_):
+        raise exc
+
+    monkeypatch.setattr(tableaux, "enumerate_chess", exhausted)
+    code, out, err = run_cli(capsys, "chess", "--shape", "10,10,10", "--parity", "1",
+                             "--max-label", "30")
+    assert (code, err) == (1, "")
+    assert out == '{"error":{"message":"%s","type":"MemoryError"}}\n' % shown
+
+
 def test_word_and_matrix_are_exclusive(capsys):
     code, out, _ = run_cli(
         capsys, "minor", "--mu", "", "--lambda", "1", "--parity", "0"
@@ -538,37 +555,75 @@ def test_an_option_the_command_would_ignore_is_an_error(capsys, argv):
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
-# The --format text bytes and exit code of every subcommand; an error stays
-# one JSON line.
-TEXT_OUTPUTS = {
+# The recorded bytes of CLI calls: for each row its argv, with --format, its exit
+# code, its stdout, spelled out or as its sha256, and its stderr.  A recorded value
+# changes only with a CHANGES.md line saying which bytes changed and why.  An
+# error stays one JSON line in either format.
+class Sha256(str):
+    """The recorded sha256 of an output too long to spell out."""
+
+
+WORD12 = "1,0,1,0,1,0,1,0,1,0,1,0"
+WORD11 = "1,0,1,0,1,0,1,0,1,0,1"
+WORD18 = "1,0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1,0"
+# the 3,885-term, 12-variable anchor, through φ and both determinant routes
+PHI12_TXT = Sha256("7c651c781b6132980402cc8e51d1cb992b153b5c23f9c17672bee9913cd215d6")
+OFFPOOL = ["points", "--lambda", "4,3,2,1", "--mu", "2,1", "--parity", "1", "--d", "1,1,1,0,0,0,0"]
+CONJECTURE1_WARNING = "warning: 4 conjecture mismatch(es) reported\n"
+
+# The JSON Laurent matrices that the --matrix rows read, each written to a file of
+# its name first.
+MATRIX_FILES = {
+    # g = x1(2/3) x0(3/4), det 1
+    "det1.json": '{"g11":{"0":"1","1":"1/2"},"g12":{"0":"2/3"},"g21":{"1":"3/4"},"g22":{"0":"1"}}',
+    # g11 = 2, g22 = 1, det 2
+    "det2.json": '{"g11":{"0":"2"},"g12":{},"g21":{},"g22":{"0":"1"}}',
+    # det 1 with polynomial entries, but g = diag(2, 1/2) x0(1) x1(1) has no unit
+    # diagonal and g = [[1,t],[2,1+2t]] x0(3) x0(5/2) a lower constant 2, so both
+    # minors must read the direct window
+    "diag.json": '{"g11":{"0":"2"},"g12":{"0":"2"},"g21":{"1":"1/2"},"g22":{"0":"1/2","1":"1/2"}}',
+    "lower.json": '{"g11":{"0":"1","2":"11/2"},"g12":{"1":"1"},'
+                  '"g21":{"0":"2","1":"11/2","2":"11"},"g22":{"0":"1","1":"2"}}',
+}
+
+OUTPUTS = {
     "tableaux": (
-        ["tableaux", "--shape", "3,1"],
-        0,
-        "[[1, 2, 3], [4]]\n[[1, 2, 4], [3]]\n[[1, 3, 4], [2]]\n",
+        ["--format", "text", "tableaux", "--shape", "3,1"],
+        0, "[[1, 2, 3], [4]]\n[[1, 2, 4], [3]]\n[[1, 3, 4], [2]]\n", "",
     ),
     "tableaux-none": (
-        ["tableaux", "--shape", "2,1", "--parity", "1", "--d", "1,1,1"],
-        0,
-        "(none)\n",
+        ["--format", "text", "tableaux", "--shape", "2,1", "--parity", "1", "--d", "1,1,1"],
+        0, "(none)\n", "",
     ),
     "chess": (
-        ["chess", "--shape", "2,1", "--parity", "1", "--max-label", "4"],
+        ["--format", "text", "chess", "--shape", "2,1", "--parity", "1", "--max-label", "4"],
         0,
         "0,0,1,2: [[[3, 4], [4]]]\n"
         "1,0,0,2: [[[1, 4], [4]]]\n"
         "1,1,0,1: [[[1, 2], [4]], [[1, 4], [2]]]\n"
         "1,2,0,0: [[[1, 2], [2]]]\n",
+        "",
     ),
-    "phi": (["phi", "--shape", "2,1", "--parity", "1", "--word", "1,0,1,0"], 0, GOLDEN + "\n"),
-    "minor": (["minor", "--word", "1,0,1,0", "--lambda", "2,1", "--parity", "1"], 0, GOLDEN + "\n"),
-    "pieri": (["pieri", "--word", "1,0,1", "--lambda", "2,1", "--parity", "0"], 0, "a2*a3^2\n"),
+    "phi": (
+        ["--format", "text", "phi", "--shape", "2,1", "--parity", "1", "--word", "1,0,1,0"],
+        0, GOLDEN + "\n", "",
+    ),
+    "minor": (
+        ["--format", "text", "minor", "--word", "1,0,1,0", "--lambda", "2,1", "--parity", "1"],
+        0, GOLDEN + "\n", "",
+    ),
+    "pieri": (
+        ["--format", "text", "pieri", "--word", "1,0,1", "--lambda", "2,1", "--parity", "0"],
+        0, "a2*a3^2\n", "",
+    ),
     "paths": (
-        ["paths", "--word", "1,0", "--mu", "1", "--lambda", "2,1", "--parity", "1"],
-        0,
-        "[[2, 2, 3], [0, 0, 1]]\n",
+        ["--format", "text", "paths", "--word", "1,0", "--mu", "1", "--lambda", "2,1",
+         "--parity", "1"],
+        0, "[[2, 2, 3], [0, 0, 1]]\n", "",
     ),
     "paths-render": (
-        ["paths", "--word", "1,0,1", "--lambda", "1,1", "--parity", "0", "--render"],
+        ["--format", "text", "paths", "--word", "1,0,1", "--lambda", "1,1", "--parity", "0",
+         "--render"],
         0,
         "weight a2*a3\n"
         "   1 o   o   *---*\n"
@@ -577,20 +632,24 @@ TEXT_OUTPUTS = {
         "               /\n"
         "  -1 *---*---*   o\n"
         "sum a2*a3\n",
+        "",
     ),
     "module": (
-        ["module", "--lambda", "3,1", "--mu", "1", "--parity", "1"],
-        0,
-        "dim 3\n[0, 2] --beta--> [0, 1]\n",
+        ["--format", "text", "module", "--lambda", "3,1", "--mu", "1", "--parity", "1"],
+        0, "dim 3\n[0, 2] --beta--> [0, 1]\n", "",
     ),
-    "points": (["points", "--lambda", "2,1", "--parity", "1", "--d", "1,0,0", "--q", "2"], 0, "3\n"),
+    "points": (
+        ["--format", "text", "points", "--lambda", "2,1", "--parity", "1", "--d", "1,0,0",
+         "--q", "2"],
+        0, "3\n", "",
+    ),
     "points-canonical": (
-        ["points", "--lambda", "2,1,0", "--mu", "0", "--parity", "1", "--d", "1,0,0", "--q", "2"],
-        0,
-        "3\n",
+        ["--format", "text", "points", "--lambda", "2,1,0", "--mu", "0", "--parity", "1",
+         "--d", "1,0,0", "--q", "2"],
+        0, "3\n", "",
     ),
     "verify": (
-        ["verify", "pieri", "--max-size", "1", "--max-word", "1", "--verbose"],
+        ["--format", "text", "verify", "pieri", "--max-size", "1", "--max-word", "1", "--verbose"],
         0,
         'ok {"lambda":"","parity":0,"word":"0"}\n'
         'ok {"lambda":"","parity":0,"word":"1"}\n'
@@ -601,18 +660,21 @@ TEXT_OUTPUTS = {
         'ok {"lambda":"1","parity":1,"word":"0"}\n'
         'ok {"lambda":"1","parity":1,"word":"1"}\n'
         "cases 8, failures 0\n",
+        "",
     ),
     "verify-conjecture1": (
-        ["verify", "conjecture1", "--max-size", "6", "--q", "2", "--q", "3"],
+        ["--format", "text", "verify", "conjecture1", "--max-size", "6", "--q", "2", "--q", "3"],
         0,
         'mismatch {"d":"0,1,0,1,0,0","lambda":"3,2,1","parity":0,"q":2}\n'
         'mismatch {"d":"0,1,0,1,0,0","lambda":"3,2,1","parity":0,"q":3}\n'
         'mismatch {"d":"1,0,1,0,1,1","lambda":"3,2,1","parity":1,"q":2}\n'
         'mismatch {"d":"1,0,1,0,1,1","lambda":"3,2,1","parity":1,"q":3}\n'
         "cases 224, failures 4\n",
+        CONJECTURE1_WARNING,
     ),
     "verify-lindstrom": (
-        ["verify", "lindstrom", "--max-size", "1", "--max-word", "1", "--verbose"],
+        ["--format", "text", "verify", "lindstrom", "--max-size", "1", "--max-word", "1",
+         "--verbose"],
         0,
         'ok {"lambda":"","mu":"","parity":0,"word":"0"}\n'
         'ok {"lambda":"","mu":"","parity":0,"word":"1"}\n'
@@ -627,43 +689,331 @@ TEXT_OUTPUTS = {
         'ok {"lambda":"1","mu":"","parity":1,"word":"0"}\n'
         'ok {"lambda":"1","mu":"","parity":1,"word":"1"}\n'
         "cases 12, failures 0\n",
+        "",
     ),
     "error": (
-        ["module", "--lambda", "3", "--mu", "5", "--parity", "0"],
-        1,
-        '{"error":{"message":"(5,) is not contained in (3,)","type":"DomainError"}}\n',
+        ["--format", "text", "module", "--lambda", "3", "--mu", "5", "--parity", "0"],
+        1, '{"error":{"message":"(5,) is not contained in (3,)","type":"DomainError"}}\n', "",
     ),
     "error-d-without-parity": (
-        ["tableaux", "--shape", "2,1", "--d", "0,1,1"],
-        1,
-        '{"error":{"message":"--d requires --parity","type":"DomainError"}}\n',
+        ["--format", "text", "tableaux", "--shape", "2,1", "--d", "0,1,1"],
+        1, '{"error":{"message":"--d requires --parity","type":"DomainError"}}\n', "",
     ),
     # 6 is no field size, so no larger guard could count it; 7 is over the guard
     "error-q-not-a-field": (
-        ["points", "--lambda", "2,1", "--mu", "", "--parity", "0", "--d", "0,1,0", "--q", "6"],
-        1,
-        '{"error":{"message":"field size 6 is not a prime power","type":"DomainError"}}\n',
+        ["--format", "text", "points", "--lambda", "2,1", "--mu", "", "--parity", "0",
+         "--d", "0,1,0", "--q", "6"],
+        1, '{"error":{"message":"field size 6 is not a prime power","type":"DomainError"}}\n', "",
     ),
     "error-q-over-budget": (
-        ["points", "--lambda", "2,1", "--mu", "", "--parity", "0", "--d", "0,1,0", "--q", "7"],
+        ["--format", "text", "points", "--lambda", "2,1", "--mu", "", "--parity", "0",
+         "--d", "0,1,0", "--q", "7"],
         1,
         '{"error":{"message":"brute-force counting is guarded to q <= 5 (got 7)",'
         '"type":"ResourceLimitError"}}\n',
+        "",
+    ),
+    # recorded at fd03553, when the verify target choices came from an eager
+    # import of verify; every row runs with COLUMNS=80, argparse's line width
+    "help": (
+        ["--help"],
+        0,
+        "usage: loopminors [-h] [--format {json,text}] [--out OUT]\n"
+        "                  {tableaux,chess,phi,minor,pieri,paths,module,points,verify}\n"
+        "                  ...\n"
+        "\n"
+        "Exact tableau, path, and block-Toeplitz minor computations.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {tableaux,chess,phi,minor,pieri,paths,module,points,verify}\n"
+        "    tableaux            standard tableaux of a shape\n"
+        "    chess               chess tableaux grouped by content\n"
+        "    phi                 flag-counting generating polynomial\n"
+        "    minor               block-Toeplitz minor\n"
+        "    pieri               determinant in single-row entries\n"
+        "    paths               non-crossing path families\n"
+        "    module              skew-shape module description\n"
+        "    points              finite-field composition-series count\n"
+        "    verify              cross-route verification sweeps\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {json,text}\n"
+        "  --out OUT             write output to a file\n",
+        "",
+    ),
+    "help-verify": (
+        ["verify", "--help"],
+        0,
+        "usage: loopminors verify [-h] [--max-size MAX_SIZE] [--max-word MAX_WORD]\n"
+        "                         [--q Q] [--verbose]\n"
+        "                         {theorem2,prop1,conjecture1,pieri,lindstrom}\n"
+        "\n"
+        "positional arguments:\n"
+        "  {theorem2,prop1,conjecture1,pieri,lindstrom}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --max-size MAX_SIZE\n"
+        "  --max-word MAX_WORD\n"
+        "  --q Q\n"
+        "  --verbose             stream every case\n",
+        "",
+    ),
+    # what the enumerators build; recorded at 28a445f, whose enumerators were recursive
+    "tableaux-4321.json": (
+        ["tableaux", "--shape", "4,3,2,1"],
+        0, Sha256("e4316af3d7dde111c431018448df1c08dbfd0e75bdc4eb72311a301ca5e2381f"), "",
+    ),
+    "tableaux-4321-d.txt": (
+        ["--format", "text", "tableaux", "--shape", "4,3,2,1", "--parity", "1",
+         "--d", "1,0,0,1,1,1,0,0,0,0"],
+        0, Sha256("32e2a43d4565ef19ce0ca516c7a46cf030fa7efae0e81f41b6bf6229e2918c0d"), "",
+    ),
+    "chess-332.json": (
+        ["chess", "--shape", "3,3,2", "--parity", "1", "--max-label", "8"],
+        0, Sha256("47409d1d6c5790cd0648429b57c7c200a2cfa5569e11dde8aec0a43da5c59441"), "",
+    ),
+    "paths-321-render.txt": (
+        ["--format", "text", "paths", "--word", "1,0,1,0,1,0", "--mu", "1", "--lambda", "3,2,1",
+         "--parity", "1", "--render"],
+        0, Sha256("25d7f00e1141eb1415fbd837fef0471b06690ce74c7d3d39430325f119f63e08"), "",
+    ),
+    "paths-331.json": (
+        ["paths", "--word", "0,1,0,1,0,1,0", "--lambda", "3,3,1", "--parity", "0"],
+        0, Sha256("1ffebf5649f3fa263a58dee92f8641f08d0f15081941c3e92fb1530d3b6e6e53"), "",
+    ),
+    "module-43221.json": (
+        ["module", "--lambda", "4,3,2,2,1", "--mu", "2,1", "--parity", "0"],
+        0,
+        '{"arrows":[[[0,3],"beta",[0,2]],[[1,2],"alpha*",[0,2]],[[1,2],"beta",[1,1]],'
+        '[[2,1],"alpha*",[1,1]],[[2,1],"beta",[2,0]],[[3,0],"alpha*",[2,0]],'
+        '[[3,1],"alpha",[3,0]],[[3,1],"beta*",[2,1]],[[4,0],"beta*",[3,0]]],'
+        '"dim":9,"inner":"2,1","outer":"4,3,2,2,1","parity":0}\n',
+        "",
+    ),
+    "module-43221.txt": (
+        ["--format", "text", "module", "--lambda", "4,3,2,2,1", "--mu", "2,1", "--parity", "0"],
+        0,
+        "dim 9\n"
+        "[0, 3] --beta--> [0, 2]\n"
+        "[1, 2] --alpha*--> [0, 2]\n"
+        "[1, 2] --beta--> [1, 1]\n"
+        "[2, 1] --alpha*--> [1, 1]\n"
+        "[2, 1] --beta--> [2, 0]\n"
+        "[3, 0] --alpha*--> [2, 0]\n"
+        "[3, 1] --alpha--> [3, 0]\n"
+        "[3, 1] --beta*--> [2, 1]\n"
+        "[4, 0] --beta*--> [3, 0]\n",
+        "",
+    ),
+    # flag counts over budget for a smaller pool
+    "points-q5.json": (
+        ["points", "--lambda", "4,4,2,1", "--mu", "3,1", "--parity", "0",
+         "--d", "0,0,1,1,1,1,0", "--q", "5"],
+        0, '{"count":174096,"d":[0,0,1,1,1,1,0],"lambda":"4,4,2,1","mu":"3,1","parity":0,"q":5}\n',
+        "",
+    ),
+    "points-q4.json": (
+        ["points", "--lambda", "4,4,2,1", "--mu", "3,1", "--parity", "0",
+         "--d", "0,0,1,1,1,1,0", "--q", "4"],
+        0, '{"count":44625,"d":[0,0,1,1,1,1,0],"lambda":"4,4,2,1","mu":"3,1","parity":0,"q":4}\n',
+        "",
+    ),
+    # past the benchmark pool's functional budget when every step peels the top
+    # (10,022 functionals at q = 5); recorded at d266a8c, which did
+    "points-offpool-q5.json": (
+        [*OFFPOOL, "--q", "5"],
+        0,
+        '{"count":5396976,"d":[1,1,1,0,0,0,0],"lambda":"4,3,2,1","mu":"2,1","parity":1,"q":5}\n',
+        "",
+    ),
+    "points-offpool-q4.json": (
+        [*OFFPOOL, "--q", "4"],
+        0,
+        '{"count":937125,"d":[1,1,1,0,0,0,0],"lambda":"4,3,2,1","mu":"2,1","parity":1,"q":4}\n',
+        "",
+    ),
+    # digests of the output of the tuple-based text and json_terms, which the
+    # packed-key readers replaced
+    "phi12.json": (
+        ["phi", "--shape", "5,4,3,2,1", "--parity", "1", "--word", WORD12],
+        0, Sha256("175e0bcff603d631ac9c688f05230e8cd554ded24e9fc4a8efdafe95163942b0"), "",
+    ),
+    "phi12.txt": (
+        ["--format", "text", "phi", "--shape", "5,4,3,2,1", "--parity", "1", "--word", WORD12],
+        0, PHI12_TXT, "",
+    ),
+    # the symbolic cofactor route on the same anchor, whose text is φ's: Theorem 2
+    # and the Pieri identity there
+    "minor12.json": (
+        ["minor", "--word", WORD12, "--mu=", "--lambda", "5,4,3,2,1", "--parity", "1"],
+        0, Sha256("1f81afd7199a5bff3dfc9f97192ed64cff5fcc4bb0ff156962bae968dcf0d928"), "",
+    ),
+    "minor12.txt": (
+        ["--format", "text", "minor", "--word", WORD12, "--mu=", "--lambda", "5,4,3,2,1",
+         "--parity", "1"],
+        0, PHI12_TXT, "",
+    ),
+    "pieri12.json": (
+        ["pieri", "--word", WORD12, "--lambda", "5,4,3,2,1", "--parity", "1"],
+        0, Sha256("1f81afd7199a5bff3dfc9f97192ed64cff5fcc4bb0ff156962bae968dcf0d928"), "",
+    ),
+    "pieri12.txt": (
+        ["--format", "text", "pieri", "--word", WORD12, "--lambda", "5,4,3,2,1", "--parity", "1"],
+        0, PHI12_TXT, "",
+    ),
+    # lambda = (3,2,2,2,2,2,2): the minor reads the side-3 window of the conjugate
+    # (7,7,1), the Pieri determinant its side-3 matrix of single-row entries on
+    # (7,7,1); the digests were recorded from the side-7 window of lambda itself
+    "minor-tall11.json": (
+        ["minor", "--word", WORD11, "--mu=", "--lambda", "3,2,2,2,2,2,2", "--parity", "1"],
+        0, Sha256("24f8f0da4e69c74446565052f705748698a99b7e2879bd8eddc6179d39c931f4"), "",
+    ),
+    "minor-tall11.txt": (
+        ["--format", "text", "minor", "--word", WORD11, "--mu=", "--lambda", "3,2,2,2,2,2,2",
+         "--parity", "1"],
+        0, Sha256("f29d09686c815a101b0414005421f34f60349e7cc0326f7885b8af58f960b229"), "",
+    ),
+    "pieri-tall11.json": (
+        ["pieri", "--word", WORD11, "--lambda", "3,2,2,2,2,2,2", "--parity", "1"],
+        0, Sha256("24f8f0da4e69c74446565052f705748698a99b7e2879bd8eddc6179d39c931f4"), "",
+    ),
+    "pieri-tall11.txt": (
+        ["--format", "text", "pieri", "--word", WORD11, "--lambda", "3,2,2,2,2,2,2",
+         "--parity", "1"],
+        0, Sha256("f29d09686c815a101b0414005421f34f60349e7cc0326f7885b8af58f960b229"), "",
+    ),
+    # lambda = (2)^9 and its conjugate (9,9) both expand a side-2 matrix; the
+    # digests were recorded at 1a71b3b, where (2)^9 expanded side 9
+    "pieri-wide12.json": (
+        ["pieri", "--word", WORD12, "--lambda", "2,2,2,2,2,2,2,2,2", "--parity", "1"],
+        0, Sha256("ed78d15a6f8868fffc90e4626f03d09421d99014621cd99f892d903c9c7b1a06"), "",
+    ),
+    "pieri-wide12.txt": (
+        ["--format", "text", "pieri", "--word", WORD12, "--lambda", "2,2,2,2,2,2,2,2,2",
+         "--parity", "1"],
+        0, Sha256("e0c2eb2cda6af19e309ae2e7544629b67bde8d1e5cc5e5e68ae211c33fa0ae83"), "",
+    ),
+    "pieri-wide12-conjugate.json": (
+        ["pieri", "--word", WORD12, "--lambda", "9,9", "--parity", "1"],
+        0, Sha256("ed78d15a6f8868fffc90e4626f03d09421d99014621cd99f892d903c9c7b1a06"), "",
+    ),
+    "pieri-wide12-conjugate.txt": (
+        ["--format", "text", "pieri", "--word", WORD12, "--lambda", "9,9", "--parity", "1"],
+        0, Sha256("e0c2eb2cda6af19e309ae2e7544629b67bde8d1e5cc5e5e68ae211c33fa0ae83"), "",
+    ),
+    # 18 letters: g has 10,946 terms, and word_to_loop builds it without
+    # re-checking det g = 1; the digests were recorded from the checked build
+    "minor-long18.json": (
+        ["minor", "--word", WORD18, "--mu=", "--lambda", "3,2,1", "--parity", "1"],
+        0, Sha256("fbc7d605022ee62c60a60ff66700b8a51e17b31e14411083ebfd560ce2366c4e"), "",
+    ),
+    "minor-long18.txt": (
+        ["--format", "text", "minor", "--word", WORD18, "--mu=", "--lambda", "3,2,1",
+         "--parity", "1"],
+        0, Sha256("d37529d84d9eac89b3a13faf9bc8d080a86bba32f29a0bdffd1f2f85e365f0e7"), "",
+    ),
+    "pieri-long18.json": (
+        ["pieri", "--word", WORD18, "--lambda", "3,2,1", "--parity", "1"],
+        0, Sha256("fbc7d605022ee62c60a60ff66700b8a51e17b31e14411083ebfd560ce2366c4e"), "",
+    ),
+    "pieri-long18.txt": (
+        ["--format", "text", "pieri", "--word", WORD18, "--lambda", "3,2,1", "--parity", "1"],
+        0, Sha256("d37529d84d9eac89b3a13faf9bc8d080a86bba32f29a0bdffd1f2f85e365f0e7"), "",
+    ),
+    # 20,045 lines each; recorded at 7e6fb28, when every case ran its own checked
+    # euler_char walk and coefficient read
+    "verify-prop1.json": (
+        ["verify", "prop1", "--max-size", "5", "--max-word", "6", "--verbose"],
+        0, Sha256("be94b321c416da101758d38ecaae44ffffc901f309784fde5b57f4d7be26a9e2"), "",
+    ),
+    "verify-prop1.txt": (
+        ["--format", "text", "verify", "prop1", "--max-size", "5", "--max-word", "6", "--verbose"],
+        0, Sha256("987371f83f597755d7b39df666f1f0a71784f8cd8a6e0a3ebe0b2cf5d5acf2fa"), "",
+    ),
+    # 1,441 lines each; recorded at cd8168c, when every word ran its own phi and
+    # Lindström walks
+    "verify-theorem2.json": (
+        ["verify", "theorem2", "--max-size", "7", "--max-word", "8", "--verbose"],
+        0, Sha256("d95248678e1af20abbd4e8373f7e1b1c00470763c189869f2f0f55cbb7b18537"), "",
+    ),
+    "verify-theorem2.txt": (
+        ["--format", "text", "verify", "theorem2", "--max-size", "7", "--max-word", "8",
+         "--verbose"],
+        0, Sha256("f8d7949b9c1cbe9c2dba0006be7ecface5bb5e06d1e3d14919734d3b473fc946"), "",
+    ),
+    # 2,641 lines each; recorded at cd8168c, when every word ran its own Lindström walk
+    "verify-lindstrom.json": (
+        ["verify", "lindstrom", "--max-size", "5", "--max-word", "6", "--verbose"],
+        0, Sha256("8f75ed8d3e09069cc8462ebb72d2a4f8482b86703ef5160cc3a265167aa13822"), "",
+    ),
+    "verify-lindstrom.txt": (
+        ["--format", "text", "verify", "lindstrom", "--max-size", "5", "--max-word", "6",
+         "--verbose"],
+        0, Sha256("9859eb18b8e24e94d59edcbb9a88bf1b8395427804c42f05d9d0f781ff8b5525"), "",
+    ),
+    # 961 lines each; recorded at 01a7f44, when every line built its own JSON
+    # encoder and every case formatted its own fields
+    "verify-pieri.json": (
+        ["verify", "pieri", "--max-size", "6", "--max-word", "8", "--verbose"],
+        0, Sha256("3b7167e0fd7fad99c657f92d600a96de6dcb2e3cbc4a9403c229287e9143bfa2"), "",
+    ),
+    "verify-pieri.txt": (
+        ["--format", "text", "verify", "pieri", "--max-size", "6", "--max-word", "8", "--verbose"],
+        0, Sha256("9ae8196d1d004ae38d1da4e3db4645c96fc4d0f42a436541fdfcba206b383af5"), "",
+    ),
+    # 225 lines each; recorded at 3da8a06, when ShapeModule was a frozen dataclass
+    # and conjecture1_prediction lived in shapemod; the four mismatches are
+    # findings, so the sweep exits 0 with a warning on stderr
+    "verify-conjecture1.json": (
+        ["verify", "conjecture1", "--max-size", "6", "--q", "2", "--q", "3", "--verbose"],
+        0, Sha256("24ae002a3751d49748cd59dd2022a1e578cc76773bc7ef8f6b2a30d244347a68"),
+        CONJECTURE1_WARNING,
+    ),
+    "verify-conjecture1.txt": (
+        ["--format", "text", "verify", "conjecture1", "--max-size", "6", "--q", "2", "--q", "3",
+         "--verbose"],
+        0, Sha256("e83fe6782c8c2ba6b861a6dd60f18d747c93b664c7305c0b0660016b14c0ca22"),
+        CONJECTURE1_WARNING,
+    ),
+    "matrix-det1": (
+        ["minor", "--matrix", "det1.json", "--mu", "", "--lambda", "2,1", "--parity", "1"],
+        0, '{"value":"3/8"}\n', "",
+    ),
+    "matrix-det2": (
+        ["minor", "--matrix", "det2.json", "--mu", "", "--lambda", "1", "--parity", "0"],
+        1, '{"error":{"message":"determinant is not 1: 2","type":"DomainError"}}\n', "",
+    ),
+    "matrix-diag": (
+        ["minor", "--matrix", "diag.json", "--mu", "", "--lambda", "1,1", "--parity", "0"],
+        0, '{"value":"1"}\n', "",
+    ),
+    "matrix-lower-11": (
+        ["minor", "--matrix", "lower.json", "--mu", "", "--lambda", "1,1", "--parity", "1"],
+        0, '{"value":"-2"}\n', "",
+    ),
+    "matrix-lower-111": (
+        ["minor", "--matrix", "lower.json", "--mu", "", "--lambda", "1,1,1", "--parity", "0"],
+        0, '{"value":"0"}\n', "",
     ),
 }
 
 
-# The rows that write to stderr; every other row writes nothing there.
-TEXT_STDERR = {"verify-conjecture1": "warning: 4 conjecture mismatch(es) reported\n"}
-
-
-@pytest.mark.parametrize(
-    "argv, code, expected, err",
-    [(*row, TEXT_STDERR.get(name, "")) for name, row in TEXT_OUTPUTS.items()],
-    ids=TEXT_OUTPUTS.keys(),
-)
-def test_text_output_bytes(capsys, argv, code, expected, err):
-    assert run_cli(capsys, "--format", "text", *argv) == (code, expected, err)
+@pytest.mark.parametrize("argv, code, expected, err", OUTPUTS.values(), ids=OUTPUTS.keys())
+def test_text_output_bytes(tmp_path, monkeypatch, capsys, argv, code, expected, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    for name in MATRIX_FILES.keys() & set(argv):
+        (tmp_path / name).write_text(MATRIX_FILES[name])
+    argv = [str(tmp_path / a) if a in MATRIX_FILES else a for a in argv]
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # --help
+        status = exc.code
+    out, got_err = capsys.readouterr()
+    if isinstance(expected, Sha256):
+        out = hashlib.sha256(out.encode()).hexdigest()
+    assert (status, out, got_err) == (code, expected, err)
 
 
 def test_text_output_to_a_file(tmp_path, capsys):
