@@ -112,9 +112,8 @@ def cmd_phi(args, out: Output) -> None:
     from .phi import phi_polynomial
 
     poly = phi_polynomial(args.shape, args.parity, args.word)
-    text = poly.text()
-    obj = {"polynomial": text, "terms": poly.json_terms()} if out.fmt == "json" else None
-    out.emit(obj, text=text)
+    text, terms = poly.text_and_terms() if out.fmt == "json" else (poly.text(), None)
+    out.emit({"polynomial": text, "terms": terms}, text=text)
 
 
 def _load_matrix(path: str):
@@ -273,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--out", default=None, help="write output to a file")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (help_text, func, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for option in options:

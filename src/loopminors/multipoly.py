@@ -10,11 +10,14 @@ into the next field, so it is rejected with :class:`DomainError`, both on
 construction and when a product would reach it.  Coefficients never round or
 overflow.  The canonical term order used for text and JSON output is
 descending lexicographic on the exponent tuple, which reproduces the
-conventional "leading monomial first" reading.
+conventional "leading monomial first" reading.  Text, JSON and evaluation read
+keys through one decoder, ``_decoder``: it splits a key into a high half
+(a1..ah, h = nvars // 2) and a low half, and decodes each distinct half once.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import DomainError
@@ -34,6 +37,41 @@ def _pack(exps: tuple[int, ...]) -> int:
 def _shifts(nvars: int) -> list[int]:
     """The bit offset of each variable's exponent field in a key, a1 first."""
     return [EXPONENT_BITS * k for k in range(nvars - 1, -1, -1)]
+
+
+# The pieces of a key half, from its (variable number, exponent) pairs and nvars: its
+# factors, each led by "*" ("*a2*a3^4") so that halves join by +; its exponents, each
+# followed by "," but that of a_nvars ("0,4," or "1,0"); and its exponent tuple.
+_PIECES = {
+    "factors": lambda pairs, n: "".join([f"*a{k}" if e == 1 else f"*a{k}^{e}" for k, e in pairs if e]),
+    "exponents": lambda pairs, n: "".join([f"{e}," if k < n else str(e) for k, e in pairs]),
+    "tuple": lambda pairs, n: tuple([e for _, e in pairs]),
+}
+
+
+class _Halves(dict):
+    """Key halves to their pieces, each made on the half's first lookup from the
+    (variable number, exponent) pairs of its ``fields``, (variable number, shift) each."""
+
+    def __init__(self, piece, fields, nvars: int):
+        self.piece, self.fields, self.nvars = piece, fields, nvars
+
+    def __missing__(self, half: int):
+        pairs = [(k, (half >> s) & MAX_EXPONENT) for k, s in self.fields]
+        value = self[half] = self.piece(pairs, self.nvars)
+        return value
+
+
+@functools.cache
+def _decoder(nvars: int, kind: str):
+    """The key reader, (width, mask, high, low): ``high`` and ``low`` give the ``kind``
+    piece of a high half ``key >> width`` and a low half ``key & mask``, made once each."""
+    h = nvars // 2
+    width = EXPONENT_BITS * (nvars - h)
+    fields = [(k + 1, shift) for k, shift in enumerate(_shifts(nvars))]
+    high = [(k, shift - width) for k, shift in fields[:h]]
+    piece = _PIECES[kind]
+    return width, (1 << width) - 1, _Halves(piece, high, nvars), _Halves(piece, fields[h:], nvars)
 
 
 def _carry(layer: dict, edges) -> dict:
@@ -281,8 +319,8 @@ class MultiPoly:
 
     def _exponents(self):
         """The exponent tuples of the terms, in no particular order."""
-        shifts = _shifts(self.nvars)
-        return (tuple((key >> shift) & MAX_EXPONENT for shift in shifts) for key in self.terms)
+        width, mask, high, low = _decoder(self.nvars, "tuple")
+        return (high[key >> width] + low[key & mask] for key in self.terms)
 
     def _degrees(self) -> tuple[int, ...]:
         """Highest exponent of each variable; all zero for the zero polynomial."""
@@ -304,60 +342,65 @@ class MultiPoly:
 
         With value k written n_k/d_k and D_k the top exponent of variable k,
         each term adds coeff * prod n_k^e * d_k^(D_k - e) to one int total,
-        which is divided once, by prod d_k^D_k.  Powers are computed only for
-        the exponents that occur, so a lone a1^65535 costs one power.
+        which is divided once, by prod d_k^D_k.  Each distinct key half's product
+        is taken once, of the powers of the exponents that occur, so a lone
+        a1^65535 costs one power.
         """
         values = [check_exact(v, "evaluation value") for v in values]
         if len(values) != self.nvars:
             raise DomainError(f"expected {self.nvars} values, got {len(values)}")
-        keys = list(self.terms)
-        column = list(self.terms.values())
-        denominator = 1
-        for value, shift in zip(values, _shifts(self.nvars)):
-            fields = [(key >> shift) & MAX_EXPONENT for key in keys]
-            top = max(fields, default=0)
-            if top:
-                num, den = value.numerator, value.denominator
-                power = {e: num**e * den ** (top - e) for e in set(fields)}
-                column = [c * power[e] for c, e in zip(column, fields)]
-                denominator *= den**top
-        return Fraction(sum(column), denominator)
+        width, mask, high, low = _decoder(self.nvars, "tuple")
+        denominator, weights = 1, []
+        for side, weight in ((high, {key >> width: 1 for key in self.terms}),
+                             (low, {key & mask: 1 for key in self.terms})):
+            for (k, _), column in zip(side.fields, zip(*map(side.__getitem__, weight))):
+                num, den, top = values[k - 1].numerator, values[k - 1].denominator, max(column)
+                if top:
+                    power = {e: num**e * den ** (top - e) for e in set(column)}
+                    weight = {half: w * power[e] for (half, w), e in zip(weight.items(), column)}
+                    denominator *= den**top
+            weights.append(weight)
+        high_weight, low_weight = weights
+        return Fraction(sum([c * high_weight[key >> width] * low_weight[key & mask]
+                             for key, c in self.terms.items()]), denominator)
 
     # -- canonical output ---------------------------------------------------
 
-    def text(self) -> str:
+    def _render(self, terms: dict | None = None) -> str:
+        """The text; given a dict ``terms``, the same pass over the sorted terms sets
+        each term's exponent string there to its coefficient."""
         if not self.terms:
             return "0"
-        names = [(shift, f"a{k + 1}") for k, shift in enumerate(_shifts(self.nvars))]
+        width, mask, high, low = _decoder(self.nvars, "factors")
+        _, _, high_exps, low_exps = _decoder(self.nvars, "exponents")
         pieces = []
         for key in sorted(self.terms, reverse=True):
-            coeff = self.terms[key]
-            factors = []
-            for shift, name in names:
-                e = (key >> shift) & MAX_EXPONENT
-                if e:
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = f"{mag}*" + "*".join(factors)
-            pieces.append((" - " if coeff < 0 else " + ") + body)
+            c, k1, k2 = self.terms[key], key >> width, key & mask
+            if terms is not None:
+                terms[high_exps[k1] + low_exps[k2]] = c
+            # each factor starts with "*", which a term of coefficient 1 or -1 drops
+            factors, mag = high[k1] + low[k2], -c if c < 0 else c
+            body = factors[1:] or "1" if mag == 1 else f"{mag}{factors}"
+            pieces.append((" - " if c < 0 else " + ") + body)
         text = "".join(pieces)
         # the leading term keeps only a minus sign
         return text[3:] if text[1] == "+" else "-" + text[3:]
+
+    def text(self) -> str:
+        return self._render()
 
     __str__ = text
 
     def json_terms(self) -> dict[str, int]:
         """Exponent-keyed coefficient map, e.g. {"1,2,0,0": 1}."""
-        shifts = _shifts(self.nvars)
-        return {
-            ",".join([str((key >> shift) & MAX_EXPONENT) for shift in shifts]): self.terms[key]
-            for key in sorted(self.terms, reverse=True)
-        }
+        width, mask, high, low = _decoder(self.nvars, "exponents")
+        terms = self.terms
+        return {high[key >> width] + low[key & mask]: terms[key] for key in sorted(terms, reverse=True)}
+
+    def text_and_terms(self) -> tuple[str, dict[str, int]]:
+        """``text()`` and ``json_terms()``, from one pass over the sorted terms."""
+        terms: dict[str, int] = {}
+        return self._render(terms), terms
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.text()!r})"
