@@ -39,39 +39,36 @@ def _shifts(nvars: int) -> list[int]:
     return [EXPONENT_BITS * k for k in range(nvars - 1, -1, -1)]
 
 
-# The pieces of a key half, from its (variable number, exponent) pairs and nvars: its
-# factors, each led by "*" ("*a2*a3^4") so that halves join by +; its exponents, each
-# followed by "," but that of a_nvars ("0,4," or "1,0"); and its exponent tuple.
-_PIECES = {
-    "factors": lambda pairs, n: "".join([f"*a{k}" if e == 1 else f"*a{k}^{e}" for k, e in pairs if e]),
-    "exponents": lambda pairs, n: "".join([f"{e}," if k < n else str(e) for k, e in pairs]),
-    "tuple": lambda pairs, n: tuple([e for _, e in pairs]),
-}
+# What a key half decodes to, from its (variable number, exponent) pairs: its factors,
+# each led by "*" ("*a2*a3^4"), or its exponents, each led by "," (",0,4"), so that
+# halves join by +; or its exponent tuple.
+_FACTORS, _COMMAS, _TUPLE = (
+    lambda pairs: "".join([f"*a{k}" if e == 1 else f"*a{k}^{e}" for k, e in pairs if e]),
+    lambda pairs: "".join([f",{e}" for _, e in pairs]),
+    lambda pairs: tuple([e for _, e in pairs]),
+)
 
 
 class _Halves(dict):
-    """Key halves to their pieces, each made on the half's first lookup from the
-    (variable number, exponent) pairs of its ``fields``, (variable number, shift) each."""
+    """Key halves to ``piece`` of their (variable number, exponent) pairs, each made on
+    the half's first lookup; ``fields`` holds the (variable number, shift) pairs."""
 
-    def __init__(self, piece, fields, nvars: int):
-        self.piece, self.fields, self.nvars = piece, fields, nvars
+    def __init__(self, piece, fields):
+        self.piece, self.fields = piece, fields
 
     def __missing__(self, half: int):
-        pairs = [(k, (half >> s) & MAX_EXPONENT) for k, s in self.fields]
-        value = self[half] = self.piece(pairs, self.nvars)
+        value = self[half] = self.piece([(k, half >> s & MAX_EXPONENT) for k, s in self.fields])
         return value
 
 
 @functools.cache
-def _decoder(nvars: int, kind: str):
-    """The key reader, (width, mask, high, low): ``high`` and ``low`` give the ``kind``
-    piece of a high half ``key >> width`` and a low half ``key & mask``, made once each."""
-    h = nvars // 2
+def _decoder(nvars: int, piece):
+    """(width, mask, high, low): ``high[key >> width]`` and ``low[key & mask]`` are ``piece``
+    of a key's high half, a1..ah with h = nvars // 2, and of its low half, made once each."""
+    h, fields = nvars // 2, [(k + 1, shift) for k, shift in enumerate(_shifts(nvars))]
     width = EXPONENT_BITS * (nvars - h)
-    fields = [(k + 1, shift) for k, shift in enumerate(_shifts(nvars))]
-    high = [(k, shift - width) for k, shift in fields[:h]]
-    piece = _PIECES[kind]
-    return width, (1 << width) - 1, _Halves(piece, high, nvars), _Halves(piece, fields[h:], nvars)
+    high = _Halves(piece, [(k, shift - width) for k, shift in fields[:h]])
+    return width, (1 << width) - 1, high, _Halves(piece, fields[h:])
 
 
 def _carry(layer: dict, edges) -> dict:
@@ -319,7 +316,7 @@ class MultiPoly:
 
     def _exponents(self):
         """The exponent tuples of the terms, in no particular order."""
-        width, mask, high, low = _decoder(self.nvars, "tuple")
+        width, mask, high, low = _decoder(self.nvars, _TUPLE)
         return (high[key >> width] + low[key & mask] for key in self.terms)
 
     def _degrees(self) -> tuple[int, ...]:
@@ -342,14 +339,13 @@ class MultiPoly:
 
         With value k written n_k/d_k and D_k the top exponent of variable k,
         each term adds coeff * prod n_k^e * d_k^(D_k - e) to one int total,
-        which is divided once, by prod d_k^D_k.  Each distinct key half's product
-        is taken once, of the powers of the exponents that occur, so a lone
-        a1^65535 costs one power.
+        which is divided once, by prod d_k^D_k.  Each key half's product of the
+        powers that occur is taken once, so a lone a1^65535 costs one power.
         """
         values = [check_exact(v, "evaluation value") for v in values]
         if len(values) != self.nvars:
             raise DomainError(f"expected {self.nvars} values, got {len(values)}")
-        width, mask, high, low = _decoder(self.nvars, "tuple")
+        width, mask, high, low = _decoder(self.nvars, _TUPLE)
         denominator, weights = 1, []
         for side, weight in ((high, {key >> width: 1 for key in self.terms}),
                              (low, {key & mask: 1 for key in self.terms})):
@@ -366,41 +362,39 @@ class MultiPoly:
 
     # -- canonical output ---------------------------------------------------
 
-    def _render(self, terms: dict | None = None) -> str:
-        """The text; given a dict ``terms``, the same pass over the sorted terms sets
-        each term's exponent string there to its coefficient."""
-        if not self.terms:
+    def _text(self, keys: list[int]) -> str:
+        """The text, from the term keys in descending order; ``_json_terms`` likewise."""
+        if not keys:
             return "0"
-        width, mask, high, low = _decoder(self.nvars, "factors")
-        _, _, high_exps, low_exps = _decoder(self.nvars, "exponents")
+        width, mask, high, low = _decoder(self.nvars, _FACTORS)
         pieces = []
-        for key in sorted(self.terms, reverse=True):
-            c, k1, k2 = self.terms[key], key >> width, key & mask
-            if terms is not None:
-                terms[high_exps[k1] + low_exps[k2]] = c
+        for key in keys:
+            c = self.terms[key]
             # each factor starts with "*", which a term of coefficient 1 or -1 drops
-            factors, mag = high[k1] + low[k2], -c if c < 0 else c
+            factors, mag = high[key >> width] + low[key & mask], -c if c < 0 else c
             body = factors[1:] or "1" if mag == 1 else f"{mag}{factors}"
             pieces.append((" - " if c < 0 else " + ") + body)
         text = "".join(pieces)
         # the leading term keeps only a minus sign
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
+    def _json_terms(self, keys: list[int]) -> dict[str, int]:
+        width, mask, high, low = _decoder(self.nvars, _COMMAS)
+        return {(high[key >> width] + low[key & mask])[1:]: self.terms[key] for key in keys}
+
     def text(self) -> str:
-        return self._render()
+        return self._text(sorted(self.terms, reverse=True))
 
     __str__ = text
 
     def json_terms(self) -> dict[str, int]:
         """Exponent-keyed coefficient map, e.g. {"1,2,0,0": 1}."""
-        width, mask, high, low = _decoder(self.nvars, "exponents")
-        terms = self.terms
-        return {high[key >> width] + low[key & mask]: terms[key] for key in sorted(terms, reverse=True)}
+        return self._json_terms(sorted(self.terms, reverse=True))
 
     def text_and_terms(self) -> tuple[str, dict[str, int]]:
-        """``text()`` and ``json_terms()``, from one pass over the sorted terms."""
-        terms: dict[str, int] = {}
-        return self._render(terms), terms
+        """``text()`` and ``json_terms()``, from one sort of the terms."""
+        keys = sorted(self.terms, reverse=True)
+        return self._text(keys), self._json_terms(keys)
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.text()!r})"

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopminors.errors import DomainError
-from loopminors.multipoly import MAX_EXPONENT, MultiPoly, _shifts
-from loopminors.partitions import check_exact
+from loopminors.multipoly import MAX_EXPONENT, MultiPoly
 from loopminors.phi import phi_polynomial
 
 from conftest import sorted_terms
@@ -245,69 +244,7 @@ def test_readers_match_the_reference_on_the_twelve_variable_anchor():
     assert_same_value(poly, ref, [Fraction(-2, 3), Fraction(5, 7), 2, -1, 0, Fraction(1, 2)] * 2)
 
 
-# -- the split-key decoder against the field-by-field readers --------------
-
-
-class FieldReaders:
-    """The readers the split-key decoder replaced, kept as they were, as its
-    reference: each decodes every key field by field.  Call them with a
-    MultiPoly as ``self``."""
-
-    def evaluate(self, values) -> Fraction:
-        """Evaluate at exact values (int or Fraction), one per variable.
-
-        With value k written n_k/d_k and D_k the top exponent of variable k,
-        each term adds coeff * prod n_k^e * d_k^(D_k - e) to one int total,
-        which is divided once, by prod d_k^D_k.  Powers are computed only for
-        the exponents that occur, so a lone a1^65535 costs one power.
-        """
-        values = [check_exact(v, "evaluation value") for v in values]
-        if len(values) != self.nvars:
-            raise DomainError(f"expected {self.nvars} values, got {len(values)}")
-        keys = list(self.terms)
-        column = list(self.terms.values())
-        denominator = 1
-        for value, shift in zip(values, _shifts(self.nvars)):
-            fields = [(key >> shift) & MAX_EXPONENT for key in keys]
-            top = max(fields, default=0)
-            if top:
-                num, den = value.numerator, value.denominator
-                power = {e: num**e * den ** (top - e) for e in set(fields)}
-                column = [c * power[e] for c, e in zip(column, fields)]
-                denominator *= den**top
-        return Fraction(sum(column), denominator)
-
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        names = [(shift, f"a{k + 1}") for k, shift in enumerate(_shifts(self.nvars))]
-        pieces = []
-        for key in sorted(self.terms, reverse=True):
-            coeff = self.terms[key]
-            factors = []
-            for shift, name in names:
-                e = (key >> shift) & MAX_EXPONENT
-                if e:
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = f"{mag}*" + "*".join(factors)
-            pieces.append((" - " if coeff < 0 else " + ") + body)
-        text = "".join(pieces)
-        # the leading term keeps only a minus sign
-        return text[3:] if text[1] == "+" else "-" + text[3:]
-
-    def json_terms(self) -> dict[str, int]:
-        """Exponent-keyed coefficient map, e.g. {"1,2,0,0": 1}."""
-        shifts = _shifts(self.nvars)
-        return {
-            ",".join([str((key >> shift) & MAX_EXPONENT) for shift in shifts]): self.terms[key]
-            for key in sorted(self.terms, reverse=True)
-        }
+# -- the split-key decoder against the tuple-keyed reference --------------
 
 
 # exponents at 10 and above, where "10" < "9" as strings, and up to the top of a field
@@ -320,7 +257,7 @@ coefficients = st.one_of(st.sampled_from([1, -1]), st.integers(-(10**30), 10**30
 @pytest.mark.parametrize("nvars", range(1, 15))
 @given(data=st.data())
 @settings(max_examples=12, deadline=None)
-def test_split_key_readers_match_the_field_readers(nvars, data):
+def test_split_key_readers_match_the_tuple_reference(nvars, data):
     terms = data.draw(
         st.dictionaries(st.tuples(*[wide_exponents] * nvars), coefficients, max_size=6), label="terms"
     )
@@ -329,13 +266,14 @@ def test_split_key_readers_match_the_field_readers(nvars, data):
     # whole values: a denominator of 2^65535 per variable makes Fraction's gcd the cost
     values = data.draw(st.lists(st.sampled_from([0, 1, -1, 2, -3]), min_size=nvars, max_size=nvars),
                        label="values")
-    for poly in (MultiPoly(nvars, terms), MultiPoly.zero(nvars), MultiPoly.const(nvars, -7)):
-        text, json_terms = FieldReaders.text(poly), FieldReaders.json_terms(poly)
-        both = poly.text_and_terms()
-        assert poly.text() == both[0] == text
-        assert list(poly.json_terms().items()) == list(both[1].items()) == list(json_terms.items())
-        value = poly.evaluate(values)
-        assert type(value) is Fraction and value == FieldReaders.evaluate(poly, values)
+    for t in (terms, {}, {(0,) * nvars: -7}):
+        poly, ref = MultiPoly(nvars, t), TuplePoly(nvars, t)
+        assert_same(poly, ref)
+        assert_same_value(poly, ref, values)
+        assert sorted(poly._exponents()) == sorted(ref.terms)
+        # the JSON prints the map in its order
+        assert list(poly.json_terms().items()) == list(ref.json_terms().items())
+        assert poly.text_and_terms() == (ref.text(), ref.json_terms())
 
 
 def test_evaluate_powers_only_the_exponents_that_occur():
