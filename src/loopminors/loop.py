@@ -20,7 +20,7 @@ from functools import cache
 from .determinants import signed_sum
 from .errors import DomainError
 from .multipoly import MultiPoly
-from .partitions import EXACT, check_bit, check_exact, check_factorization_word, check_int
+from .partitions import EXACT, check_bit, check_count, check_exact, check_factorization_word, check_int
 
 
 class LaurentPoly:
@@ -191,7 +191,7 @@ def _letters(word, params, nvars: int | None) -> LoopElement:
 
 
 def identity_loop(nvars: int | None = None) -> LoopElement:
-    return _letters((), (), nvars)
+    return _letters((), (), nvars if nvars is None else check_count(nvars, "variable count"))
 
 
 def generator(i: int, a) -> LoopElement:

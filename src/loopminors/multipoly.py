@@ -21,7 +21,7 @@ import functools
 from fractions import Fraction
 
 from .errors import DomainError
-from .partitions import check_exact, check_int
+from .partitions import check_count, check_exact, check_int
 
 EXPONENT_BITS = 16
 MAX_EXPONENT = (1 << EXPONENT_BITS) - 1
@@ -93,7 +93,7 @@ class MultiPoly:
     __slots__ = ("nvars", "terms", "_bound")
 
     def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
+        self.nvars = nvars = check_count(nvars, "variable count")
         clean: dict[int, int] = {}
         bound = 0
         if terms:
@@ -135,25 +135,23 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
-        return cls._from_packed(nvars, {}, 0)
+        return cls._from_packed(check_count(nvars, "variable count"), {}, 0)
 
     @classmethod
     def const(cls, nvars: int, value: int) -> "MultiPoly":
-        value = check_int(value, "coefficient")
-        return cls._from_packed(nvars, {0: value} if value else {}, 0)
+        return cls._lift(check_count(nvars, "variable count"), check_int(value, "coefficient"))
 
     @classmethod
     def one(cls, nvars: int) -> "MultiPoly":
-        return cls._from_packed(nvars, {0: 1}, 0)
+        return cls._from_packed(check_count(nvars, "variable count"), {0: 1}, 0)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
         """The variable a_{index+1} (0-origin index)."""
+        nvars, index = check_count(nvars, "variable count"), check_int(index, "variable index")
         if not 0 <= index < nvars:
             raise DomainError(f"variable index {index} out of range for {nvars} variables")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): 1})
+        return cls.monomial(nvars, [int(k == index) for k in range(nvars)])
 
     @classmethod
     def monomial(cls, nvars: int, exps, coeff: int = 1) -> "MultiPoly":
@@ -242,7 +240,8 @@ class MultiPoly:
             if value.nvars != nvars:
                 raise DomainError(f"variable count mismatch: {nvars} vs {value.nvars}")
             return value
-        return cls.const(nvars, value)
+        value = check_int(value, "coefficient")
+        return cls._from_packed(nvars, {0: value} if value else {}, 0)
 
     def _coerce(self, other) -> "MultiPoly":
         if isinstance(other, (MultiPoly, int)):

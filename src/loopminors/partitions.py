@@ -30,6 +30,14 @@ def check_int(value, what: str) -> int:
         raise DomainError(f"{what} entries must be integers, got {value!r}") from None
 
 
+def check_count(value, what: str) -> int:
+    """The value as an int, if it is a nonnegative integer; DomainError otherwise."""
+    value = check_int(value, what)
+    if value < 0:
+        raise DomainError(f"{what} must be nonnegative, got {value}")
+    return value
+
+
 def check_exact(value, what: str):
     """The value if it is an int or a Fraction; DomainError otherwise."""
     if not isinstance(value, EXACT):
@@ -227,35 +235,29 @@ def format_partition(lam: Partition) -> str:
     return ",".join(str(p) for p in lam)
 
 
+def partitions_up_to(n: int) -> list[Partition]:
+    """All partitions of 0..n, by size, then in descending lexicographic order: grown from ()
+    one part at a time, each part at most the one before it and what is left of n."""
+    n = check_int(n, "partition size")
+    grown, layer = [], [()] if n >= 0 else []
+    while layer:
+        grown += layer
+        layer = [lam + (p,) for lam in layer for p in range(min(lam[-1:] + (n - size(lam),)), 0, -1)]
+    return sorted(sorted(grown, reverse=True), key=size)
+
+
 def partitions_of(n: int) -> list[Partition]:
-    """All partitions of n in descending lexicographic order."""
+    """All partitions of n in descending lexicographic order, the size-n ones of the growth."""
+    n = check_int(n, "partition size")
     if n < 0:
         raise DomainError("cannot partition a negative integer")
-
-    def rec(remaining: int, cap: int) -> list[tuple[int, ...]]:
-        if remaining == 0:
-            return [()]
-        out = []
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                out.append((first,) + rest)
-        return out
-
-    return rec(n, n)
-
-
-def partitions_up_to(n: int) -> list[Partition]:
-    """All partitions of 0..n, smaller sizes first."""
-    out: list[Partition] = []
-    for m in range(n + 1):
-        out.extend(partitions_of(m))
-    return out
+    return [lam for lam in partitions_up_to(n) if size(lam) == n]
 
 
 def subpartitions(lam: Partition) -> list[Partition]:
     """All partitions contained in ``lam``, in descending lexicographic order: grown row by
     row, each part at most the one above and lam's, so a zero part ends the partition."""
     grown = [()]
-    for cap in lam:
+    for cap in check_partition(lam):
         grown = [mu + (p,) for mu in grown for p in range(min(mu[-1:] + (cap,)), -1, -1)]
     return [tuple(filter(None, mu)) for mu in grown]

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .partitions import (
-    BitString, Partition, Value, check_bit, check_int, check_parity_string, check_partition,
-    check_word, is_prime_power, size,
+    BitString, Partition, Value, check_bit, check_count, check_int, check_parity_string,
+    check_partition, check_word, is_prime_power, size,
 )
 
 
@@ -147,9 +147,7 @@ def enumerate_chess(lam: Partition, i: int, k: int) -> dict[tuple[int, ...], lis
     """
     lam = check_partition(lam)
     i = check_bit(i)
-    k = check_int(k, "label bound")
-    if k < 0:
-        raise DomainError(f"label bound must be nonnegative, got {k}")
+    k = check_count(k, "label bound")
     boxes = [(s, t) for s in range(len(lam)) for t in range(lam[s])]
     # a filling's position 0 holds a 0, read for the neighbours outside the shape
     at = {box: n for n, box in enumerate(boxes, start=1)}

@@ -14,7 +14,9 @@ from loopminors.errors import DomainError
 from loopminors.loop import LaurentPoly, LoopElement, generator, identity_loop, word_to_loop
 from loopminors.multipoly import MultiPoly
 from loopminors.networks import PathFamily, enumerate_families, lindstrom_minor
-from loopminors.partitions import check_bits, check_partition, index_set, partitions_of
+from loopminors.partitions import (
+    check_bits, check_partition, index_set, partitions_of, partitions_up_to, subpartitions,
+)
 from loopminors.phi import euler_char, phi_polynomial
 from loopminors.shapemod import build_module, count_flags_fq
 from loopminors.tableaux import (
@@ -105,6 +107,19 @@ def test_non_bit_parities_are_rejected(call):
         lambda: entry_E(word_to_loop((1, 0, 1, 0)), 0, "x"),
         lambda: index_set((2.5, 1), 0, 1),
         lambda: index_set((2, 1), 0, 1.5),
+        lambda: partitions_of(2.5),
+        lambda: partitions_of("3"),
+        lambda: partitions_up_to(2.5),
+        lambda: subpartitions((1.5,)),
+        lambda: subpartitions("ab"),
+        lambda: MultiPoly(1.0),
+        lambda: MultiPoly.zero("a"),
+        lambda: MultiPoly.one(1.5),
+        lambda: MultiPoly.const(2.0, 1),
+        lambda: MultiPoly.variable(2.0, 0),
+        lambda: MultiPoly.variable(3, 0.5),
+        lambda: MultiPoly.monomial("1", (1,)),
+        lambda: identity_loop("x"),
     ],
     ids=["build_module", "check_partition", "phi_polynomial", "check_bits", "euler_char",
          "check_bit", "expand_word", "expand_word_str", "verify_prop1",
@@ -114,7 +129,10 @@ def test_non_bit_parities_are_rejected(call):
          "MultiPoly.const", "LaurentPoly", "PathFamily", "PathFamily_str", "coefficient",
          "coefficient_str", "generator_float",
          "generator_str", "sweep_max_size", "sweep_max_word", "entry_E", "toeplitz_entry",
-         "entry_E_str", "index_set", "index_set_n_max"],
+         "entry_E_str", "index_set", "index_set_n_max", "partitions_of", "partitions_of_str",
+         "partitions_up_to", "subpartitions", "subpartitions_str", "MultiPoly_nvars",
+         "MultiPoly.zero", "MultiPoly.one", "MultiPoly.const_nvars", "MultiPoly.variable_nvars",
+         "MultiPoly.variable_index", "MultiPoly.monomial", "identity_loop"],
 )
 def test_non_integer_entries_are_rejected(call):
     with pytest.raises(DomainError, match="entries must be integers"):
@@ -146,6 +164,15 @@ MALFORMED = {
     "MultiPoly_arity": (lambda: MultiPoly(2, {(1,): 1}), "has length 1, expected 2"),
     "MultiPoly_negative": (lambda: MultiPoly(1, {(-1,): 1}), "negative exponent"),
     "MultiPoly.variable": (lambda: MultiPoly.variable(2, 2), "out of range"),
+    "MultiPoly_nvars": (lambda: MultiPoly(-1), "variable count must be nonnegative"),
+    "MultiPoly.zero": (lambda: MultiPoly.zero(-1), "variable count must be nonnegative"),
+    "MultiPoly.one": (lambda: MultiPoly.one(-1), "variable count must be nonnegative"),
+    "MultiPoly.const": (lambda: MultiPoly.const(-1, 2), "variable count must be nonnegative"),
+    "MultiPoly.variable_nvars": (
+        lambda: MultiPoly.variable(-1, 0), "variable count must be nonnegative"
+    ),
+    "MultiPoly.monomial": (lambda: MultiPoly.monomial(-1, ()), "variable count must be nonnegative"),
+    "identity_loop": (lambda: identity_loop(-2), "variable count must be nonnegative"),
     "MultiPoly.evaluate": (lambda: MultiPoly.one(2).evaluate([1]), "expected 2 values, got 1"),
     "PathFamily_length": (
         lambda: PathFamily(word=(1, 0), levels=((0, 0),)), "does not traverse 2 chips"
@@ -177,6 +204,13 @@ MALFORMED = {
 def test_malformed_input_is_rejected_with_its_fault(call, fragment):
     with pytest.raises(DomainError, match=re.escape(fragment)):
         call()
+
+
+@pytest.mark.parametrize("lam", [(2, 3), (2, -1)], ids=["increasing", "negative_part"])
+def test_subpartitions_reject_a_non_partition(lam):
+    # unchecked, (2, 3) reads as (2, 2) and (2, -1) as a shape with no subpartition
+    with pytest.raises(DomainError):
+        subpartitions(lam)
 
 
 @pytest.mark.parametrize("q", [0, -3, 6, 12])

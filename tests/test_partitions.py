@@ -1,3 +1,5 @@
+from itertools import combinations
+
 from hypothesis import given, settings
 
 import pytest
@@ -97,6 +99,27 @@ def test_partitions_of_counts():
         assert len(parts) == count
         assert all(size(p) == n for p in parts)
     assert len(partitions_up_to(6)) == sum(expected.values())
+
+
+def partitions_by_compositions(n: int) -> list:
+    """The partitions of n in descending lexicographic order, with no growth: each
+    composition of n, cut at a subset of 1..n-1, with its parts sorted largest first."""
+    found = {()} if n == 0 else set()
+    for k in range(n):
+        for cuts in combinations(range(1, n), k):
+            bounds = (0, *cuts, n)
+            found.add(tuple(sorted((b - a for a, b in zip(bounds, bounds[1:])), reverse=True)))
+    return sorted(found, reverse=True)
+
+
+def test_partition_lists_match_the_compositions():
+    by_size = [partitions_by_compositions(n) for n in range(13)]
+    assert [len(parts) for parts in by_size] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+    for n in range(13):
+        assert partitions_of(n) == by_size[n], n
+    for n in range(11):
+        assert partitions_up_to(n) == [lam for parts in by_size[: n + 1] for lam in parts], n
+    assert partitions_up_to(-1) == []
 
 
 def test_subpartitions_explicit():
