@@ -130,6 +130,9 @@ def _load_matrix(path: str):
         raise DomainError(f"matrix file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError(f"matrix file {path!r} must hold one JSON object")
+    extra = sorted(set(data) - {"g11", "g12", "g21", "g22"})
+    if extra:
+        raise DomainError(f"matrix file {path!r} has keys {extra} besides g11, g12, g21 and g22")
 
     def entry(key: str) -> LaurentPoly:
         raw = data.get(key, {})
@@ -288,13 +291,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = Output(args.format, None)  # errors go to stdout until --out is open
     try:
-        out = Output(args.format, args.out)
-        for dest, read in _READERS.items():
-            if getattr(args, dest, None) is not None:
-                setattr(args, dest, read(getattr(args, dest)))
-        return args.func(args, out) or 0  # a handler that only prints returns None
-    except (LoopMinorsError, MemoryError) as exc:
-        out.emit({"error": {"type": type(exc).__name__, "message": str(exc) or "out of memory"}})
+        try:
+            out = Output(args.format, args.out)
+            for dest, read in _READERS.items():
+                if getattr(args, dest, None) is not None:
+                    setattr(args, dest, read(getattr(args, dest)))
+            return args.func(args, out) or 0  # a handler that only prints returns None
+        except (LoopMinorsError, MemoryError) as exc:
+            error = {"type": type(exc).__name__, "message": str(exc) or "out of memory"}
+        # Emitted past the except clause, once the traceback and the frames it held are let go.
+        out.emit({"error": error})
         return 1
     finally:
         out.close()

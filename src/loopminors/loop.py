@@ -2,14 +2,14 @@
 
 Laurent polynomials carry either rational coefficients (numeric mode) or
 integer multivariate polynomials in a1..ak (symbolic mode); both are exact,
-and ``_ring`` holds each mode's zero and one.  A Laurent polynomial is a plain
-value with no arithmetic of its own: matrix products, the determinant and the
-column operations of ``_letters`` all go through one kernel, ``_graded_sum``,
-which reduces the coefficient products landing on each power of t in one
-``signed_sum``.  A loop element is a 2x2 Laurent matrix with determinant
-exactly 1, which the public constructor checks.  ``_letters``, the one builder
-of ``identity_loop``, ``generator`` and ``word_to_loop``, and products hold it
-by construction, so they build through ``LoopElement._built``.
+and ``_ring`` holds each mode's zero and one.  Both classes are read-only
+``partitions.Value``s.  A Laurent polynomial has no arithmetic of its own:
+matrix products, the determinant and the column operations of ``_letters`` go
+through one kernel, ``_graded_sum``, which reduces the coefficient products on
+each power of t in one ``signed_sum``.  A loop element is a 2x2 Laurent matrix
+of determinant 1, which the public constructor checks and no assignment undoes;
+``_letters`` (the builder of ``identity_loop``, ``generator``, ``word_to_loop``)
+and products keep it by construction, so they build through ``_built``.
 """
 
 from __future__ import annotations
@@ -20,13 +20,15 @@ from functools import cache
 from .determinants import signed_sum
 from .errors import DomainError
 from .multipoly import MultiPoly
-from .partitions import EXACT, check_bit, check_count, check_exact, check_factorization_word, check_int
+from .partitions import (
+    EXACT, Value, check_bit, check_count, check_exact, check_factorization_word, check_int,
+)
 
 
-class LaurentPoly:
+class LaurentPoly(Value):
     """Finitely supported map from integer t-exponents to ring coefficients."""
 
-    __slots__ = ("terms",)
+    _fields = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
@@ -35,7 +37,7 @@ class LaurentPoly:
                 exp = check_int(exp, "t-exponent")
                 if coeff:
                     clean[exp] = coeff
-        self.terms = clean
+        vars(self).update(terms=clean)
 
     @classmethod
     def const(cls, coeff) -> "LaurentPoly":
@@ -43,9 +45,6 @@ class LaurentPoly:
 
     def coeff(self, exp: int, zero):
         return self.terms.get(exp, zero)
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -67,9 +66,6 @@ class LaurentPoly:
                     text = f"({text})*{power}" if " " in text else f"{text}*{power}"
             pieces.append(text)
         return " + ".join(pieces).replace(" + -", " - ") or "0"
-
-    def __repr__(self):
-        return f"LaurentPoly({self.terms!r})"
 
 
 def _graded_sum(triples, zero) -> LaurentPoly:
@@ -95,7 +91,7 @@ def _ring(nvars: int | None):
     return MultiPoly.zero(nvars), MultiPoly.one(nvars)
 
 
-class LoopElement:
+class LoopElement(Value):
     """A 2x2 Laurent matrix of determinant 1.
 
     ``nvars`` is None in numeric (rational) mode, or the shared variable
@@ -104,7 +100,7 @@ class LoopElement:
     ``nvars`` variables in symbolic mode) and that the determinant is 1.
     """
 
-    __slots__ = ("entries", "nvars")
+    _fields = ("entries", "nvars")
 
     def __init__(self, entries, nvars: int | None = None):
         self._set(entries, nvars)
@@ -130,8 +126,7 @@ class LoopElement:
             for coeff in entry.terms.values():
                 if not isinstance(coeff, ring) or (nvars is not None and coeff.nvars != nvars):
                     raise DomainError(f"inexact loop coefficient {coeff!r} for nvars={nvars}")
-        self.entries = entries
-        self.nvars = nvars
+        vars(self).update(entries=entries, nvars=nvars)
 
     def one_coeff(self):
         return _ring(self.nvars)[1]
@@ -158,16 +153,6 @@ class LoopElement:
             for i in range(2)
         ]
         return LoopElement._built(rows, self.nvars)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LoopElement)
-            and self.nvars == other.nvars
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"LoopElement({self.entries!r}, nvars={self.nvars})"
 
 
 def _letters(word, params, nvars: int | None) -> LoopElement:

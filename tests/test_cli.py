@@ -327,6 +327,30 @@ def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch, exc, shown
     assert out == '{"error":{"message":"%s","type":"MemoryError"}}\n' % shown
 
 
+def test_out_of_memory_line_is_written_after_the_failing_frames_are_let_go(monkeypatch):
+    import weakref
+
+    from loopminors import tableaux
+
+    class Held:
+        pass
+
+    refs, alive = [], []
+
+    def exhausted(*_):
+        held = Held()  # stands for the polynomial a handler was building
+        refs.append(weakref.ref(held))
+        raise MemoryError
+
+    def emit(self, obj, text=None):
+        alive.append(refs[0]() is not None)
+
+    monkeypatch.setattr(tableaux, "enumerate_chess", exhausted)
+    monkeypatch.setattr(cli.Output, "emit", emit)
+    assert main(["chess", "--shape", "2,1", "--parity", "1", "--max-label", "3"]) == 1
+    assert alive == [False]
+
+
 def test_word_and_matrix_are_exclusive(capsys):
     code, out, _ = run_cli(
         capsys, "minor", "--mu", "", "--lambda", "1", "--parity", "0"
@@ -401,9 +425,11 @@ def test_matrix_file_determinant_error_prints_the_polynomial(tmp_path, capsys, m
         ('{"g11": {"0": "1/0"}}', "bad term in g11"),
         ("[1, 2]", "must hold one JSON object"),
         ('{"g11": [1]}', "g11 must map t-exponents to coefficients"),
+        ('{"g11": {"0": 1}, "g22": {"0": 1}, "G12": {"0": 5}}',
+         "has keys ['G12'] besides g11, g12, g21 and g22"),
     ],
     ids=["missing-file", "malformed-json", "bad-rational", "zero-denominator", "not-an-object",
-         "entry-not-an-object"],
+         "entry-not-an-object", "unexpected-key"],
 )
 def test_matrix_file_errors_are_structured(tmp_path, capsys, content, fragment):
     path = tmp_path / "loop.json"

@@ -325,3 +325,31 @@ def test_determinant_error_prints_a_polynomial_in_t():
     assert str(numeric) == "-t^2 + t + 1 - 3/4*t^-2"
     assert str(LaurentPoly({1: (a1 + 1) * -1, 0: a1})) == "(-a1 - 1)*t + a1"
     assert str(LaurentPoly()) == "0"
+
+
+def test_laurent_poly_is_a_value():
+    p = LaurentPoly({0: Fraction(1), 2: Fraction(3)})
+    assert p == LaurentPoly({2: 3, 0: 1, 1: 0}) and p != LaurentPoly({0: Fraction(1)})
+    assert p != {0: Fraction(1), 2: Fraction(3)} and p != ({0: Fraction(1), 2: Fraction(3)},)
+    assert repr(p) == "LaurentPoly(terms={0: Fraction(1, 1), 2: Fraction(3, 1)})"
+    with pytest.raises(TypeError):
+        hash(p)
+    with pytest.raises(AttributeError, match="cannot assign to field 'terms'"):
+        p.terms = {0: Fraction(2)}
+    assert p.terms == {0: 1, 2: 3}
+
+
+def test_loop_element_is_a_value():
+    g = word_to_loop((1, 0, 1))
+    assert g == word_to_loop((1, 0, 1)) and g != word_to_loop((0, 1, 0)) and g != identity_loop(3)
+    assert g != (g.entries, g.nvars) and g != {"entries": g.entries, "nvars": g.nvars}
+    assert repr(identity_loop()) == (
+        "LoopElement(entries=((LaurentPoly(terms={0: Fraction(1, 1)}), LaurentPoly(terms={})), "
+        "(LaurentPoly(terms={}), LaurentPoly(terms={0: Fraction(1, 1)}))), nvars=None)"
+    )
+    with pytest.raises(TypeError):
+        hash(g)
+    for name, value in (("entries", identity_loop(3).entries), ("nvars", None), ("nvars", 4)):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(g, name, value)
+    assert g.nvars == 3 and g == word_to_loop((1, 0, 1))
