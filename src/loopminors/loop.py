@@ -32,11 +32,12 @@ class LaurentPoly(Value):
 
     def __init__(self, terms=None):
         clean = {}
-        if terms:
-            for exp, coeff in terms.items():
-                exp = check_int(exp, "t-exponent")
-                if coeff:
-                    clean[exp] = coeff
+        for exp, coeff in (terms or {}).items():
+            exp = check_int(exp, "t-exponent")
+            if not isinstance(coeff, (*EXACT, MultiPoly)):
+                raise DomainError(f"inexact loop coefficient {coeff!r}: must be an int or Fraction")
+            if coeff:
+                clean[exp] = coeff
         vars(self).update(terms=clean)
 
     @classmethod

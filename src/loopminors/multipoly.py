@@ -21,7 +21,7 @@ import functools
 from fractions import Fraction
 
 from .errors import DomainError
-from .partitions import check_count, check_exact, check_int
+from .partitions import Value, check_count, check_exact, check_int
 
 EXPONENT_BITS = 16
 MAX_EXPONENT = (1 << EXPONENT_BITS) - 1
@@ -85,15 +85,15 @@ def _carry(layer: dict, edges) -> dict:
     return nxt
 
 
-class MultiPoly:
-    """``terms`` maps packed exponent vectors to coefficients; ``_bound`` is at
-    least every exponent of every term, so a product whose bounds add up to at
-    most ``MAX_EXPONENT`` cannot carry between fields."""
+class MultiPoly(Value):
+    """A read-only ``partitions.Value``: ``terms`` maps packed exponent vectors to
+    coefficients; ``_bound`` is at least every exponent of every term, so a product whose
+    bounds add up to at most ``MAX_EXPONENT`` cannot carry between fields."""
 
-    __slots__ = ("nvars", "terms", "_bound")
+    _fields = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars = check_count(nvars, "variable count")
+        nvars = check_count(nvars, "variable count")
         clean: dict[int, int] = {}
         bound = 0
         if terms:
@@ -119,16 +119,13 @@ class MultiPoly:
                     else:
                         del clean[key]
                     bound = max(bound, top)
-        self.terms = clean
-        self._bound = bound
+        vars(self).update(nvars=nvars, terms=clean, _bound=bound)
 
     @classmethod
     def _from_packed(cls, nvars: int, terms: dict[int, int], bound: int) -> "MultiPoly":
         """Wrap an already packed, zero-free term map without re-checking it."""
         out = object.__new__(cls)
-        out.nvars = nvars
-        out.terms = terms
-        out._bound = bound
+        vars(out).update(nvars=nvars, terms=terms, _bound=bound)
         return out
 
     # -- constructors ------------------------------------------------------

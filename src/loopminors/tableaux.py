@@ -40,12 +40,8 @@ def _boxes(rows) -> dict[int, tuple[int, int]]:
 
 
 class StandardTableau(Value):
-    """A filling of a partition shape with distinct, strictly increasing labels.
-
-    Labels may be any distinct positive integers (content a bit string); a
-    plain standard tableau of shape lam uses 1..|lam| exactly once.
-    Trailing empty rows are dropped.
-    """
+    """A filling of a partition shape with the labels 1..|lam|, each once, strictly increasing
+    along the rows and down the columns.  Trailing empty rows are dropped."""
 
     _fields = ("rows",)
 
@@ -54,11 +50,9 @@ class StandardTableau(Value):
         while rows and not rows[-1]:
             rows.pop()
         rows = _check_rows(rows)
-        labels = [label for row in rows for label in row]
-        if any(label < 1 for label in labels):
-            raise DomainError(f"labels must be positive, got {min(labels)}")
-        if len(set(labels)) != len(labels):
-            raise DomainError(f"labels must be distinct, got {labels}")
+        labels = sorted(label for row in rows for label in row)
+        if labels != list(range(1, len(labels) + 1)):
+            raise DomainError(f"a standard tableau requires content (1,...,1), got labels {labels}")
         vars(self).update(rows=rows)
 
     def to_lists(self) -> list[list[int]]:
@@ -118,16 +112,9 @@ def enumerate_standard(lam: Partition) -> list[StandardTableau]:
 
 
 def parity_string(tableau: StandardTableau, i: int) -> BitString:
-    """Bit string d with d_t the i-parity of the box labeled t.
-
-    Requires content (1, ..., 1): every label 1..n present exactly once.
-    """
+    """Bit string d with d_t the i-parity of the box labeled t."""
     i = check_bit(i)
-    boxes = _boxes(tableau.rows)
-    n = len(boxes)
-    if set(boxes) != set(range(1, n + 1)):
-        raise DomainError("parity string requires content (1,...,1)")
-    return tuple((s + t + i) % 2 for _, (s, t) in sorted(boxes.items()))
+    return tuple((s + t + i) % 2 for _, (s, t) in sorted(_boxes(tableau.rows).items()))
 
 
 def enumerate_by_parity(lam: Partition, i: int, d) -> list[StandardTableau]:

@@ -147,8 +147,11 @@ def test_non_integer_entries_are_rejected(call):
         lambda: MultiPoly.one(2).evaluate([1, 2.0]),
         lambda: generator(1, 0.5),
         lambda: generator(0, "1/3"),
+        lambda: LaurentPoly({0: "x"}),
+        lambda: LaurentPoly({0: 1.5}),
     ],
-    ids=["evaluate_float", "evaluate_str", "evaluate_second", "generator_float", "generator_str"],
+    ids=["evaluate_float", "evaluate_str", "evaluate_second", "generator_float", "generator_str",
+         "LaurentPoly_str", "LaurentPoly_float"],
 )
 def test_inexact_values_are_rejected(call):
     with pytest.raises(DomainError, match="must be an int or Fraction"):
@@ -194,6 +197,7 @@ MALFORMED = {
     "parity_string": (
         lambda: parity_string(StandardTableau(((1, 3),)), 0), "requires content (1,...,1)"
     ),
+    "StandardTableau_content": (lambda: StandardTableau(((1, 3),)), "requires content (1,...,1)"),
     "enumerate_chess": (lambda: enumerate_chess((1,), 0, -1), "label bound must be nonnegative"),
     "expand_word_length": (lambda: expand_word((1, 0), (1,)), "content length 1 != word length 2"),
     "expand_word_negative": (lambda: expand_word((1, 0), (1, -1)), "must be nonnegative"),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from loopminors.errors import DomainError
 from loopminors.multipoly import MAX_EXPONENT, MultiPoly
+from loopminors.partitions import Value
 from loopminors.phi import phi_polynomial
 
 from conftest import sorted_terms
@@ -394,3 +395,36 @@ def test_sum_of_products_bounds_exponents_as_the_product_does():
     low = MultiPoly.sum_of_products(1, [(1, half, 1), (-1, half, 1), (1, a(1, 0), 1)])
     assert low == a(1, 0)
     assert low * MultiPoly.monomial(1, (MAX_EXPONENT - 1,)) == top
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: MultiPoly(2, {(1, 0): 3, (0, 2): -1}), lambda: phi_polynomial((2, 1), 1, (1, 0))],
+    ids=["constructed", "walk"],
+)
+@pytest.mark.parametrize("name", ["nvars", "terms", "_bound"])
+def test_a_polynomial_refuses_assignment_and_deletion_of_each_field(make, name):
+    p = make()
+    fields = (p.nvars, dict(p.terms), p._bound)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(p, name, 5)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+        delattr(p, name)
+    assert (p.nvars, p.terms, p._bound) == fields
+
+
+def test_a_refused_variable_count_leaves_the_variable_unchanged():
+    m = MultiPoly.variable(2, 0)
+    with pytest.raises(AttributeError):
+        m.nvars = 5
+    with pytest.raises(AttributeError):
+        del m.terms
+    assert str(m) == "a1" and m == a(2, 0) and hash(m) == hash(a(2, 0))
+
+
+def test_a_polynomial_is_a_value_with_its_own_ring_equality():
+    assert isinstance(MultiPoly.one(2), Value) and MultiPoly._fields == ("nvars", "terms")
+    assert not hasattr(MultiPoly, "__slots__")
+    # a constant equals, and hashes like, its int; repr shows the text
+    assert MultiPoly.const(2, 3) == 3 and hash(MultiPoly.const(2, 3)) == hash(3)
+    assert repr(a(2, 0) + 1) == "MultiPoly(2, 'a1 + 1')"
