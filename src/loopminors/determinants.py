@@ -24,16 +24,11 @@ def signed_sum(triples, zero):
     """Sum of sign * a * b over (sign, a, b) triples; ``zero`` is the ring zero.
 
     Polynomials go to one ``MultiPoly.sum_of_products`` pass; any other exact
-    ring (Fractions, ints) adds operator products, starting from the first,
-    and an empty sum is ``zero``.
+    ring (Fractions, ints) adds operator products to ``zero``.
     """
     if isinstance(zero, MultiPoly):
         return MultiPoly.sum_of_products(zero.nvars, triples)
-    total = None
-    for sign, a, b in triples:
-        product = a * b if sign > 0 else -(a * b)
-        total = product if total is None else total + product
-    return zero if total is None else total
+    return sum((a * b if sign > 0 else -(a * b) for sign, a, b in triples), zero)
 
 
 def det_cofactor(matrix):

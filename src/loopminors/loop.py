@@ -44,9 +44,6 @@ class LaurentPoly(Value):
     def const(cls, coeff) -> "LaurentPoly":
         return cls({0: coeff})
 
-    def coeff(self, exp: int, zero):
-        return self.terms.get(exp, zero)
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -210,7 +207,7 @@ def is_unipotent_plus(g: LoopElement) -> bool:
     (g11, g12), (g21, g22) = g.entries
     return (
         all(entry.is_polynomial() for entry in (g11, g12, g21, g22))
-        and g11.coeff(0, zero) == one
-        and g22.coeff(0, zero) == one
-        and g21.coeff(0, zero) == zero
+        and g11.terms.get(0, zero) == one
+        and g22.terms.get(0, zero) == one
+        and g21.terms.get(0, zero) == zero
     )

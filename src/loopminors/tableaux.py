@@ -113,6 +113,8 @@ def enumerate_standard(lam: Partition) -> list[StandardTableau]:
 
 def parity_string(tableau: StandardTableau, i: int) -> BitString:
     """Bit string d with d_t the i-parity of the box labeled t."""
+    if not isinstance(tableau, StandardTableau):
+        raise DomainError(f"a parity string needs a StandardTableau, got {type(tableau).__name__}")
     i = check_bit(i)
     return tuple((s + t + i) % 2 for _, (s, t) in sorted(_boxes(tableau.rows).items()))
 
@@ -167,11 +169,6 @@ def expand_word(word, j) -> BitString:
         raise DomainError(f"content length {len(j)} != word length {len(word)}")
     if any(v < 0 for v in j):
         raise DomainError(f"content must be nonnegative, got {j}")
-    return _expand(word, j)
-
-
-def _expand(word, j) -> BitString:
-    """``expand_word`` of a checked word and content, without the checks."""
     return tuple(bit for bit, v in zip(word, j) for _ in range(v))
 
 

@@ -37,7 +37,7 @@ def window(g: LoopElement, rows, cols) -> list[list]:
     """Dense submatrix of the Toeplitz matrix on explicit index lists."""
     cols, zero = list(map(decompose_index, cols)), g.zero_coeff()
     return [
-        [g.entries[c - 1][d - 1].coeff(n - m, zero) for n, d in cols]
+        [g.entries[c - 1][d - 1].terms.get(n - m, zero) for n, d in cols]
         for m, c in map(decompose_index, rows)
     ]
 

@@ -14,7 +14,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError
 from .partitions import (
-    Partition, check_bit, check_factorization_word, check_int, check_parity_string, check_partition,
+    Partition, check_bit, check_bits, check_factorization_word, check_int, check_partition,
     format_partition, partitions_up_to, size, subpartitions,
 )
 
@@ -53,7 +53,6 @@ class _Shared(dict):
 class _Row(NamedTuple):
     fields: tuple[str, ...]  # a case: the arguments of check, the keys of its report
     values: Callable  # the route values, from the sweep's _Shared and the case
-    read: Callable | None = None  # check's reader of a case whose values trust it; else routes check
 
 
 # Builders import their routes when they run, so rebinding a name in the route's module reaches
@@ -96,20 +95,10 @@ def _theorem2(shared, word, lam, i) -> dict:
                toeplitz=shared(_minors, loops, (), lam, i))
 
 
-def _read_prop1(word, lam, i, j) -> tuple:
-    """A prop1 case through the input layer, with the errors its routes gave when they checked it."""
+def _expansion(word, j) -> tuple:
     from .tableaux import expand_word
 
-    lam, i, word = check_partition(lam), check_bit(i), check_factorization_word(word)
-    j = tuple(check_int(v, "content") for v in j)
-    check_parity_string(expand_word(word, j), lam)
-    return word, lam, i, j
-
-
-def _expansion(word, j) -> tuple:
-    from .tableaux import _expand
-
-    return _expand(word, j), prod(map(factorial, j))
+    return expand_word(word, j), prod(map(factorial, j))
 
 
 def _counts(lam, i) -> Callable:
@@ -121,8 +110,8 @@ def _counts(lam, i) -> Callable:
 def _prop1(shared, word, lam, i, j) -> dict:
     """Tableaux counted by euler_char's walk, once per parity string d of a (lambda, i), and
     chess tableaux read off phi's longest walk, as a^j with trailing zeros, which the
-    restriction to the word keeps; each (word, content)'s d and product of j_t! are made
-    once.  The case, read by check or built by a grid, is not checked again."""
+    restriction to the word keeps; each (word, content)'s d, which expand_word checks, and
+    product of j_t! are made once, and euler_char checks d against lambda."""
     d, weight = shared[_expansion](word, j)
     walk = shared(_phis, shared.words, lam, i)[word[0]]
     chess = walk._coefficient(j + (0,) * (walk.nvars - len(j)))
@@ -152,11 +141,16 @@ def _lindstrom(shared, word, mu, lam, i) -> dict:
 # Fields follow lindstrom_minor(word, mu, lam, i).
 _ROWS = {
     "theorem2": _Row(("word", "lambda", "parity"), _theorem2),
-    "prop1": _Row(("word", "lambda", "parity", "content"), _prop1, _read_prop1),
+    "prop1": _Row(("word", "lambda", "parity", "content"), _prop1),
     "conjecture1": _Row(("lambda", "parity", "d", "q"), _conjecture1),
     "pieri": _Row(("word", "lambda", "parity"), _pieri),
     "lindstrom": _Row(("word", "mu", "lambda", "parity"), _lindstrom),
 }
+
+# Each field's reader in the input layer, with the message its routes give.
+_READERS = {"word": check_factorization_word, "mu": check_partition, "lambda": check_partition,
+            "parity": check_bit, "content": lambda j: tuple(check_int(v, "content") for v in j),
+            "d": partial(check_bits, what="parity string"), "q": partial(check_int, what="field size")}
 
 # The verify targets in CLI order; target t sweeps the cases of ``sweep_<t>``.
 TARGETS = tuple(_ROWS)
@@ -195,10 +189,9 @@ def _row(target: str) -> _Row:
 
 def check(target: str, *case) -> VerificationReport:
     """The report of one case, given as its row's fields in order, such as
-    ``check("lindstrom", word, mu, lam, i)``; a list field is read as its tuple, and a field
-    with no hash (a set has no order) is a DomainError.  A row with
-    a reader (prop1) reads the case through the input layer here, once; the routes of the
-    other rows check theirs.  The case runs as a sweep's does, its values on its own word."""
+    ``check("lindstrom", word, mu, lam, i)``: a list field is read as its tuple, a field with
+    no hash (a set has no order) is a DomainError, and each is read by its ``_READERS`` entry in
+    field order, so the report shows the canonical case, run as a sweep's on its own word."""
     row = _row(target)
     if len(case) != len(row.fields):
         raise DomainError(f"{target} takes {len(row.fields)} fields ({', '.join(row.fields)}), "
@@ -209,8 +202,7 @@ def check(target: str, *case) -> VerificationReport:
             hash(value)
         except TypeError:
             raise DomainError(f"{field} must be a tuple, a list or an int, got {value!r}") from None
-    if row.read:
-        case = row.read(*case)
+    case = tuple(_READERS[field](value) for field, value in zip(row.fields, case))
     return _check(target, case, _Shared(case[:1] if row.fields[0] == "word" else ()))
 
 

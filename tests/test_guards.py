@@ -198,6 +198,15 @@ MALFORMED = {
         lambda: parity_string(StandardTableau(((1, 3),)), 0), "requires content (1,...,1)"
     ),
     "StandardTableau_content": (lambda: StandardTableau(((1, 3),)), "requires content (1,...,1)"),
+    # a chess tableau has rows too, but may repeat a label, so it has no parity string
+    "parity_string_chess": (
+        lambda: parity_string(ChessTableau(rows=((1, 2), (2, 3)), parity=1, content=(1, 2, 1)), 1),
+        "needs a StandardTableau, got ChessTableau",
+    ),
+    "ground_state_chess": (
+        lambda: ground_state(ChessTableau(rows=((1, 2), (2, 3)), parity=1, content=(1, 2, 1)), 1),
+        "needs a StandardTableau, got ChessTableau",
+    ),
     "enumerate_chess": (lambda: enumerate_chess((1,), 0, -1), "label bound must be nonnegative"),
     "expand_word_length": (lambda: expand_word((1, 0), (1,)), "content length 1 != word length 2"),
     "expand_word_negative": (lambda: expand_word((1, 0), (1, -1)), "must be nonnegative"),

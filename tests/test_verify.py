@@ -154,12 +154,20 @@ def test_report_json_statuses():
     assert conj.to_json()["status"] == "mismatch"
     thm = check("theorem2", (0,), (1,), 0)
     assert thm == check("theorem2", [0], [1], 0) != conj
-    # every target reads a list field as its tuple
-    for target, case in [("pieri", ((1, 0, 1), (2, 1), 1)),
+    # every target reads a list field as its tuple, and a partition with trailing zeros and a
+    # bool parity as its canonical case, which its report shows
+    for target, case in [("theorem2", ((1, 0, 1, 0), (2, 1), 1)),
+                         ("prop1", ((1, 0, 1, 0), (2, 1), 1, (1, 1, 0, 1))),
+                         ("pieri", ((1, 0, 1), (2, 1), 1)),
                          ("lindstrom", ((1, 0, 1), (1,), (2, 1), 0)),
                          ("conjecture1", ((2, 1), 1, (1, 0, 0), 2))]:
         listed = [list(v) if isinstance(v, tuple) else v for v in case]
         assert check(target, *listed) == check(target, *case)
+        padded = [v + (0,) if field in ("mu", "lambda") else v == 1 if field == "parity" else v
+                  for field, v in zip(verify._ROWS[target].fields, case)]
+        assert repr(check(target, *padded)) == repr(check(target, *case))
+    # ...through a reader for every field of every row
+    assert {field for row in verify._ROWS.values() for field in row.fields} <= set(verify._READERS)
     assert repr(thm) == (
         "VerificationReport(check='theorem2', case={'word': '0', 'lambda': '1', 'parity': 0}, "
         "values={'phi': MultiPoly(1, 'a1'), 'lindstrom': MultiPoly(1, 'a1'), "
@@ -304,9 +312,9 @@ def test_a_sweep_formats_each_field_value_and_expands_each_content_once(monkeypa
     # each field's text and each prop1 (word, content) expansion is made once per sweep,
     # and the reports read as check's
     formatted, expanded = [], []
-    real_format, real_expand = verify.format_partition, tableaux._expand
+    real_format, real_expand = verify.format_partition, tableaux.expand_word
     monkeypatch.setattr(verify, "format_partition", lambda v: formatted.append(v) or real_format(v))
-    monkeypatch.setattr(tableaux, "_expand", lambda w, j: expanded.append((w, j)) or real_expand(w, j))
+    monkeypatch.setattr(tableaux, "expand_word", lambda w, j: expanded.append((w, j)) or real_expand(w, j))
     bound = (2, 3) if target == "conjecture1" else 3
     grid = list(getattr(verify, f"sweep_{target}")(3, bound))
     reports = list(sweep(target, 3, None if target == "conjecture1" else 3))
