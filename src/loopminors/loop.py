@@ -8,8 +8,8 @@ matrix products, the determinant and the column operations of ``_letters`` go
 through one kernel, ``_graded_sum``, which reduces the coefficient products on
 each power of t in one ``signed_sum``.  A loop element is a 2x2 Laurent matrix
 of determinant 1, which the public constructor checks and no assignment undoes;
-``_letters`` (the builder of ``identity_loop``, ``generator``, ``word_to_loop``)
-and products keep it by construction, so they build through ``_built``.
+``_letters`` (the builder of ``identity_loop``, ``generator``, ``word_to_loop``) and
+products keep it, so they build, like ``_graded_sum``, through the unchecked ``Value._made``.
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ def _graded_sum(triples, zero) -> LaurentPoly:
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
                 groups.setdefault(e1 + e2, []).append((sign, c1, c2))
-    return LaurentPoly({exp: signed_sum(group, zero) for exp, group in groups.items()})
+    sums = ((exp, signed_sum(group, zero)) for exp, group in groups.items())
+    return LaurentPoly._made(terms={exp: c for exp, c in sums if c})
 
 
 @cache  # no value is changed in place, so every caller shares them
@@ -101,19 +102,6 @@ class LoopElement(Value):
     _fields = ("entries", "nvars")
 
     def __init__(self, entries, nvars: int | None = None):
-        self._set(entries, nvars)
-        det = self.determinant()
-        if det != LaurentPoly.const(self.one_coeff()):
-            raise DomainError(f"determinant is not 1: {det}")
-
-    @classmethod
-    def _built(cls, entries, nvars: int | None) -> "LoopElement":
-        """Checked as ``__init__`` checks, but for det = 1, which the caller's construction keeps."""
-        g = cls.__new__(cls)
-        g._set(entries, nvars)
-        return g
-
-    def _set(self, entries, nvars: int | None) -> None:
         entries = tuple(tuple(row) for row in entries)
         if len(entries) != 2 or any(len(row) != 2 for row in entries):
             raise DomainError("a loop element is a 2x2 matrix")
@@ -125,6 +113,9 @@ class LoopElement(Value):
                 if not isinstance(coeff, ring) or (nvars is not None and coeff.nvars != nvars):
                     raise DomainError(f"inexact loop coefficient {coeff!r} for nvars={nvars}")
         vars(self).update(entries=entries, nvars=nvars)
+        det = self.determinant()
+        if det != LaurentPoly.const(self.one_coeff()):
+            raise DomainError(f"determinant is not 1: {det}")
 
     def one_coeff(self):
         return _ring(self.nvars)[1]
@@ -146,31 +137,31 @@ class LoopElement(Value):
         if self.nvars != other.nvars:
             raise DomainError("cannot multiply loop elements of different modes")
         a, b, zero = self.entries, other.entries, self.zero_coeff()
-        rows = [
-            [_graded_sum(((1, a[i][0], b[0][j]), (1, a[i][1], b[1][j])), zero) for j in range(2)]
-            for i in range(2)
-        ]
-        return LoopElement._built(rows, self.nvars)
+        rows = tuple(
+            tuple(_graded_sum(((1, a[i][0], b[0][j]), (1, a[i][1], b[1][j])), zero) for j in (0, 1))
+            for i in (0, 1)
+        )
+        return LoopElement._made(entries=rows, nvars=self.nvars)
 
 
 def _letters(word, params, nvars: int | None) -> LoopElement:
     """The product of generators x_{word[t]}(params[t]) over t, in order.
 
-    Starting from the identity's columns, letter 0 adds column 2 times
-    params[t] t to column 1 and letter 1 adds column 1 times params[t] to
-    column 2.  These keep the determinant 1, so it is not checked again.
+    Starting from the identity's columns, letter 0 adds column 2 times params[t] t to column 1
+    and letter 1 adds column 1 times params[t] to column 2.  These keep the determinant 1, so
+    it is not checked again; a zero parameter adds no term.
     """
     zero, one = _ring(nvars)
     unit, empty = LaurentPoly.const(one), LaurentPoly()
     columns = [(unit, empty), (empty, unit)]
     for bit, a in zip(word, params):
-        step = LaurentPoly({1 - bit: a})
+        step = LaurentPoly._made(terms={1 - bit: a} if a else {})
         columns[bit] = tuple(
             _graded_sum(((1, own, unit), (1, other, step)), zero)
             for own, other in zip(columns[bit], columns[1 - bit])
         )
     (g11, g21), (g12, g22) = columns
-    return LoopElement._built(((g11, g12), (g21, g22)), nvars)
+    return LoopElement._made(entries=((g11, g12), (g21, g22)), nvars=nvars)
 
 
 def identity_loop(nvars: int | None = None) -> LoopElement:

@@ -21,7 +21,7 @@ import functools
 from fractions import Fraction
 
 from .errors import DomainError
-from .partitions import Value, check_count, check_exact, check_int
+from .partitions import Value, check_count, check_exact, check_int, check_ints
 
 EXPONENT_BITS = 16
 MAX_EXPONENT = (1 << EXPONENT_BITS) - 1
@@ -98,7 +98,7 @@ class MultiPoly(Value):
         bound = 0
         if terms:
             for exps, coeff in terms.items():
-                exps = tuple(check_int(e, "exponent") for e in exps)
+                exps = check_ints(exps, "exponent")
                 if len(exps) != nvars:
                     raise DomainError(
                         f"exponent tuple {exps} has length {len(exps)}, expected {nvars}"
@@ -121,18 +121,11 @@ class MultiPoly(Value):
                     bound = max(bound, top)
         vars(self).update(nvars=nvars, terms=clean, _bound=bound)
 
-    @classmethod
-    def _from_packed(cls, nvars: int, terms: dict[int, int], bound: int) -> "MultiPoly":
-        """Wrap an already packed, zero-free term map without re-checking it."""
-        out = object.__new__(cls)
-        vars(out).update(nvars=nvars, terms=terms, _bound=bound)
-        return out
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
-        return cls._from_packed(check_count(nvars, "variable count"), {}, 0)
+        return cls._made(nvars=check_count(nvars, "variable count"), terms={}, _bound=0)
 
     @classmethod
     def const(cls, nvars: int, value: int) -> "MultiPoly":
@@ -140,7 +133,7 @@ class MultiPoly(Value):
 
     @classmethod
     def one(cls, nvars: int) -> "MultiPoly":
-        return cls._from_packed(check_count(nvars, "variable count"), {0: 1}, 0)
+        return cls._made(nvars=check_count(nvars, "variable count"), terms={0: 1}, _bound=0)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
@@ -195,7 +188,7 @@ class MultiPoly(Value):
         for c in range(nvars - 1, half - 1, -1):
             back = _carry(back, ((t, s, e << shifts[c], 1) for s, t, e in steps[c] if t in back))
         meet = ((s, end, key, n) for s in layer if s in back for key, n in back[s].items())
-        return cls._from_packed(nvars, _carry(layer, meet).get(end, {}), bound)
+        return cls._made(nvars=nvars, terms=_carry(layer, meet).get(end, {}), _bound=bound)
 
     @classmethod
     def sum_of_products(cls, nvars: int, triples) -> "MultiPoly":
@@ -226,7 +219,7 @@ class MultiPoly(Value):
                 for key, c2 in right:
                     key += e1
                     terms[key] = get(key, 0) + c1 * c2
-        return cls._from_packed(nvars, {key: c for key, c in terms.items() if c}, bound)
+        return cls._made(nvars=nvars, terms={key: c for key, c in terms.items() if c}, _bound=bound)
 
     # -- ring operations ---------------------------------------------------
 
@@ -238,7 +231,7 @@ class MultiPoly(Value):
                 raise DomainError(f"variable count mismatch: {nvars} vs {value.nvars}")
             return value
         value = check_int(value, "coefficient")
-        return cls._from_packed(nvars, {0: value} if value else {}, 0)
+        return cls._made(nvars=nvars, terms={0: value} if value else {}, _bound=0)
 
     def _coerce(self, other) -> "MultiPoly":
         if isinstance(other, (MultiPoly, int)):
@@ -293,7 +286,7 @@ class MultiPoly(Value):
     # -- queries -----------------------------------------------------------
 
     def coefficient(self, exps) -> int:
-        exps = tuple(check_int(e, "exponent") for e in exps)
+        exps = check_ints(exps, "exponent")
         if len(exps) != self.nvars or not all(0 <= e <= MAX_EXPONENT for e in exps):
             return 0
         return self._coefficient(exps)
@@ -308,7 +301,7 @@ class MultiPoly(Value):
         shift = EXPONENT_BITS * (self.nvars - k)
         low = (1 << shift) - 1
         terms = {key >> shift: n for key, n in self.terms.items() if not key & low}
-        return MultiPoly._from_packed(k, terms, self._bound)
+        return MultiPoly._made(nvars=k, terms=terms, _bound=self._bound)
 
     def _exponents(self):
         """The exponent tuples of the terms, in no particular order."""

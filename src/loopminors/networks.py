@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .multipoly import MultiPoly
-from .partitions import BitString, Partition, Value, check_int, check_word, index_windows
+from .partitions import BitString, Partition, Value, check_ints, check_word, index_windows
 
 
 class PathFamily(Value):
@@ -26,7 +26,7 @@ class PathFamily(Value):
 
     def __init__(self, word, levels):
         word = check_word(word)
-        levels = tuple(tuple(check_int(l, "path level") for l in path) for path in levels)
+        levels = tuple(check_ints(path, "path level") for path in levels)
         k = len(word)
         for path in levels:
             if len(path) != k + 1:
@@ -83,7 +83,7 @@ def enumerate_families(word, mu: Partition, lam: Partition, i: int) -> list[Path
             for chosen in families for path in candidates
             if not chosen or all(a > b for a, b in zip(chosen[-1], path))
         ]
-    return [PathFamily(word=word, levels=levels) for levels in families]
+    return [PathFamily._made(word=word, levels=levels) for levels in families]
 
 
 def _ascent_counts(family: PathFamily) -> tuple[int, ...]:

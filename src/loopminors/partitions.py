@@ -30,6 +30,11 @@ def check_int(value, what: str) -> int:
         raise DomainError(f"{what} entries must be integers, got {value!r}") from None
 
 
+def check_ints(values, what: str) -> tuple[int, ...]:
+    """A tuple of the values, each through ``check_int``."""
+    return tuple(check_int(v, what) for v in values)
+
+
 def check_count(value, what: str) -> int:
     """The value as an int, if it is a nonnegative integer; DomainError otherwise."""
     value = check_int(value, what)
@@ -71,7 +76,7 @@ def check_bit(value, what: str = "parity") -> int:
 
 def check_bits(bits, what: str = "bit string") -> BitString:
     """A tuple of ints, each 0 or 1; DomainError otherwise."""
-    out = tuple(check_int(b, what) for b in bits)
+    out = check_ints(bits, what)
     if any(b not in (0, 1) for b in out):
         raise DomainError(f"{what} entries must be 0 or 1, got {out}")
     return out
@@ -194,6 +199,13 @@ class Value:
     ``vars``: equal and hashed by ``_key()``, the values of its ``_fields``, and shown as them."""
 
     _fields: tuple[str, ...] = ()
+
+    @classmethod
+    def _made(cls, **fields):
+        """The one trusted constructor: these fields, set unchecked, as the caller built them."""
+        made = object.__new__(cls)
+        vars(made).update(fields)
+        return made
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .partitions import (
-    BitString, Partition, Value, check_bit, check_count, check_int, check_parity_string,
-    check_partition, check_word, is_prime_power, size,
+    BitString, Partition, Value, check_bit, check_count, check_int, check_ints,
+    check_parity_string, check_partition, check_word, is_prime_power, size,
 )
 
 
@@ -26,7 +26,7 @@ def _rows_standard(rows) -> bool:
 
 def _check_rows(rows) -> tuple[tuple[int, ...], ...]:
     """Integer rows of a partition shape, strictly increasing both ways."""
-    rows = tuple(tuple(check_int(v, "tableau") for v in row) for row in rows)
+    rows = tuple(check_ints(row, "tableau") for row in rows)
     if len(check_partition(len(row) for row in rows)) != len(rows):
         raise DomainError("empty rows are not allowed in a tableau")
     if not _rows_standard(rows):
@@ -73,7 +73,7 @@ class ChessTableau(Value):
     def __init__(self, rows, parity: int, content=()):
         parity = check_bit(parity)
         rows = _check_rows(rows)
-        content = tuple(check_int(x, "content") for x in content)
+        content = check_ints(content, "content")
         k = len(content)
         counts = [0] * k
         for s, row in enumerate(rows):
@@ -108,7 +108,7 @@ def enumerate_standard(lam: Partition) -> list[StandardTableau]:
             for rows in fillings for s in range(len(lam))
             if len(rows[s]) < lam[s] and (s == 0 or len(rows[s - 1]) > len(rows[s]))
         ]
-    return [StandardTableau(rows) for rows in sorted(fillings)]
+    return [StandardTableau._made(rows=rows) for rows in sorted(fillings)]
 
 
 def parity_string(tableau: StandardTableau, i: int) -> BitString:
@@ -152,7 +152,8 @@ def enumerate_chess(lam: Partition, i: int, k: int) -> dict[tuple[int, ...], lis
     for labels in fillings:
         rows = tuple(labels[at[s, 0]:at[s, 0] + p] for s, p in enumerate(lam))
         content = tuple(labels.count(c) for c in range(1, k + 1))
-        grouped.setdefault(content, []).append(ChessTableau(rows=rows, parity=i, content=content))
+        tableau = ChessTableau._made(rows=rows, parity=i, content=content)
+        grouped.setdefault(content, []).append(tableau)
     return {j: grouped[j] for j in sorted(grouped)}
 
 
@@ -164,7 +165,7 @@ def expand_word(word, j) -> BitString:
     len(j) == len(word).
     """
     word = check_word(word)
-    j = tuple(check_int(v, "content") for v in j)
+    j = check_ints(j, "content")
     if len(j) != len(word):
         raise DomainError(f"content length {len(j)} != word length {len(word)}")
     if any(v < 0 for v in j):

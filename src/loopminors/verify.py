@@ -14,8 +14,8 @@ from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError
 from .partitions import (
-    Partition, check_bit, check_bits, check_factorization_word, check_int, check_partition,
-    format_partition, partitions_up_to, size, subpartitions,
+    Partition, check_bit, check_bits, check_factorization_word, check_int, check_ints,
+    check_partition, format_partition, partitions_up_to, size, subpartitions,
 )
 
 
@@ -149,7 +149,7 @@ _ROWS = {
 
 # Each field's reader in the input layer, with the message its routes give.
 _READERS = {"word": check_factorization_word, "mu": check_partition, "lambda": check_partition,
-            "parity": check_bit, "content": lambda j: tuple(check_int(v, "content") for v in j),
+            "parity": check_bit, "content": partial(check_ints, what="content"),
             "d": partial(check_bits, what="parity string"), "q": partial(check_int, what="field size")}
 
 # The verify targets in CLI order; target t sweeps the cases of ``sweep_<t>``.

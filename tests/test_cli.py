@@ -617,6 +617,11 @@ OUTPUTS = {
         ["--format", "text", "tableaux", "--shape", "3,1"],
         0, "[[1, 2, 3], [4]]\n[[1, 2, 4], [3]]\n[[1, 3, 4], [2]]\n", "",
     ),
+    # 768 tableaux, 23,835 bytes of JSON
+    "tableaux-4321": (
+        ["tableaux", "--shape", "4,3,2,1"],
+        0, Sha256("e4316af3d7dde111c431018448df1c08dbfd0e75bdc4eb72311a301ca5e2381f"), "",
+    ),
     "tableaux-none": (
         ["--format", "text", "tableaux", "--shape", "2,1", "--parity", "1", "--d", "1,1,1"],
         0, "(none)\n", "",
@@ -629,6 +634,11 @@ OUTPUTS = {
         "1,1,0,1: [[[1, 2], [4]], [[1, 4], [2]]]\n"
         "1,2,0,0: [[[1, 2], [2]]]\n",
         "",
+    ),
+    # 594 tableaux, 20,347 bytes of JSON
+    "chess-4321": (
+        ["chess", "--shape", "4,3,2,1", "--parity", "1", "--max-label", "8"],
+        0, Sha256("f528af1031e9532d0573cd4104b8987ea4c5d58a45a4e1cee57bc97494fe9555"), "",
     ),
     "phi": (
         ["--format", "text", "phi", "--shape", "2,1", "--parity", "1", "--word", "1,0,1,0"],
@@ -659,6 +669,11 @@ OUTPUTS = {
         "  -1 *---*---*   o\n"
         "sum a2*a3\n",
         "",
+    ),
+    # 330 families, 28,926 bytes of JSON
+    "paths-321": (
+        ["paths", "--word", "1,0,1,0,1,0,1,0,1,0", "--lambda", "3,2,1", "--parity", "1"],
+        0, Sha256("9189a7d2338063b23f2971b1bcf17462cbb77d582df1bcd5fdb75a40d28c690b"), "",
     ),
     "module": (
         ["--format", "text", "module", "--lambda", "3,1", "--mu", "1", "--parity", "1"],

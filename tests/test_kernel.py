@@ -105,15 +105,15 @@ def test_symbolic_reach_both_routes_agree_on_fourteen_letters():
 def test_the_walk_wraps_only_its_answer(monkeypatch):
     # the halves join through the walk's own step, not a product of polynomials
     calls = Counter()
-    for name in ("sum_of_products", "_from_packed"):
-        def counted(cls, *args, name=name, kernel=getattr(MultiPoly, name)):
+    for name in ("sum_of_products", "_made"):
+        def counted(cls, *args, name=name, kernel=getattr(MultiPoly, name), **kwargs):
             calls[name] += 1
-            return kernel(*args)
+            return kernel(*args, **kwargs)
 
         monkeypatch.setattr(MultiPoly, name, classmethod(counted))
     phi = phi_polynomial((5, 4, 3, 2, 1), 1, (1, 0) * 6)
     assert len(phi.terms) == 3_885
-    assert calls == Counter(_from_packed=1)
+    assert calls == Counter(_made=1)
 
 
 def degrees_by_tuple(poly):

@@ -4,7 +4,8 @@ The tableau route is ``tableaux`` and ``phi``, the path route ``networks``,
 the matrix route ``loop``, ``toeplitz``, ``determinants`` and the ring
 ``multipoly``, and the module route ``shapemod`` and its field ``gf``, which
 count flags over F_q.  Inputs are checked in ``partitions``, which every
-route may import.
+route may import, and whose ``Value._made`` is the one constructor that skips
+the checks: no other module makes an object through ``__new__``.
 """
 
 import ast
@@ -58,3 +59,29 @@ def test_a_route_imports_no_other_route(module):
     imports = imported_names(module)
     for other in FOREIGN[module]:
         assert imports.get(other, set()) <= ALLOWED.get((module, other), set()), other
+
+
+def names_used(module: str) -> set[str]:
+    """Every name, attribute, function and class name written in ``module``."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_names_are_read():
+    assert {"Value", "_made", "__new__"} <= names_used("partitions")
+    assert "_made" in names_used("loop")
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_value_made_is_the_one_trusted_constructor(module):
+    names = names_used(module)
+    assert not names & {"_from_packed", "_built"}
+    if module != "partitions":
+        assert "__new__" not in names

@@ -133,16 +133,6 @@ def test_seeded_products_of_generators_pass_the_public_determinant_check(seed):
     assert LoopElement(symbolic.entries, nvars=k) == symbolic
 
 
-def test_built_elements_keep_the_shape_and_exactness_checks():
-    one = LaurentPoly({0: Fraction(1)})
-    with pytest.raises(DomainError, match="2x2"):
-        LoopElement._built(((one, one),), None)
-    with pytest.raises(DomainError, match="inexact"):
-        LoopElement._built(((LaurentPoly({0: 1.0}), one), (one, one)), None)
-    with pytest.raises(DomainError, match="inexact"):
-        LoopElement._built(((one, one), (one, one)), 1)
-
-
 def test_word_to_loop_rejects_bad_words():
     with pytest.raises(DomainError):
         word_to_loop((1, 1))
