@@ -145,7 +145,7 @@ class MultiPoly(Value):
 
     @classmethod
     def monomial(cls, nvars: int, exps, coeff: int = 1) -> "MultiPoly":
-        return cls(nvars, {tuple(exps): coeff})
+        return cls(nvars, {check_ints(exps, "exponent"): coeff})
 
     @classmethod
     def transfer_walk(cls, nvars: int, start, end, moves) -> "MultiPoly":

@@ -31,7 +31,10 @@ def check_int(value, what: str) -> int:
 
 
 def check_ints(values, what: str) -> tuple[int, ...]:
-    """A tuple of the values, each through ``check_int``."""
+    """A tuple of the values, each through ``check_int``, if they come as a tuple or a list:
+    the one sequence rule, so no set, dict, bytes, str, range or generator is read."""
+    if not isinstance(values, (tuple, list)):
+        raise DomainError(f"{what} must be a tuple or a list, got {values!r}")
     return tuple(check_int(v, what) for v in values)
 
 
@@ -106,24 +109,18 @@ def check_parity_string(d, lam: Partition) -> BitString:
 
 
 def check_partition(parts) -> Partition:
-    """Normalize an iterable of parts into a valid partition tuple.
+    """Normalize a tuple or list of parts into a valid partition tuple.
 
     Trailing zero parts are stripped; a negative part or an increase between
     consecutive parts raises :class:`DomainError`.
     """
-    out = []
-    prev = None
-    for p in parts:
-        p = check_int(p, "partition")
+    parts = check_ints(parts, "partition")
+    for prev, p in zip(parts[:1] + parts, parts):
         if p < 0:
             raise DomainError(f"negative part {p} in partition")
-        if prev is not None and p > prev:
+        if p > prev:
             raise DomainError(f"parts not weakly decreasing: {p} after {prev}")
-        prev = p
-        out.append(p)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return tuple(filter(None, parts))  # weakly decreasing and nonnegative: its zeros trail
 
 
 def part(lam: Partition, n: int) -> int:

@@ -27,7 +27,7 @@ def _rows_standard(rows) -> bool:
 def _check_rows(rows) -> tuple[tuple[int, ...], ...]:
     """Integer rows of a partition shape, strictly increasing both ways."""
     rows = tuple(check_ints(row, "tableau") for row in rows)
-    if len(check_partition(len(row) for row in rows)) != len(rows):
+    if len(check_partition([len(row) for row in rows])) != len(rows):
         raise DomainError("empty rows are not allowed in a tableau")
     if not _rows_standard(rows):
         raise DomainError(f"filling {rows} does not increase strictly along rows and columns")
@@ -46,7 +46,7 @@ class StandardTableau(Value):
     _fields = ("rows",)
 
     def __init__(self, rows):
-        rows = [tuple(row) for row in rows]
+        rows = [check_ints(row, "tableau") for row in rows]
         while rows and not rows[-1]:
             rows.pop()
         rows = _check_rows(rows)

@@ -189,19 +189,13 @@ def _row(target: str) -> _Row:
 
 def check(target: str, *case) -> VerificationReport:
     """The report of one case, given as its row's fields in order, such as
-    ``check("lindstrom", word, mu, lam, i)``: a list field is read as its tuple, a field with
-    no hash (a set has no order) is a DomainError, and each is read by its ``_READERS`` entry in
-    field order, so the report shows the canonical case, run as a sweep's on its own word."""
+    ``check("lindstrom", word, mu, lam, i)``: each is read by its ``_READERS`` entry in field
+    order, so a sequence field is a tuple or a list (a set has no order) and the report shows
+    the canonical case, run as a sweep's on its own word."""
     row = _row(target)
     if len(case) != len(row.fields):
         raise DomainError(f"{target} takes {len(row.fields)} fields ({', '.join(row.fields)}), "
                           f"got {len(case)}")
-    case = tuple(tuple(v) if isinstance(v, list) else v for v in case)
-    for field, value in zip(row.fields, case):
-        try:
-            hash(value)
-        except TypeError:
-            raise DomainError(f"{field} must be a tuple, a list or an int, got {value!r}") from None
     case = tuple(_READERS[field](value) for field, value in zip(row.fields, case))
     return _check(target, case, _Shared(case[:1] if row.fields[0] == "word" else ()))
 
@@ -291,11 +285,12 @@ def sweep(target: str, max_size: int, max_word=None, qs=None) -> Iterator[Verifi
     if not sweeps_q:
         length = check_int(max_word, "max_word")
         words = alternating_words(length) if length > 0 else ()
+    qs = qs if qs is None else check_ints(qs, "field size")
     if qs is not None and not sweeps_q:
         raise DomainError(f"{target} sweeps words, not field sizes; drop --q")
     if qs is not None and (not qs or len(set(qs)) < len(qs)):
         raise DomainError(f"{target} needs at least one field size q, each once; got {list(qs)}")
-    grid = globals()[f"sweep_{target}"](max_size, tuple(qs or DEFAULT_QS) if sweeps_q else max_word)
+    grid = globals()[f"sweep_{target}"](max_size, (qs or DEFAULT_QS) if sweeps_q else max_word)
     shared = _Shared(words)
     return (_check(target, case, shared) for case in grid)
 

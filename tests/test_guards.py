@@ -72,7 +72,6 @@ def test_non_bit_parities_are_rejected(call):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: build_module("x", (), 0),
         lambda: check_partition((2.5, 1)),
         lambda: phi_polynomial(("2", 1), 1, WORD),
         lambda: check_bits((1, 0.5)),
@@ -111,7 +110,6 @@ def test_non_bit_parities_are_rejected(call):
         lambda: partitions_of("3"),
         lambda: partitions_up_to(2.5),
         lambda: subpartitions((1.5,)),
-        lambda: subpartitions("ab"),
         lambda: MultiPoly(1.0),
         lambda: MultiPoly.zero("a"),
         lambda: MultiPoly.one(1.5),
@@ -121,7 +119,7 @@ def test_non_bit_parities_are_rejected(call):
         lambda: MultiPoly.monomial("1", (1,)),
         lambda: identity_loop("x"),
     ],
-    ids=["build_module", "check_partition", "phi_polynomial", "check_bits", "euler_char",
+    ids=["check_partition", "phi_polynomial", "check_bits", "euler_char",
          "check_bit", "expand_word", "expand_word_str", "verify_prop1",
          "StandardTableau", "ChessTableau", "ChessTableau_content", "enumerate_chess",
          "enumerate_chess_str", "verify_conjecture1", "count_flags_fq_q",
@@ -130,13 +128,82 @@ def test_non_bit_parities_are_rejected(call):
          "coefficient_str", "generator_float",
          "generator_str", "sweep_max_size", "sweep_max_word", "entry_E", "toeplitz_entry",
          "entry_E_str", "index_set", "index_set_n_max", "partitions_of", "partitions_of_str",
-         "partitions_up_to", "subpartitions", "subpartitions_str", "MultiPoly_nvars",
+         "partitions_up_to", "subpartitions", "MultiPoly_nvars",
          "MultiPoly.zero", "MultiPoly.one", "MultiPoly.const_nvars", "MultiPoly.variable_nvars",
          "MultiPoly.variable_index", "MultiPoly.monomial", "identity_loop"],
 )
 def test_non_integer_entries_are_rejected(call):
     with pytest.raises(DomainError, match="entries must be integers"):
         call()
+
+
+# The one sequence rule: a sequence input is a tuple or a list.  Each row is a public reader
+# fed a kind it refuses, which iterating would misread: a dict by its keys, bytes as ints,
+# a set in hash order, a str by its characters, and a non-iterable as a raw TypeError.
+LETTERS = (bit for bit in (1, 0, 0))
+SEQUENCES = {
+    "phi_polynomial-dict": (lambda: phi_polynomial({2: 0, 1: 0}, 1, (1, 0)),
+                            "partition must be a tuple or a list, got {2: 0, 1: 0}"),
+    "phi_polynomial-set": (lambda: phi_polynomial((2, 1), 1, {1, 0}),
+                           "word must be a tuple or a list, got {0, 1}"),
+    "phi_polynomial-int": (lambda: phi_polynomial(5, 1, (1, 0)),
+                           "partition must be a tuple or a list, got 5"),
+    "minor-dict": (lambda: minor(word_to_loop((1, 0, 1, 0)), {1: "x"}, (2, 1), 1),
+                   "partition must be a tuple or a list, got {1: 'x'}"),
+    "count_flags_fq-bytes": (lambda: count_flags_fq(build_module((2, 1), (), 1), b"\x01\x00\x00", 2),
+                             "parity string must be a tuple or a list, got b'\\x01\\x00\\x00'"),
+    "MultiPoly-bytes": (lambda: MultiPoly(2, {b"\x01\x00": 1}),
+                        "exponent must be a tuple or a list, got b'\\x01\\x00'"),
+    "MultiPoly-int": (lambda: MultiPoly(1, {3: 1}), "exponent must be a tuple or a list, got 3"),
+    "MultiPoly.monomial-set": (lambda: MultiPoly.monomial(2, {1, 0}),
+                               "exponent must be a tuple or a list, got {0, 1}"),
+    "check-frozenset": (lambda: check("theorem2", frozenset({1, 0}), (2, 1), 1),
+                        "word must be a tuple or a list, got frozenset({0, 1})"),
+    "check-int": (lambda: check("theorem2", 5, (2, 1), 1), "word must be a tuple or a list, got 5"),
+    "expand_word-None": (lambda: expand_word((1, 0), None),
+                         "content must be a tuple or a list, got None"),
+    "sweep-set": (lambda: sweep("conjecture1", 3, 0, {3, 2}),
+                  "field size must be a tuple or a list, got {2, 3}"),
+    "sweep-range": (lambda: sweep("conjecture1", 3, 0, range(2, 4)),
+                    "field size must be a tuple or a list, got range(2, 4)"),
+    "StandardTableau-set": (lambda: StandardTableau([{1, 2}, (3,)]),
+                            "tableau must be a tuple or a list, got {1, 2}"),
+    "ChessTableau_row-set": (lambda: ChessTableau(rows=({1},), parity=1, content=(1,)),
+                             "tableau must be a tuple or a list, got {1}"),
+    "ChessTableau_content-set": (lambda: ChessTableau(rows=((1,),), parity=1, content={1}),
+                                 "content must be a tuple or a list, got {1}"),
+    "build_module-str": (lambda: build_module("x", (), 0),
+                         "partition must be a tuple or a list, got 'x'"),
+    "subpartitions-str": (lambda: subpartitions("ab"),
+                          "partition must be a tuple or a list, got 'ab'"),
+    "check_partition-range": (lambda: check_partition(range(3, 0, -1)),
+                              "partition must be a tuple or a list, got range(3, 0, -1)"),
+    "check_bits-bytearray": (lambda: check_bits(bytearray([1, 0])),
+                             "bit string must be a tuple or a list, got bytearray(b'\\x01\\x00')"),
+    "euler_char-generator": (lambda: euler_char((2, 1), 1, LETTERS),
+                             f"parity string must be a tuple or a list, got {LETTERS!r}"),
+    "word_to_loop-range": (lambda: word_to_loop(range(2)),
+                           "word must be a tuple or a list, got range(0, 2)"),
+    "enumerate_families-str": (lambda: enumerate_families("", (), (), 0),
+                               "word must be a tuple or a list, got ''"),
+    "PathFamily-range": (lambda: PathFamily(word=(0,), levels=(range(2),)),
+                         "path level must be a tuple or a list, got range(0, 2)"),
+    "coefficient-dict": (lambda: phi_polynomial((2, 1), 1, WORD).coefficient({1: 2}),
+                         "exponent must be a tuple or a list, got {1: 2}"),
+    "index_set-frozenset": (lambda: index_set(frozenset({1}), 0, 1),
+                            "partition must be a tuple or a list, got frozenset({1})"),
+    "lindstrom_minor-bytes": (lambda: lindstrom_minor(WORD, b"\x01", (2, 1), 0),
+                              "partition must be a tuple or a list, got b'\\x01'"),
+    "enumerate_by_parity-set": (lambda: enumerate_by_parity((2, 1), 1, {1, 0}),
+                                "parity string must be a tuple or a list, got {0, 1}"),
+}
+
+
+@pytest.mark.parametrize("call, message", SEQUENCES.values(), ids=SEQUENCES.keys())
+def test_only_a_tuple_or_a_list_is_read_as_a_sequence(call, message):
+    with pytest.raises(DomainError) as error:
+        call()
+    assert str(error.value) == message
 
 
 @pytest.mark.parametrize(
@@ -317,6 +384,32 @@ def python_O(code: str) -> str:
 
 def test_guards_hold_under_python_O():
     assert python_O(GUARDED_CALLS).split("\n") == ["rejected", "rejected", "optimize 1", ""]
+
+
+# The sequence rule is an explicit check as well: under -O each row of SEQUENCES, imported
+# from this file, is still refused with its message.
+SEQUENCE_RULE = """
+import sys
+from loopminors.errors import DomainError
+
+sys.path.insert(0, TESTS)
+from test_guards import SEQUENCES
+
+for call, message in SEQUENCES.values():
+    try:
+        call()
+    except DomainError as exc:
+        print("refused" if str(exc) == message else f"refused with {exc}")
+    else:
+        print("accepted")
+print("optimize", sys.flags.optimize)
+"""
+
+
+def test_sequence_rule_holds_under_python_O():
+    tests = str(Path(__file__).resolve().parent)
+    lines = python_O(f"TESTS = {tests!r}\n{SEQUENCE_RULE}").split("\n")
+    assert lines == ["refused"] * len(SEQUENCES) + ["optimize 1", ""]
 
 
 # A loop element built directly, with determinant 2: the constructor's check

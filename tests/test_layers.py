@@ -5,7 +5,8 @@ the matrix route ``loop``, ``toeplitz``, ``determinants`` and the ring
 ``multipoly``, and the module route ``shapemod`` and its field ``gf``, which
 count flags over F_q.  Inputs are checked in ``partitions``, which every
 route may import, and whose ``Value._made`` is the one constructor that skips
-the checks: no other module makes an object through ``__new__``.
+the checks: no other module makes an object through ``__new__``.  It also owns
+the one sequence rule, a tuple or a list: no other module tests for either type.
 """
 
 import ast
@@ -85,3 +86,32 @@ def test_value_made_is_the_one_trusted_constructor(module):
     assert not names & {"_from_packed", "_built"}
     if module != "partitions":
         assert "__new__" not in names
+
+
+def calls_of(module: str, name: str) -> list[ast.Call]:
+    """Each call of the bare name ``name`` in ``module``."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name]
+
+
+def sequence_tests(module: str) -> list[str]:
+    """The source of each ``isinstance`` call of ``module`` that tests for a list or a tuple."""
+    return [ast.unparse(call) for call in calls_of(module, "isinstance")
+            if any(isinstance(node, ast.Name) and node.id in ("list", "tuple")
+                   for node in ast.walk(call.args[1]))]
+
+
+def test_the_scan_sees_the_rule_and_the_hash_call_of_partitions():
+    # the owner's own calls, so an empty scan of another module means no call, not a blind scan
+    assert sequence_tests("partitions") == ["isinstance(values, (tuple, list))"]
+    assert len(calls_of("partitions", "hash")) == 1
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_partitions_owns_the_sequence_rule(module):
+    # a second rule would read some sequence its own way; verify reads its fields through readers
+    if module != "partitions":
+        assert not sequence_tests(module)
+    if module == "verify":
+        assert not calls_of(module, "hash")

@@ -201,9 +201,9 @@ def test_check_names_its_fields_on_a_wrong_count():
 
 @pytest.mark.parametrize(
     "target, case, message",
-    [("pieri", ({1, 0}, (2, 1), 1), "word must be a tuple, a list or an int, got {0, 1}"),
+    [("pieri", ({1, 0}, (2, 1), 1), "word must be a tuple or a list, got {0, 1}"),
      ("lindstrom", ((1, 0), bytearray([1]), (2, 1), 0),
-      "mu must be a tuple, a list or an int, got bytearray(b'\\x01')")],
+      "partition must be a tuple or a list, got bytearray(b'\\x01')")],
     ids=["pieri-set", "lindstrom-bytearray"],
 )
 def test_check_names_a_field_with_no_hash(target, case, message):
